@@ -55,6 +55,7 @@ from repro.sim.experiment import (
     orphan_tmp_entries,
     resolve_cache_dir,
     shared_context,
+    stale_format_entries,
 )
 from repro.sim.parallel import (
     DEFAULT_RETRIES,
@@ -537,6 +538,7 @@ def cmd_cache(args) -> int:
 
     entries = cache_entries(spec)
     orphans = orphan_tmp_entries(spec)
+    stale = stale_format_entries(spec)
     streams = [e for e in entries if e[0].name.endswith((".rllc", ".rllc.gz"))]
     total = sum(size for __, size in entries)
     memo = annotation_memo_stats()
@@ -549,6 +551,10 @@ def cmd_cache(args) -> int:
             ["total bytes", total],
             ["orphan tmp files", len(orphans)],
             ["orphan tmp bytes", sum(size for __, size in orphans)],
+            # Entries keyed by an older stream format: never read again,
+            # removed by `cache clear`.
+            ["stale format entries", len(stale)],
+            ["stale format bytes", sum(size for __, size in stale)],
             # The in-memory oracle-annotation memo (this process): LRU-
             # bounded per (stream, horizon-window, cap); see
             # repro.oracle.runner.ANNOTATION_MEMO_CAPACITY.

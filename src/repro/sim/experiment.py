@@ -213,8 +213,7 @@ class ExperimentContext:
                     f"{stream_path}: stream length {len(stream)} disagrees "
                     f"with cached stats ({hierarchy_stats.llc_accesses})"
                 )
-        except (TraceError, ValueError, KeyError, TypeError, OSError,
-                EOFError):  # EOFError: truncated gzip member
+        except (TraceError, ValueError, KeyError, TypeError, OSError):
             self.cache_stats.corrupt_entries += 1
             for path in (stream_path, stats_path):
                 try:
@@ -236,7 +235,8 @@ class ExperimentContext:
         Writes go to per-process temp names and land via atomic renames, so
         concurrent worker processes recording the same workload can never
         leave a half-written entry behind (last complete writer wins, and
-        every writer produces identical bits anyway). The *stream* lands
+        every writer produces identical bytes anyway: the stream format
+        embeds neither a timestamp nor the temp name). The *stream* lands
         before the *stats*: ``_load_cached`` requires both files, so a
         crash between the two renames leaves a stream without stats (an
         ignorable orphan) rather than stats advertising a stream that
@@ -517,6 +517,24 @@ def orphan_tmp_entries(cache_dir: Optional[Union[str, Path]] = AUTO_CACHE_DIR):
         return []
     __, orphans = _scan_cache(directory)
     return orphans
+
+
+_FORMAT_TAG = re.compile(r"-fv(\d+)\.(?:rllc\.gz|rllc|json)$")
+"""The stream-format part of a cache key (see ``_cache_paths``)."""
+
+
+def stale_format_entries(cache_dir: Optional[Union[str, Path]] = AUTO_CACHE_DIR):
+    """The (path, size) pairs of published entries of another format version.
+
+    A format bump changes every cache key, so these entries are never read
+    again; :func:`clear_cache` removes them along with the rest.
+    """
+    stale = []
+    for path, size in cache_entries(cache_dir):
+        match = _FORMAT_TAG.search(path.name)
+        if match and int(match.group(1)) != STREAM_FORMAT_VERSION:
+            stale.append((path, size))
+    return stale
 
 
 def clear_cache(cache_dir: Optional[Union[str, Path]] = AUTO_CACHE_DIR) -> int:

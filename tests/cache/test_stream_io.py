@@ -1,23 +1,47 @@
 """Tests for LLC-stream persistence."""
 
+import gzip
 import struct
+import time
+import zlib
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.cache.stream_io as stream_io
-from repro.cache.stream_io import (
-    _read_llc_stream_mapped,
-    _read_llc_stream_streamed,
-    read_llc_stream,
-    write_llc_stream,
-)
+from repro.cache.stream_io import read_llc_stream, write_llc_stream
 from repro.common.npsupport import HAVE_NUMPY
 from repro.common.errors import TraceError
 from repro.trace.io import write_trace
 from repro.trace.trace import Trace
 from repro.trace.record import Access
 from tests.conftest import make_stream
+
+INT64_EXTREMES = [0, -1, 1, 1 << 62, -(1 << 62), (1 << 63) - 1, -(1 << 63)]
+
+
+def encode(stream, version: int) -> bytes:
+    """Independent spec of the plain file bytes of ``version`` (1, 2 or 3).
+
+    Versions 1 and 2 store every column as plain little-endian values;
+    version 3 stores the int64 columns as byte planes. The CRC (version
+    >= 2) always covers the plain column bytes.
+    """
+    name = stream.name.encode("utf-8")
+    out = struct.pack("<4sIQII", b"RLLC", version, len(stream),
+                      stream.num_cores, len(name)) + name
+    checksum = 0
+    for column, typecode in zip(stream.columns(), "bqqb"):
+        blob = array(typecode, column).tobytes()
+        checksum = zlib.crc32(blob, checksum)
+        if version >= 3 and typecode == "q":
+            blob = bytes(blob[j * 8 + plane] for plane in range(8)
+                         for j in range(len(column)))
+        out += blob
+    if version >= 2:
+        out += struct.pack("<I", checksum)
+    return out
 
 
 class TestRoundtrip:
@@ -39,31 +63,88 @@ class TestRoundtrip:
         assert gz.stat().st_size < plain.stat().st_size
 
     def test_empty(self, tmp_path):
-        path = tmp_path / "e.rllc"
-        write_llc_stream(make_stream([]), path)
-        assert len(read_llc_stream(path)) == 0
+        for filename in ("e.rllc", "e.rllc.gz"):
+            path = tmp_path / filename
+            write_llc_stream(make_stream([]), path)
+            assert len(read_llc_stream(path)) == 0
 
-    @settings(max_examples=15)
+    @settings(max_examples=25)
     @given(
         st.lists(
-            st.tuples(st.integers(min_value=0, max_value=7), st.just(5),
-                      st.integers(min_value=0, max_value=1 << 50),
-                      st.booleans()),
-            max_size=40,
+            st.tuples(
+                st.integers(min_value=0, max_value=127),
+                st.one_of(st.sampled_from(INT64_EXTREMES),
+                          st.integers(-(1 << 63), (1 << 63) - 1)),
+                st.one_of(st.sampled_from(INT64_EXTREMES),
+                          st.integers(-(1 << 62), 1 << 62)),
+                st.booleans(),
+            ),
+            max_size=60,
         ),
-        st.sampled_from(["p.rllc", "p.rllc.gz"]),
+        st.sampled_from(["x.rllc", "x.rllc.gz"]),
     )
     def test_roundtrip_property(self, accesses, filename):
         import tempfile
         from pathlib import Path
 
-        stream = make_stream(accesses)
+        stream = make_stream(accesses, name="extreme")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / filename
             write_llc_stream(stream, path)
+            raw = path.read_bytes()
+            if filename.endswith(".gz"):
+                raw = gzip.decompress(raw)
+            assert raw == encode(stream, 3)
             loaded = read_llc_stream(path)
             assert list(loaded) == list(stream)
-            assert loaded.name == stream.name
+            assert loaded.name == "extreme"
+
+
+class TestByteLayout:
+    """Format v3: byte-plane int64 columns, deterministic gzip bytes."""
+
+    @pytest.mark.parametrize("filename", ["v2.rllc", "v2.rllc.gz"])
+    def test_reads_version_2(self, tmp_path, filename):
+        stream = make_stream(
+            [(i % 4, -(1 << 62) + i, (1 << 62) - i, i % 3 == 0)
+             for i in range(300)],
+            name="legacy",
+        )
+        blob = encode(stream, 2)
+        path = tmp_path / filename
+        path.write_bytes(gzip.compress(blob) if filename.endswith(".gz")
+                         else blob)
+        loaded = read_llc_stream(path)
+        assert list(loaded) == list(stream)
+        assert loaded.name == "legacy"
+
+    def test_gzip_bytes_are_deterministic(self, tmp_path, monkeypatch):
+        # Neither the clock nor the (per-process temp) file name may leak
+        # into the cache bytes: concurrent writers must agree.
+        stream = make_stream([(i % 4, 0x40 + i % 9, i * 3, i % 2 == 0)
+                              for i in range(2000)])
+        first = tmp_path / "tmp111-a.rllc.gz"
+        second = tmp_path / "tmp222-b.rllc.gz"
+        write_llc_stream(stream, first)
+        later = time.time() + 1.5
+        monkeypatch.setattr(time, "time", lambda: later)
+        write_llc_stream(stream, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_byte_planes_shrink_a_recorded_stream(self, tmp_path):
+        # Size pin: byte planes at level 6 against the v2 layout at
+        # gzip's level 9 (measured ~0.72x on this stream).
+        from repro.common.config import profile
+        from repro.sim.experiment import ExperimentContext
+
+        context = ExperimentContext(profile("scaled-4mb"),
+                                    target_accesses=20_000, seed=42,
+                                    workloads=["streamcluster"])
+        stream = context.artifacts("streamcluster").stream
+        path = tmp_path / "sc.rllc.gz"
+        write_llc_stream(stream, path)
+        v2_size = len(gzip.compress(encode(stream, 2), compresslevel=9))
+        assert path.stat().st_size <= 0.75 * v2_size
 
 
 class TestErrors:
@@ -100,6 +181,26 @@ class TestErrors:
         with pytest.raises(TraceError, match="checksum"):
             read_llc_stream(path)
 
+    def test_flip_inside_byte_plane_fails_checksum(self, tmp_path):
+        stream = make_stream([(0, 0x77, i * 1000, False) for i in range(50)])
+        path = tmp_path / "p.rllc"
+        write_llc_stream(stream, path)
+        blob = bytearray(path.read_bytes())
+        blocks_start = 24 + len(stream.name) + 50 + 50 * 8
+        blob[blocks_start + 7] ^= 0x01  # block 7's low byte, in plane 0
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TraceError, match="checksum"):
+            read_llc_stream(path)
+
+    def test_undecodable_name_raises_trace_error(self, tmp_path):
+        path = tmp_path / "n.rllc"
+        write_llc_stream(make_stream([(0, 1, 2, False)], name="ab"), path)
+        blob = bytearray(path.read_bytes())
+        blob[24] = 0xFF  # first name byte: never valid UTF-8
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TraceError, match="name"):
+            read_llc_stream(path)
+
     def test_missing_footer_rejected(self, tmp_path):
         stream = make_stream([(0, 0, 1, False)])
         path = tmp_path / "f.rllc"
@@ -109,55 +210,81 @@ class TestErrors:
         with pytest.raises(TraceError, match="checksum"):
             read_llc_stream(path)
 
+    @pytest.mark.parametrize("damage", ["truncate", "garbage", "trailer"])
+    def test_corrupt_gzip_raises_trace_error(self, tmp_path, damage):
+        stream = make_stream([(i % 2, 5, i, False) for i in range(500)])
+        path = tmp_path / "z.rllc.gz"
+        write_llc_stream(stream, path)
+        blob = bytearray(path.read_bytes())
+        if damage == "truncate":
+            blob = blob[: len(blob) // 2]
+        elif damage == "garbage":
+            blob[10:30] = b"\xff" * 20
+        else:
+            blob[-6] ^= 0xFF  # gzip's own CRC-32 trailer
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TraceError):
+            read_llc_stream(path)
+
 
 class TestZeroCopyLoads:
-    """The mmap reader and the streamed reader are interchangeable."""
+    """Plain loads view the mapping; every load path decodes alike."""
 
     STREAM = [(i % 4, 0x40 + (i % 3), (i * 7) % 90, i % 5 == 0)
               for i in range(400)]
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-    def test_mapped_and_streamed_readers_agree(self, tmp_path):
+    def test_mapped_and_streamed_readers_agree(self, tmp_path, monkeypatch):
         stream = make_stream(self.STREAM, name="zc")
-        path = tmp_path / "zc.rllc"
-        write_llc_stream(stream, path)
-        mapped = _read_llc_stream_mapped(path)
-        streamed = _read_llc_stream_streamed(path)
-        assert mapped is not None
-        assert list(mapped) == list(streamed) == list(stream)
-        assert mapped.name == streamed.name == "zc"
-        assert mapped.num_cores == streamed.num_cores == stream.num_cores
+        plain, packed = tmp_path / "zc.rllc", tmp_path / "zc.rllc.gz"
+        write_llc_stream(stream, plain)
+        write_llc_stream(stream, packed)
+        mapped = read_llc_stream(plain)
+        unpacked = read_llc_stream(packed)
+        monkeypatch.setattr(stream_io, "HAVE_NUMPY", False)
+        copied = read_llc_stream(plain)
+        assert list(mapped) == list(unpacked) == list(copied) == list(stream)
+        assert mapped.name == unpacked.name == copied.name == "zc"
+        assert (mapped.num_cores == unpacked.num_cores == copied.num_cores
+                == stream.num_cores)
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
     def test_plain_load_is_mapped_and_views_the_file(self, tmp_path):
+        import mmap
+
         import numpy as np
 
         stream = make_stream(self.STREAM)
         path = tmp_path / "v.rllc"
         write_llc_stream(stream, path)
-        loaded = read_llc_stream(path)
-        for column in loaded.columns():
+        cores, pcs, blocks, writes = read_llc_stream(path).columns()
+        for column in (cores, pcs, blocks, writes):
             assert isinstance(column, np.ndarray)
-            assert column.base is not None  # a view, not a copy
+            assert not column.flags.writeable
+        # The int8 columns are zero-copy views of the mapped file; the
+        # int64 columns are rebuilt from their byte planes.
+        for column in (cores, writes):
+            assert isinstance(column.base.obj, mmap.mmap)
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
     def test_mapped_stream_reserializes_byte_identically(self, tmp_path):
         stream = make_stream(self.STREAM, name="rt2")
-        original = tmp_path / "a.rllc"
-        rewritten = tmp_path / "b.rllc"
-        write_llc_stream(stream, original)
-        write_llc_stream(read_llc_stream(original), rewritten)
-        assert original.read_bytes() == rewritten.read_bytes()
+        for suffix in (".rllc", ".rllc.gz"):
+            original = tmp_path / f"a{suffix}"
+            rewritten = tmp_path / f"b{suffix}"
+            write_llc_stream(stream, original)
+            write_llc_stream(read_llc_stream(original), rewritten)
+            assert original.read_bytes() == rewritten.read_bytes()
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
     def test_gzip_takes_streamed_reader(self, tmp_path):
-        import numpy as np
-
+        # Gzip loads decode the decompressed bytes into array.array
+        # columns, so warm cache replays see the builder's column types.
         stream = make_stream(self.STREAM)
         path = tmp_path / "g.rllc.gz"
         write_llc_stream(stream, path)
         loaded = read_llc_stream(path)
-        assert not any(isinstance(c, np.ndarray) for c in loaded.columns())
+        assert all(isinstance(c, array) for c in loaded.columns())
+        assert [c.typecode for c in loaded.columns()] == ["b", "q", "q", "b"]
         assert list(loaded) == list(stream)
 
     def test_numpyless_fallback_equivalent(self, tmp_path, monkeypatch):
@@ -166,17 +293,18 @@ class TestZeroCopyLoads:
         write_llc_stream(stream, path)
         monkeypatch.setattr(stream_io, "HAVE_NUMPY", False)
         loaded = read_llc_stream(path)
+        assert all(isinstance(c, array) for c in loaded.columns())
         assert list(loaded) == list(stream)
         assert loaded.num_cores == stream.num_cores
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
     def test_empty_file_falls_back_to_streamed_error(self, tmp_path):
-        # mmap refuses zero-length files; the fallback reader raises the
+        # mmap refuses zero-length files; the decoder still reports the
         # ordinary truncation error instead of a mapping error.
-        path = tmp_path / "empty.rllc"
-        path.write_bytes(b"")
-        with pytest.raises(TraceError, match="truncated header"):
-            read_llc_stream(path)
+        for filename in ("empty.rllc", "empty.rllc.gz"):
+            path = tmp_path / filename
+            path.write_bytes(b"")
+            with pytest.raises(TraceError, match="truncated header"):
+                read_llc_stream(path)
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
     def test_mapped_replay_matches_builder_replay(self, tmp_path):
@@ -198,14 +326,13 @@ class TestZeroCopyLoads:
 
 class TestVersionCompatibility:
     def test_reads_version_1_without_footer(self, tmp_path):
-        # A v1 file is a v2 file minus the trailing CRC, with version=1.
         stream = make_stream([(2, 0x9, 3, True), (0, 0x9, 4, False)],
                              name="old")
-        path = tmp_path / "v1.rllc"
-        write_llc_stream(stream, path)
-        blob = bytearray(path.read_bytes())
-        blob[4:8] = struct.pack("<I", 1)
-        path.write_bytes(bytes(blob[:-4]))
-        loaded = read_llc_stream(path)
-        assert list(loaded) == list(stream)
-        assert loaded.name == "old"
+        blob = encode(stream, 1)
+        plain, packed = tmp_path / "v1.rllc", tmp_path / "v1.rllc.gz"
+        plain.write_bytes(blob)
+        packed.write_bytes(gzip.compress(blob))
+        for path in (plain, packed):
+            loaded = read_llc_stream(path)
+            assert list(loaded) == list(stream)
+            assert loaded.name == "old"

@@ -158,6 +158,39 @@ class TestDiskCache:
         third.artifacts("water")
         assert third.cache_stats.disk_hits == 1
 
+    def test_byte_flips_anywhere_self_heal(self, tiny_machine, tmp_path):
+        # A flipped byte anywhere in a gzip stream entry (header, deflate
+        # data, trailer) must either load the identical stream or count
+        # as corrupt and re-record; it must never escape as an exception.
+        def context():
+            return ExperimentContext(
+                tiny_machine, target_accesses=3_000, seed=7,
+                workloads=["water"], cache_dir=tmp_path,
+            )
+
+        original = context().artifacts("water")
+        (stream_file,) = tmp_path.glob("*.rllc.gz")
+        pristine = stream_file.read_bytes()
+        outcomes = set()
+        for offset in sorted({i * (len(pristine) - 1) // 59 for i in range(60)}):
+            blob = bytearray(pristine)
+            blob[offset] ^= 0x5A
+            stream_file.write_bytes(bytes(blob))
+            ctx = context()
+            loaded = ctx.artifacts("water")
+            assert list(loaded.stream) == list(original.stream), offset
+            assert loaded.hierarchy_stats == original.hierarchy_stats
+            stats = ctx.cache_stats
+            if stats.corrupt_entries:
+                assert (stats.corrupt_entries, stats.recordings) == (1, 1)
+                # Deterministic bytes: the re-recorded entry is the original.
+                assert stream_file.read_bytes() == pristine, offset
+                outcomes.add("healed")
+            else:
+                assert stats.disk_hits == 1, offset
+                outcomes.add("loaded")
+        assert "healed" in outcomes
+
 
 class TestMemoryBounds:
     def test_clear_drops_memory_only(self, tiny_machine, tmp_path):

@@ -140,6 +140,29 @@ class TestParallelAndCacheCli:
         assert "removed 1" in capsys.readouterr().out
         assert not (cache / "tmp999-stale.rllc.gz").exists()
 
+    def test_cache_info_reports_stale_format_entries(self, capsys, tmp_path):
+        from repro.cache.stream_io import STREAM_FORMAT_VERSION
+
+        cache = tmp_path / "cache"
+        assert main(["characterize", "--accesses", "3000", "--workloads",
+                     "water", "--cache-dir", str(cache)]) == 0
+        capsys.readouterr()
+        old = STREAM_FORMAT_VERSION - 1
+        (cache / f"water-x-0-n3000-s42-fv{old}.rllc.gz").write_bytes(b"o" * 7)
+        (cache / f"water-x-0-n3000-s42-fv{old}.json").write_bytes(b"{}")
+
+        assert main(["cache", "info", "--cache-dir", str(cache)]) == 0
+        rows = {line.split("|")[1].strip(): line.split("|")[2].strip()
+                for line in capsys.readouterr().out.splitlines()
+                if line.count("|") >= 3}
+        assert rows["cached streams"] == "2"
+        assert rows["stale format entries"] == "2"
+        assert rows["stale format bytes"] == "9"
+
+        assert main(["cache", "clear", "--cache-dir", str(cache)]) == 0
+        assert "removed 4" in capsys.readouterr().out
+        assert not list(cache.glob("*-fv*"))
+
 
 class TestFastpathCli:
     def test_no_fastpath_output_identical(self, capsys):
