@@ -57,6 +57,7 @@ from repro.sim.experiment import (
     shared_context,
     stale_format_entries,
 )
+from repro.sim.nativepath import NO_NATIVE_ENV
 from repro.sim.parallel import (
     DEFAULT_RETRIES,
     compare_many,
@@ -203,16 +204,10 @@ def _add_fastpath_argument(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-native", action="store_true",
-        help="disable the native scalar-tier backend (numba/compact SHiP "
-             "kernels); scalar-tier replays take the object model instead "
-             "(results are bit-identical, this only trades speed)",
-    )
-    parser.add_argument(
-        "--kernel-jobs", type=_nonnegative_int, default=None, metavar="N",
-        help="worker threads sharding the set-partitioned kernels within "
-             "one replay (1 = serial, 0 = all cores; exact — per-set "
-             "state and RNG streams are independent; default: "
-             "$REPRO_SIM_KERNEL_JOBS or serial)",
+        help="disable the native scalar-tier backend (compact SHiP and "
+             "oracle-wrapper kernels); scalar-tier replays take the object "
+             "model instead (results are bit-identical, this only trades "
+             "speed)",
     )
 
 
@@ -270,15 +265,10 @@ def _context(args) -> ExperimentContext:
     context.fastpath = _fastpath_spec(args)
     # Exported as environment rather than threaded through the context so
     # worker processes (pool initializer re-reads os.environ) and every
-    # library entry point see the same gates.
+    # library entry point see the same gate; main() restores the caller's
+    # value when the command returns.
     if getattr(args, "no_native", False):
-        from repro.sim.nativepath import NO_NATIVE_ENV
-
         os.environ[NO_NATIVE_ENV] = "1"
-    if getattr(args, "kernel_jobs", None) is not None:
-        from repro.sim.nativepath import KERNEL_JOBS_ENV
-
-        os.environ[KERNEL_JOBS_ENV] = str(args.kernel_jobs)
     if args.workloads:
         unknown = set(args.workloads) - set(workload_names())
         if unknown:
@@ -1465,6 +1455,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "runs" and args.action == "show" and not args.run_id:
         print("error: 'runs show' needs a run id", file=sys.stderr)
         return 2
+    caller_no_native = os.environ.get(NO_NATIVE_ENV)
     try:
         return _COMMANDS[args.command](args)
     except ReproError as error:
@@ -1477,6 +1468,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         # 128+SIGPIPE code instead of a traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    finally:
+        # --no-native is scoped to this command: later in-process calls
+        # (a second main(), library replays) see the caller's setting.
+        if caller_no_native is None:
+            os.environ.pop(NO_NATIVE_ENV, None)
+        else:
+            os.environ[NO_NATIVE_ENV] = caller_no_native
 
 
 if __name__ == "__main__":

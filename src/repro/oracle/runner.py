@@ -68,7 +68,8 @@ every A1 variant of one study, and any capacity cells whose factor/horizon
 products collide. Keys hold weak stream references (annotations die with
 their stream) and the mapping is bounded at
 :data:`ANNOTATION_MEMO_CAPACITY` entries, least-recently-used first out.
-Guarded by a lock: sharded replays may annotate from worker threads.
+Guarded by a lock: the memo is process-wide, and a library caller may
+replay from several threads of its own.
 """
 
 _ANNOTATION_MEMO_LOCK = Lock()

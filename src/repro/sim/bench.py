@@ -23,8 +23,8 @@ once and excluded):
   that stops being *faster* than its twin has silently fallen back.
 * ``warm_replay_ship``         — SHiP is scalar-tier by design (globally
   coupled SHCT); on its default auto gate it now takes the native scalar
-  backend (:mod:`repro.sim.nativepath` — numba when importable, the
-  compact pure-Python kernel otherwise). ``warm_replay_ship_native``
+  backend (:mod:`repro.sim.nativepath`, the compact pure-Python
+  kernel). ``warm_replay_ship_native``
   forces the native backend explicitly and ``warm_replay_ship_scalar``
   forces the object model; the CI smoke gate bounds that pair's speedup
   from below (:data:`NATIVEPATH_GATE_PAIRS` /
@@ -41,16 +41,6 @@ once and excluded):
   :data:`NATIVEPATH_GATE_PAIRS` with the SHiP pair): both backends are
   bit-identical, counters included, so losing the speedup means the
   oracle tier silently fell back to the model.
-* ``warm_replay_srrip_sharded`` — the set-partitioned SRRIP cell with
-  the per-set loop sharded over two intra-replay worker threads
-  (``kernel_jobs=2``). Tracked but not gated: pure-Python shards share
-  the GIL, so thread scaling is only expected of the numba/numpy
-  kernels; the cell exists to catch pathological sharding overhead.
-* ``warm_replay_drrip_sharded`` — the dueling DRRIP cell with the
-  *follower* phase sharded over two worker threads (the leader pass and
-  PSEL reconstruction stay serial; see
-  :func:`repro.sim.setpath.replay_setpath`). Tracked but not gated, for
-  the same GIL reason as the SRRIP sharded cell.
 * ``warm_sweep_grid`` / ``warm_sweep_grid_percell`` — a whole
   configuration grid (four-associativity LRU capacity grid plus a
   four-point SRRIP ``rrpv_bits`` parameter grid) replayed in shared
@@ -98,7 +88,6 @@ from repro.policies.registry import make_policy
 from repro.policies.rrip import SrripPolicy
 from repro.sim.gridpath import replay_lru_grid, replay_param_grid
 from repro.sim.multipass import run_policy_on_stream
-from repro.sim.nativepath import have_numba
 from repro.sim.probes import run_probed_replay
 
 BENCH_FORMAT_VERSION = 1
@@ -187,11 +176,10 @@ def bench_cells(context, workload: str, repeats: int) -> Dict[str, Dict]:
     seed = context.seed
 
     def replay(policy: str, fastpath: Optional[bool],
-               native: Optional[bool] = None,
-               kernel_jobs: Optional[int] = None):
+               native: Optional[bool] = None):
         return lambda: run_policy_on_stream(
             stream, geometry, policy, seed=seed, fastpath=fastpath,
-            native=native, kernel_jobs=kernel_jobs,
+            native=native,
         )
 
     # Oracle pair: the annotation is computed (and memoized) here, before
@@ -255,8 +243,6 @@ def bench_cells(context, workload: str, repeats: int) -> Dict[str, Dict]:
         "warm_replay_ship_scalar": replay("ship", None, native=False),
         "warm_replay_oracle_native": replay_oracle(True),
         "warm_replay_oracle_scalar": replay_oracle(False),
-        "warm_replay_srrip_sharded": replay("srrip", None, kernel_jobs=2),
-        "warm_replay_drrip_sharded": replay("drrip", None, kernel_jobs=2),
         "warm_sweep_grid": sweep_grid,
         "warm_sweep_grid_percell": sweep_grid_percell,
         OVERHEAD_CELL: probed((), False),
@@ -402,7 +388,6 @@ def run_bench(
         "seed": context.seed,
         "python_version": platform.python_version(),
         "numpy_available": HAVE_NUMPY,
-        "numba_available": have_numba(),
         "cells": cells,
         "disabled_probe_overhead": overhead,
         "setpath_speedups": setpath_speedups(cells),

@@ -12,9 +12,8 @@ replay tier: the stack fast path, the set-partitioned and dueling kernels
 what this loop produces — hit/miss counts, per-set decision order, and
 (for the oracle wrapper) the study counters. Results therefore carry
 provenance: this simulator stamps ``backend="model"``; accelerated paths
-stamp their tier/backend (``compact``/``numba``/``numpy``/``python``,
-plus ``+threadsN`` when a replay genuinely sharded over N worker
-threads). Disabling the accelerations (``fastpath=False``,
+stamp their tier/backend (``compact``/``numpy``/``python``).
+Disabling the accelerations (``fastpath=False``,
 ``native=False``, or the ``REPRO_SIM_NO_*`` environment toggles) must
 always land back here. Stream columns are duck-typed — ``array.array``
 from the builder, numpy views after a zero-copy load — and the loop only

@@ -259,7 +259,7 @@ def replay_geometry_grid(
                 cell_start = perf_counter()
                 instance = _fresh_instance(policy, seed)
                 instance.bind(geometry)
-                hits, __ = _run_partitioned(
+                hits = _run_partitioned(
                     part, geometry, instance, None, use_np, profile=profile
                 )
                 results[idx] = LlcSimResult(
@@ -365,7 +365,7 @@ def replay_param_grid(
         if tier in (REPLAY_SET, REPLAY_DUELING):
             cell_start = perf_counter()
             instance.bind(geometry)
-            hits, __ = _run_partitioned(
+            hits = _run_partitioned(
                 part, geometry, instance, None, use_np, profile=profile
             )
             results[idx] = LlcSimResult(

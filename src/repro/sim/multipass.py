@@ -56,7 +56,6 @@ def run_policy_on_stream(
     observers: Tuple = (),
     fastpath: Optional[bool] = None,
     native: Optional[bool] = None,
-    kernel_jobs: Optional[int] = None,
 ) -> LlcSimResult:
     """Replay ``stream`` under a policy given by name or instance.
 
@@ -66,18 +65,14 @@ def run_policy_on_stream(
     SRRIP/BRRIP/random) the set-partitioned kernels, and DIP/DRRIP the
     two-phase dueling reconstruction — all bit-identical to the scalar
     model. Scalar-tier policies that the native backend covers (exact
-    unbound SHiP, no observers) take its compiled/compact kernel unless
+    unbound SHiP, no observers) take its compact kernel unless
     ``native`` is False or ``REPRO_SIM_NO_NATIVE`` is set; everything else
     scalar (wrappers, bound instances), or any replay with ``fastpath``
     False / ``REPRO_SIM_NO_FASTPATH`` set, goes through the scalar model.
-    ``kernel_jobs`` shards the set-partitioned count kernels across worker
-    threads within one replay (default ``REPRO_SIM_KERNEL_JOBS``); results
-    are bit-identical either way, only ``result.backend`` records the
-    difference.
     """
     result = try_fast_replay(
         stream, geometry, policy, seed=seed, observers=observers,
-        fastpath=fastpath, native=native, kernel_jobs=kernel_jobs,
+        fastpath=fastpath, native=native,
     )
     if result is not None:
         return result

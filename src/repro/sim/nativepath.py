@@ -1,36 +1,30 @@
-"""Compiled + compact-array backend for the scalar replay tier.
+"""Compact-array backend for the scalar replay tier.
 
-The replay-tier registry (PR 5/6) left exactly one tier paying full model
+The replay-tier registry left exactly one tier paying full model
 overhead: ``scalar``. SHiP is its canonical occupant — the SHCT is written
 by *every* set's fills, hits, and evictions, so no per-set decomposition
 exists (DESIGN.md decision 9) and every SHiP cell crawls through
 ``SharedLlc.access`` at model speed. But SHiP's replay-relevant state is
 tiny and flat: an RRPV byte, a signature, and an outcome bit per frame,
 plus one global saturating-counter table. That is exactly the shape a
-compact-array kernel (and a nopython-compiled one) handles well.
+compact-array kernel handles well.
 
 This module supplies that backend, in three layers:
 
-* **Compact kernel** (:func:`_ship_count_compact`) — a bit-exact
+* **SHiP kernel** (:func:`_ship_count_compact`) — a bit-exact
   transcription of ``SharedLlc.access`` + :class:`ShipPolicy` over flat
   per-set lists (the layout :mod:`repro.sim.setpath`'s count kernels use),
   with PC signatures pre-hashed in one vectorized pass. SHiP draws no RNG,
   so the transcription is deterministic and bit-identical to the scalar
-  model (the differential suite pins it). This is the *always available*
-  twin — it needs nothing beyond the interpreter — and is itself several
-  times faster than the model because it replaces per-access method
-  dispatch, tuple unpacking, and residency bookkeeping with list indexing.
-* **Numba kernel** (:func:`_ship_count_numba`) — the same loop compiled
-  ``nopython``/``nogil`` over int32/int8 numpy arrays (block addresses
-  compacted to dense ids so residency lookup is an array index, not a
-  dict probe). Auto-selected when numba imports; the container/CI matrix
-  without numba lands on the compact twin.
-* **Oracle-tier kernels** (:func:`_oracle_count_compact` /
-  :func:`_oracle_count_numba`) — the same two-layer treatment for
-  :class:`repro.oracle.wrapper.SharingAwareWrapper` over {LRU, SRRIP,
-  SHiP} when its hint source is an offline annotation
+  model (the differential suite pins it). It needs nothing beyond the
+  interpreter and is several times faster than the model because it
+  replaces per-access method dispatch, tuple unpacking, and residency
+  bookkeeping with list indexing.
+* **Oracle-tier kernel** (:func:`_oracle_count_compact`) — the same
+  treatment for :class:`repro.oracle.wrapper.SharingAwareWrapper` over
+  {LRU, SRRIP, SHiP} when its hint source is an offline annotation
   (:class:`repro.oracle.annotate.AnnotationHintSource`): hints are pure
-  per-ordinal data, so they export as an int8 column aligned with the
+  per-ordinal data, so they export as a column aligned with the
   stream and the whole protection protocol (victim exemption, synthetic
   promote-hits, budget releases) runs inside the kernel loop. The
   wrapper's study counters are written back onto the instance.
@@ -43,13 +37,6 @@ This module supplies that backend, in three layers:
   replays, ``REPRO_SIM_NO_NATIVE``) falls back to the scalar model with
   the chosen backend recorded in the result's ``backend`` provenance
   field.
-
-The module also owns the ``--kernel-jobs`` resolution used by the
-set-partitioned engine's intra-replay sharding
-(:func:`resolve_kernel_jobs`): per-set decomposition plus per-set RNG
-streams make set-tier kernels embarrassingly parallel *within one replay*
-(DESIGN.md decision 11), so :mod:`repro.sim.setpath` can split its per-set
-loop across worker threads exactly.
 """
 
 from time import perf_counter
@@ -58,7 +45,7 @@ from typing import Optional, Tuple
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.envflag import env_flag
-from repro.common.npsupport import HAVE_NUMPY, require_numpy, should_vectorize
+from repro.common.npsupport import require_numpy, should_vectorize
 from repro.policies.base import REPLAY_SCALAR
 from repro.policies.lru import LruPolicy
 from repro.policies.rrip import SrripPolicy
@@ -72,13 +59,6 @@ the native scalar-tier backend; SHiP replays then take the scalar model.
 ``REPRO_SIM_*`` toggle.
 """
 
-KERNEL_JOBS_ENV = "REPRO_SIM_KERNEL_JOBS"
-"""Default intra-replay shard count for set-partitioned kernels.
-
-``--kernel-jobs`` on the CLI exports this so worker processes inherit it;
-``0`` means all cores, unset/invalid means 1 (serial).
-"""
-
 BACKEND_MODEL = "model"
 """Result produced by the scalar object model (``SharedLlc.access``)."""
 
@@ -86,68 +66,19 @@ BACKEND_COMPACT = "compact"
 """Result produced by the compact pure-Python nativepath kernel."""
 
 BACKEND_NUMBA = "numba"
-"""Result produced by the numba-compiled nativepath kernel."""
-
-_NUMBA = None
-_NUMBA_CHECKED = False
-_SHIP_NUMBA_KERNEL = None
-
-
-def _numba():
-    """The numba module, imported lazily, or ``None`` when unavailable.
-
-    Import cost (and any import-time breakage of an optional accelerator)
-    is paid at most once, on the first native-eligible replay — never at
-    module import.
-    """
-    global _NUMBA, _NUMBA_CHECKED
-    if not _NUMBA_CHECKED:
-        _NUMBA_CHECKED = True
-        try:  # pragma: no cover - exercised only where numba is installed
-            import numba
-
-            _NUMBA = numba
-        except Exception:
-            _NUMBA = None
-    return _NUMBA
-
-
-def have_numba() -> bool:
-    """True when numba is importable in this interpreter."""
-    return _numba() is not None
+"""Label of the retired numba-compiled kernels. No replay produces it any
+more; it stays because historic run records and BENCH files carry it."""
 
 
 def native_enabled(flag: Optional[bool] = None) -> bool:
     """Resolve the three-state native-backend gate.
 
     ``None`` (auto) enables the backend unless :data:`NO_NATIVE_ENV` is
-    set truthy; ``True``/``False`` force it on/off regardless. Forcing
-    ``True`` does not require numba — the compact twin is part of the
-    native backend and always available.
+    set truthy; ``True``/``False`` force it on/off regardless.
     """
     if flag is not None:
         return flag
     return not env_flag(NO_NATIVE_ENV)
-
-
-def resolve_kernel_jobs(jobs: Optional[int] = None) -> int:
-    """Effective intra-replay shard count (>= 1).
-
-    An explicit ``jobs`` wins; otherwise :data:`KERNEL_JOBS_ENV` supplies
-    the default. ``0`` means all cores; anything unset, unparsable, or
-    negative means serial.
-    """
-    import os
-
-    if jobs is None:
-        raw = os.environ.get(KERNEL_JOBS_ENV, "")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            jobs = 1
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    return max(jobs, 1)
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +96,7 @@ def _hash_pcs(pcs, mask: int, use_np: bool):
 
 
 # ----------------------------------------------------------------------
-# Compact pure-Python kernel (always available)
+# SHiP kernel
 # ----------------------------------------------------------------------
 
 def _ship_count_compact(blocks, sigs, num_sets: int, ways: int, rmax: int,
@@ -231,105 +162,7 @@ def _ship_count_compact(blocks, sigs, num_sets: int, ways: int, rmax: int,
 
 
 # ----------------------------------------------------------------------
-# Numba kernel (auto-selected when importable)
-# ----------------------------------------------------------------------
-
-def _ship_numba_kernel():
-    """Compile (once) and return the nopython SHiP count kernel."""
-    global _SHIP_NUMBA_KERNEL
-    if _SHIP_NUMBA_KERNEL is None:  # pragma: no cover - needs numba
-        numba = _numba()
-
-        @numba.njit(nogil=True, cache=False)
-        def kernel(ids, sets, sigs, ways, rmax, cmax,
-                   where, blk, rrpv, sig, out, filled, shct):
-            hits = 0
-            for i in range(ids.shape[0]):
-                bid = ids[i]
-                pos = where[bid]
-                if pos >= 0:
-                    rrpv[pos] = 0
-                    hits += 1
-                    if out[pos] == 0:
-                        out[pos] = 1
-                        g2 = sig[pos]
-                        if shct[g2] < cmax:
-                            shct[g2] += 1
-                    continue
-                s = sets[i]
-                base = s * ways
-                f = filled[s]
-                if f < ways:
-                    pos = base + f
-                    filled[s] = f + 1
-                else:
-                    top = -1
-                    for w in range(ways):
-                        v = rrpv[base + w]
-                        if v > top:
-                            top = v
-                    if top != rmax:
-                        delta = rmax - top
-                        for w in range(ways):
-                            rrpv[base + w] += delta
-                    pos = base
-                    for w in range(ways):
-                        if rrpv[base + w] == rmax:
-                            pos = base + w
-                            break
-                    where[blk[pos]] = -1
-                    if out[pos] == 0:
-                        g2 = sig[pos]
-                        if shct[g2] > 0:
-                            shct[g2] -= 1
-                g = sigs[i]
-                sig[pos] = g
-                out[pos] = 0
-                if shct[g] == 0:
-                    rrpv[pos] = rmax
-                else:
-                    rrpv[pos] = rmax - 1
-                blk[pos] = bid
-                where[bid] = pos
-            return hits
-
-        _SHIP_NUMBA_KERNEL = kernel
-    return _SHIP_NUMBA_KERNEL
-
-
-def _ship_count_numba(stream: LlcStream, sig_mask: int, num_sets: int,
-                      ways: int, rmax: int, cmax: int, shct) -> int:
-    """Numba-compiled count-mode SHiP replay; returns hits.
-
-    Block addresses are compacted to dense ids (one ``np.unique``) so the
-    residency map is a flat int32 array instead of a hash probe — the
-    same compact-state idea the setpath kernels use, taken one step
-    further because nopython code wants arrays, not dicts.
-    """  # pragma: no cover - needs numba
-    np = require_numpy()
-    __, pcs, blocks, ___ = stream.numpy_columns()
-    uniq, ids = np.unique(blocks, return_inverse=True)
-    ids = ids.astype(np.int32)
-    sets = (blocks & np.int64(num_sets - 1)).astype(np.int32)
-    sigs = (((pcs >> 2) ^ (pcs >> 11) ^ (pcs >> 19))
-            & np.int64(sig_mask)).astype(np.int32)
-    frames = num_sets * ways
-    state_where = np.full(len(uniq), -1, dtype=np.int32)
-    state_blk = np.zeros(frames, dtype=np.int32)
-    state_rrpv = np.full(frames, rmax, dtype=np.int32)
-    state_sig = np.zeros(frames, dtype=np.int32)
-    state_out = np.zeros(frames, dtype=np.int8)
-    state_filled = np.zeros(num_sets, dtype=np.int32)
-    state_shct = np.asarray(shct, dtype=np.int32)
-    kernel = _ship_numba_kernel()
-    return int(kernel(
-        ids, sets, sigs, ways, rmax, cmax, state_where, state_blk,
-        state_rrpv, state_sig, state_out, state_filled, state_shct,
-    ))
-
-
-# ----------------------------------------------------------------------
-# Oracle-tier kernels: SharingAwareWrapper over {LRU, SRRIP, SHiP}
+# Oracle-tier kernel: SharingAwareWrapper over {LRU, SRRIP, SHiP}
 # ----------------------------------------------------------------------
 #
 # The wrapper's replay-relevant state is as flat as SHiP's: one budget and
@@ -338,7 +171,7 @@ def _ship_count_numba(stream: LlcStream, sig_mask: int, num_sets: int,
 # annotation (repro.oracle.annotate.AnnotationHintSource) — is pure data
 # keyed by the access ordinal, so the whole protection protocol lowers to
 # an int column aligned with the stream: hints[i] == budgets[i + 1].
-# The kernels below transcribe SharingAwareWrapper + base bit-exactly:
+# The kernel below transcribes SharingAwareWrapper + base bit-exactly:
 # base.on_evict runs before the budget reset, the synthetic promote-hit of
 # insert-promote/both runs *after* the base fill (for SHiP that increments
 # the incoming signature's SHCT counter, exactly as the scalar model
@@ -361,8 +194,6 @@ _ORACLE_BASE_FAMILIES = {
 
 _ORACLE_MODES = {"victim-exempt": 0, "insert-promote": 1, "both": 2}
 _ORACLE_RELEASES = {"budget": 0, "first-share": 1, "never": 2}
-
-_ORACLE_NUMBA_KERNEL = None
 
 _HINT_INT8_MAX = 127
 """Hints export as an int8 column; wrappers whose annotation cap exceeds
@@ -517,202 +348,6 @@ def _oracle_count_compact(blocks, cores, hints, sigs, num_sets: int,
     return hits, protected_fills, exemptions, released
 
 
-def _oracle_numba_kernel():
-    """Compile (once) and return the nopython wrapped-replay kernel.
-
-    One compilation serves every (family, mode, release) cell — they are
-    plain int arguments branched on at run time, which costs nothing next
-    to avoiding nine specializations' compile latency.
-    """
-    global _ORACLE_NUMBA_KERNEL
-    if _ORACLE_NUMBA_KERNEL is None:  # pragma: no cover - needs numba
-        numba = _numba()
-
-        @numba.njit(nogil=True, cache=False)
-        def kernel(ids, sets, cores, hints, sigs, ways, family, mode,
-                   release, rmax, cmax, where, blk, meta, sig, out, budget,
-                   fillcore, filled, protected, shct):
-            clock = 0
-            hits = 0
-            protected_fills = 0
-            exemptions = 0
-            released = 0
-            for i in range(ids.shape[0]):
-                bid = ids[i]
-                pos = where[bid]
-                if pos >= 0:
-                    hits += 1
-                    if family == 0:
-                        clock += 1
-                        meta[pos] = clock
-                    else:
-                        meta[pos] = 0
-                        if family == 2:
-                            if out[pos] == 0:
-                                out[pos] = 1
-                                g2 = sig[pos]
-                                if shct[g2] < cmax:
-                                    shct[g2] += 1
-                    if release != 2:
-                        b = budget[pos]
-                        if b > 0 and cores[i] != fillcore[pos]:
-                            if release == 1:
-                                b = 0
-                            else:
-                                b -= 1
-                            budget[pos] = b
-                            if b == 0:
-                                protected[sets[i]] -= 1
-                                released += 1
-                    continue
-                s = sets[i]
-                base = s * ways
-                f = filled[s]
-                if f < ways:
-                    pos = base + f
-                    filled[s] = f + 1
-                else:
-                    exempt = mode != 1 and protected[s] > 0
-                    if family == 0:
-                        first = base
-                        first_stamp = meta[base]
-                        for w in range(1, ways):
-                            if meta[base + w] < first_stamp:
-                                first = base + w
-                                first_stamp = meta[base + w]
-                        pos = first
-                        if exempt:
-                            best = -1
-                            best_stamp = 0
-                            for w in range(ways):
-                                p = base + w
-                                if budget[p] <= 0 and (
-                                    best < 0 or meta[p] < best_stamp
-                                ):
-                                    best = p
-                                    best_stamp = meta[p]
-                            if best >= 0:
-                                pos = best
-                                if pos != first:
-                                    exemptions += 1
-                    else:
-                        top = meta[base]
-                        for w in range(1, ways):
-                            if meta[base + w] > top:
-                                top = meta[base + w]
-                        if top != rmax:
-                            delta = rmax - top
-                            for w in range(ways):
-                                meta[base + w] += delta
-                        first = base
-                        for w in range(ways):
-                            if meta[base + w] == rmax:
-                                first = base + w
-                                break
-                        pos = first
-                        if exempt:
-                            best = -1
-                            for v in range(rmax, -1, -1):
-                                for w in range(ways):
-                                    p = base + w
-                                    if meta[p] == v and budget[p] <= 0:
-                                        best = p
-                                        break
-                                if best >= 0:
-                                    break
-                            if best >= 0:
-                                pos = best
-                                if pos != first:
-                                    exemptions += 1
-                    where[blk[pos]] = -1
-                    if family == 2 and out[pos] == 0:
-                        g2 = sig[pos]
-                        if shct[g2] > 0:
-                            shct[g2] -= 1
-                    if budget[pos] > 0:
-                        protected[s] -= 1
-                        budget[pos] = 0
-                if family == 0:
-                    clock += 1
-                    meta[pos] = clock
-                elif family == 1:
-                    meta[pos] = rmax - 1
-                else:
-                    g = sigs[i]
-                    sig[pos] = g
-                    out[pos] = 0
-                    if shct[g] == 0:
-                        meta[pos] = rmax
-                    else:
-                        meta[pos] = rmax - 1
-                h = hints[i]
-                budget[pos] = h
-                fillcore[pos] = cores[i]
-                if h > 0:
-                    protected[s] += 1
-                    protected_fills += 1
-                    if mode != 0:
-                        if family == 0:
-                            clock += 1
-                            meta[pos] = clock
-                        else:
-                            meta[pos] = 0
-                            if family == 2:
-                                out[pos] = 1
-                                g = sig[pos]
-                                if shct[g] < cmax:
-                                    shct[g] += 1
-                blk[pos] = bid
-                where[bid] = pos
-            return hits, protected_fills, exemptions, released
-
-        _ORACLE_NUMBA_KERNEL = kernel
-    return _ORACLE_NUMBA_KERNEL
-
-
-def _oracle_count_numba(stream: LlcStream, hints, sig_mask: int,
-                        num_sets: int, ways: int, family: int, mode: int,
-                        release: int, rmax: int, cmax: int, shct):
-    """Numba-compiled wrapped replay; returns the compact kernel's tuple.
-
-    Same dense-id compaction as :func:`_ship_count_numba`, plus the int8
-    hint column and the core column (the release protocol compares the
-    hitting core against the filler).
-    """  # pragma: no cover - needs numba
-    np = require_numpy()
-    cores_np, pcs, blocks, __ = stream.numpy_columns()
-    uniq, ids = np.unique(blocks, return_inverse=True)
-    ids = ids.astype(np.int32)
-    sets = (blocks & np.int64(num_sets - 1)).astype(np.int32)
-    if family == _FAMILY_ORACLE_SHIP:
-        sigs = (((pcs >> 2) ^ (pcs >> 11) ^ (pcs >> 19))
-                & np.int64(sig_mask)).astype(np.int32)
-    else:
-        sigs = np.zeros(len(ids), dtype=np.int32)
-    frames = num_sets * ways
-    state_where = np.full(len(uniq), -1, dtype=np.int32)
-    state_blk = np.zeros(frames, dtype=np.int32)
-    # meta holds LRU clock stamps (monotone over the stream) or RRPVs;
-    # int64 covers both without a family-specific dtype.
-    init_meta = 0 if family == _FAMILY_ORACLE_LRU else rmax
-    state_meta = np.full(frames, init_meta, dtype=np.int64)
-    state_sig = np.zeros(frames, dtype=np.int32)
-    state_out = np.zeros(frames, dtype=np.int8)
-    state_budget = np.zeros(frames, dtype=np.int32)
-    state_fillcore = np.zeros(frames, dtype=np.int32)
-    state_filled = np.zeros(num_sets, dtype=np.int32)
-    state_protected = np.zeros(num_sets, dtype=np.int32)
-    state_shct = np.asarray(shct, dtype=np.int32)
-    kernel = _oracle_numba_kernel()
-    hits, pf, ex, rel = kernel(
-        ids, sets, cores_np.astype(np.int32), hints, sigs, ways, family,
-        mode, release, rmax, cmax, state_where, state_blk, state_meta,
-        state_sig, state_out, state_budget, state_fillcore, state_filled,
-        state_protected, state_shct,
-    )
-    return int(hits), int(pf), int(ex), int(rel)
-
-
 def oracle_native_spec(policy):
     """``(family, base, hint_source)`` when the native oracle path covers
     ``policy``, else ``None``.
@@ -788,35 +423,23 @@ def replay_oracle_nativepath(
         cmax = 0
         sig_mask = 0
         shct = [0]
-    backend = BACKEND_NUMBA if (have_numba() and HAVE_NUMPY) else BACKEND_COMPACT
     prep_start = perf_counter()
-    if backend == BACKEND_NUMBA:  # pragma: no cover - needs numba
-        np = require_numpy()
-        # budgets[i + 1] is access i's hint: one aligned int8 column.
-        hints = np.frombuffer(budgets, dtype=np.int32)[1:].astype(np.int8)
-        if profile is not None:
-            profile["native_prepare"] = perf_counter() - prep_start
-        kernel_start = perf_counter()
-        hits, pf, ex, rel = _oracle_count_numba(
-            stream, hints, sig_mask, geometry.num_sets, geometry.ways,
-            family, mode, release, rmax, cmax, shct,
-        )
-    else:
-        hints = budgets[1:]
-        sigs = (
-            _hash_pcs(stream.pcs, sig_mask, use_np)
-            if family == _FAMILY_ORACLE_SHIP else None
-        )
-        if profile is not None:
-            profile["native_prepare"] = perf_counter() - prep_start
-        kernel_start = perf_counter()
-        hits, pf, ex, rel = _oracle_count_compact(
-            stream.blocks, stream.cores, hints, sigs, geometry.num_sets,
-            geometry.ways, family, mode, release, rmax, cmax, shct,
-        )
+    # budgets[i + 1] is access i's hint.
+    hints = budgets[1:]
+    sigs = (
+        _hash_pcs(stream.pcs, sig_mask, use_np)
+        if family == _FAMILY_ORACLE_SHIP else None
+    )
+    if profile is not None:
+        profile["native_prepare"] = perf_counter() - prep_start
+    kernel_start = perf_counter()
+    hits, pf, ex, rel = _oracle_count_compact(
+        stream.blocks, stream.cores, hints, sigs, geometry.num_sets,
+        geometry.ways, family, mode, release, rmax, cmax, shct,
+    )
     if profile is not None:
         profile["native_kernel"] = perf_counter() - kernel_start
-        profile["native_backend"] = backend
+        profile["native_backend"] = BACKEND_COMPACT
     policy.protected_fills += pf
     policy.exemptions_applied += ex
     policy.releases += rel
@@ -828,7 +451,7 @@ def replay_oracle_nativepath(
         misses=n - hits,
         elapsed_sec=perf_counter() - start,
         tier=REPLAY_SCALAR,
-        backend=backend,
+        backend=BACKEND_COMPACT,
     )
 
 
@@ -866,28 +489,18 @@ def replay_ship_nativepath(
     cmax = policy.counter_max
     sig_mask = policy.shct_size - 1
     shct = list(policy._shct)  # never mutate the caller's instance
-    backend = BACKEND_NUMBA if (have_numba() and HAVE_NUMPY) else BACKEND_COMPACT
     prep_start = perf_counter()
-    if backend == BACKEND_NUMBA:  # pragma: no cover - needs numba
-        if profile is not None:
-            profile["native_prepare"] = perf_counter() - prep_start
-        kernel_start = perf_counter()
-        hits = _ship_count_numba(
-            stream, sig_mask, geometry.num_sets, geometry.ways, rmax, cmax,
-            shct,
-        )
-    else:
-        sigs = _hash_pcs(stream.pcs, sig_mask, use_np)
-        if profile is not None:
-            profile["native_prepare"] = perf_counter() - prep_start
-        kernel_start = perf_counter()
-        hits = _ship_count_compact(
-            stream.blocks, sigs, geometry.num_sets, geometry.ways, rmax,
-            cmax, shct,
-        )
+    sigs = _hash_pcs(stream.pcs, sig_mask, use_np)
+    if profile is not None:
+        profile["native_prepare"] = perf_counter() - prep_start
+    kernel_start = perf_counter()
+    hits = _ship_count_compact(
+        stream.blocks, sigs, geometry.num_sets, geometry.ways, rmax,
+        cmax, shct,
+    )
     if profile is not None:
         profile["native_kernel"] = perf_counter() - kernel_start
-        profile["native_backend"] = backend
+        profile["native_backend"] = BACKEND_COMPACT
     return LlcSimResult(
         policy=policy.name,
         stream_name=stream.name,
@@ -896,7 +509,7 @@ def replay_ship_nativepath(
         misses=n - hits,
         elapsed_sec=perf_counter() - start,
         tier=REPLAY_SCALAR,
-        backend=backend,
+        backend=BACKEND_COMPACT,
     )
 
 

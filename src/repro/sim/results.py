@@ -19,10 +19,8 @@ class LlcSimResult:
     agree on everything else. ``backend`` refines the provenance one step
     further: *which kernel implementation* inside that tier produced the
     counters (``model`` for the scalar object model, ``python``/``numpy``
-    for the set-partitioned and fastpath kernels, ``compact``/``numba``
-    for the native scalar backend, with a ``+threads{N}`` suffix when the
-    per-set loop was sharded across worker threads). Like ``tier`` it is
-    excluded from equality.
+    for the set-partitioned and fastpath kernels, ``compact`` for the
+    native scalar backend). Like ``tier`` it is excluded from equality.
     """
 
     policy: str

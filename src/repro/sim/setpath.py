@@ -47,7 +47,6 @@ for scalar so the caller can fall back to the full model.
 
 from array import array
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -81,7 +80,7 @@ from repro.sim.fastpath import (
     replay_lru_fastpath,
     replay_tier_of,
 )
-from repro.sim.nativepath import resolve_kernel_jobs, try_native_replay
+from repro.sim.nativepath import try_native_replay
 from repro.sim.results import LlcSimResult
 
 _FAMILY_RECENCY = "recency"
@@ -1091,34 +1090,6 @@ def _follower_pass(part: StreamPartition, geometry: CacheGeometry,
     return hits
 
 
-def _sharded_follower_pass(part: StreamPartition, geometry: CacheGeometry,
-                           policy, lookup, followers: List[int],
-                           kernel_jobs: int) -> Tuple[int, int]:
-    """Count-mode follower phase split across worker threads.
-
-    Followers are independent of each other once the PSEL flag series is
-    reconstructed — each reads its own contiguous slice of the partition,
-    its own RNG stream, and the shared read-only ``lookup`` closure — so
-    contiguous ranges of the follower list shard exactly like the plain
-    set-tier count kernels (:func:`_plain_pass`). Per-set RNG streams are
-    materialized serially first (``set_rng`` mutates a shared dict).
-    Returns ``(hits, threads)`` with the thread count actually used.
-    """
-    for s in followers:
-        policy.set_rng(s)
-    jobs = min(kernel_jobs, len(followers))
-    # Balanced contiguous ranges: exactly `jobs` non-empty shards.
-    bounds = [(i * len(followers) // jobs, (i + 1) * len(followers) // jobs)
-              for i in range(jobs)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        shards = [
-            pool.submit(_follower_pass, part, geometry, policy, None,
-                        lookup, followers[lo:hi])
-            for lo, hi in bounds
-        ]
-        return sum(shard.result() for shard in shards), jobs
-
-
 def _gather_next_use(next_use, part: StreamPartition, use_np: bool):
     """Group the precomputed next-use column by the partition order."""
     if use_np and part.order_np is not None:
@@ -1131,27 +1102,34 @@ def _gather_next_use(next_use, part: StreamPartition, use_np: bool):
     return [next_use[p] for p in part.order]
 
 
-def _plain_pass_range(part: StreamPartition, geometry: CacheGeometry,
-                      policy, buf: Optional[_WalkBuf], grouped_next,
-                      s_lo: int, s_hi: int) -> int:
-    """Replay the sets in ``[s_lo, s_hi)`` of a non-dueling policy.
-
-    The per-set loop body of :func:`_plain_pass`, extracted so the
-    intra-replay sharding can hand disjoint contiguous set ranges to
-    worker threads. Thread-safety contract: each set's kernel state is
-    local, each set is visited by exactly one caller, and any per-set RNG
-    a stochastic family reads must already exist in ``policy._set_rngs``
-    (sharded callers pre-create them serially — ``set_rng`` itself mutates
-    a shared dict).
-    """
+def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
+                policy, buf: Optional[_WalkBuf], use_np: bool) -> int:
+    """Replay every set of a non-dueling per-set policy; returns hits."""
+    cls = type(policy)
+    family = _KERNEL_FAMILIES[cls]
+    grouped_next = None
+    if family == _FAMILY_OPT:
+        next_use = policy.next_use
+        if len(next_use) != len(part.blocks):
+            raise SimulationError(
+                f"OPT replayed against a mismatched stream: next-use column "
+                f"has {len(next_use)} entries for {len(part.blocks)} accesses"
+            )
+        grouped_next = _gather_next_use(next_use, part, use_np)
+    if (
+        buf is None and use_np and part.blocks_np is not None
+        and cls is SrripPolicy
+    ):
+        # Count-mode SRRIP has a fully synchronous vectorized kernel (no
+        # RNG, no residency skeleton to record); BRRIP's per-set draws
+        # and walk mode stay on the per-set kernels.
+        return _count_rrip_sync(part, geometry.ways, policy.rrpv_max)
     ways = geometry.ways
     starts = part.starts
     blocks = part.blocks
     order = part.order
-    cls = type(policy)
-    family = _KERNEL_FAMILIES[cls]
     hits = 0
-    for s in range(s_lo, s_hi):
+    for s in range(part.num_sets):
         lo, hi = starts[s], starts[s + 1]
         if lo == hi:
             continue
@@ -1199,95 +1177,11 @@ def _plain_pass_range(part: StreamPartition, geometry: CacheGeometry,
     return hits
 
 
-# Families whose kernels draw from per-set RNG streams; sharded passes
-# pre-create every set's stream serially before spawning workers.
-_STOCHASTIC_FAMILIES = frozenset({_FAMILY_RANDOM})
-_STOCHASTIC_MODES = frozenset({_MODE_BIP})
-
-
-def _needs_set_rngs(policy) -> bool:
-    """True when ``policy``'s kernel reads ``set_rng`` streams."""
-    cls = type(policy)
-    family = _KERNEL_FAMILIES[cls]
-    if family in _STOCHASTIC_FAMILIES:
-        return True
-    if family == _FAMILY_RRIP and cls is BrripPolicy:
-        return True
-    return (family == _FAMILY_RECENCY
-            and _RECENCY_MODES[cls] in _STOCHASTIC_MODES)
-
-
-def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
-                policy, buf: Optional[_WalkBuf], use_np: bool,
-                kernel_jobs: int = 1) -> Tuple[int, int]:
-    """Replay every set of a non-dueling per-set policy.
-
-    With ``kernel_jobs > 1`` in count mode, the per-set loop is sharded
-    across worker threads on contiguous set ranges — exact because the
-    per-set decomposition already isolates every set's state and RNG
-    stream (DESIGN.md decision 11), so the shard boundaries change nothing
-    but wall-clock. Walk mode (shared skeleton buffer) stays serial.
-    Returns ``(hits, threads)``: the worker-thread count actually used (1
-    when the pass ran serially), which is what the result's backend
-    provenance records — never the requested job count.
-    """
-    cls = type(policy)
-    family = _KERNEL_FAMILIES[cls]
-    grouped_next = None
-    if family == _FAMILY_OPT:
-        next_use = policy.next_use
-        if len(next_use) != len(part.blocks):
-            raise SimulationError(
-                f"OPT replayed against a mismatched stream: next-use column "
-                f"has {len(next_use)} entries for {len(part.blocks)} accesses"
-            )
-        grouped_next = _gather_next_use(next_use, part, use_np)
-    num_sets = part.num_sets
-    if buf is None and kernel_jobs > 1 and num_sets > 1:
-        if _needs_set_rngs(policy):
-            # set_rng lazily fills a shared dict; materialize every
-            # stream before any worker thread reads it.
-            for s in range(num_sets):
-                policy.set_rng(s)
-        jobs = min(kernel_jobs, num_sets)
-        # Balanced contiguous ranges: exactly `jobs` non-empty shards, so
-        # the provenance stamp always matches the threads actually used.
-        bounds = [(i * num_sets // jobs, (i + 1) * num_sets // jobs)
-                  for i in range(jobs)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            shards = [
-                pool.submit(_plain_pass_range, part, geometry, policy, None,
-                            grouped_next, lo, hi)
-                for lo, hi in bounds
-            ]
-            return sum(shard.result() for shard in shards), jobs
-    if (
-        buf is None and use_np and part.blocks_np is not None
-        and cls is SrripPolicy
-    ):
-        # Count-mode SRRIP has a fully synchronous vectorized kernel (no
-        # RNG, no residency skeleton to record); BRRIP's per-set draws
-        # and walk mode stay on the per-set kernels.
-        return _count_rrip_sync(part, geometry.ways, policy.rrpv_max), 1
-    return _plain_pass_range(part, geometry, policy, buf, grouped_next,
-                             0, num_sets), 1
-
-
 def _run_partitioned(part: StreamPartition, geometry: CacheGeometry,
                      policy, buf: Optional[_WalkBuf], use_np: bool,
-                     profile=None, kernel_jobs: int = 1) -> Tuple[int, int]:
-    """Replay every set (count mode when ``buf`` is None).
-
-    Returns ``(hits, threads)`` — the hit count and the worker-thread
-    count the sharded phase actually used (1 when everything ran
-    serially). Dueling policies shard only the follower phase: the leader
-    pass must run first to produce the PSEL event series, but once the
-    flag lookup exists every follower set is independent
-    (:func:`_sharded_follower_pass`), so ``kernel_jobs`` applies there.
-    Walk mode (shared skeleton buffer) is always serial.
-    """
+                     profile=None) -> int:
+    """Replay every set (count mode when ``buf`` is None); returns hits."""
     start = perf_counter()
-    threads = 1
     if type(policy) in (DipPolicy, DrripPolicy):
         hits, a_fills, b_fills, followers = _leader_pass(
             part, geometry, policy, buf
@@ -1299,23 +1193,12 @@ def _run_partitioned(part: StreamPartition, geometry: CacheGeometry,
         lookup = _make_flag_lookup(positions, flags, part, use_np)
         if profile is not None:
             profile["psel_series"] = perf_counter() - psel_start
-        if buf is None and kernel_jobs > 1 and len(followers) > 1:
-            follower_hits, threads = _sharded_follower_pass(
-                part, geometry, policy, lookup, followers, kernel_jobs
-            )
-            hits += follower_hits
-        else:
-            hits += _follower_pass(
-                part, geometry, policy, buf, lookup, followers
-            )
+        hits += _follower_pass(part, geometry, policy, buf, lookup, followers)
     else:
-        hits, threads = _plain_pass(part, geometry, policy, buf, use_np,
-                                    kernel_jobs=kernel_jobs)
+        hits = _plain_pass(part, geometry, policy, buf, use_np)
     if profile is not None:
         profile["set_kernels"] = perf_counter() - start
-        if threads > 1:
-            profile["kernel_threads"] = threads
-    return hits, threads
+    return hits
 
 
 def reconstruct_psel_series(
@@ -1461,7 +1344,7 @@ def reconstruct_setpath_replay(
     )
     policy.bind(geometry)
     buf = _WalkBuf(n)
-    _run_partitioned(part, geometry, policy, buf, use_np, profile=profile)[0]
+    _run_partitioned(part, geometry, policy, buf, use_np, profile=profile)
     return _assemble_walk(buf, stream, geometry, use_np, profile=profile)
 
 
@@ -1472,7 +1355,6 @@ def replay_setpath(
     observers: Tuple = (),
     use_numpy: Optional[bool] = None,
     profile=None,
-    kernel_jobs: Optional[int] = None,
 ) -> LlcSimResult:
     """Replay ``stream`` under an unbound per-set policy instance.
 
@@ -1481,15 +1363,8 @@ def replay_setpath(
     setpath-eligible policies: same hit/miss/eviction counts, same observer
     callbacks in the same order (equivalence-tested per policy). Without
     observers the replay is pure classification (count kernels, no
-    skeleton). ``kernel_jobs`` (default from ``REPRO_SIM_KERNEL_JOBS``)
-    shards the count-mode per-set loop across that many worker threads —
-    the plain per-set loop for non-dueling policies
-    (:func:`_plain_pass`), the follower phase for DIP/DRRIP once the PSEL
-    series is reconstructed (:func:`_sharded_follower_pass`); both are
-    bit-identical to the serial pass, and the backend provenance records
-    the thread count actually used (``+threadsN``). ``profile``, when a
-    dict, receives per-phase wall times (``partition``, ``set_kernels``,
-    ``psel_series`` for dueling, ``kernel_threads`` when sharded,
+    skeleton). ``profile``, when a dict, receives per-phase wall times
+    (``partition``, ``set_kernels``, ``psel_series`` for dueling,
     ``assemble``/``reconstruct``/``observer_replay`` with observers).
     """
     start = perf_counter()
@@ -1512,20 +1387,13 @@ def replay_setpath(
             profile["observer_replay"] = perf_counter() - phase_start
         hits, misses = walk.hits, walk.misses
     else:
-        jobs = resolve_kernel_jobs(kernel_jobs)
         part = partition_stream(
             stream.blocks, geometry.num_sets, use_numpy=use_np, profile=profile
         )
         policy.bind(geometry)
-        hits, threads = _run_partitioned(part, geometry, policy, None, use_np,
-                                         profile=profile, kernel_jobs=jobs)
+        hits = _run_partitioned(part, geometry, policy, None, use_np,
+                                profile=profile)
         misses = n - hits
-        if threads > 1:
-            # The *effective* thread count — what the sharded phase really
-            # used — never the requested job count: a cell whose tier
-            # cannot shard (single set, walk mode, too few followers) must
-            # not claim parallelism it did not have.
-            backend = f"{backend}+threads{threads}"
     return LlcSimResult(
         policy=policy.name,
         stream_name=stream.name,
@@ -1552,7 +1420,6 @@ def try_fast_replay(
     use_numpy: Optional[bool] = None,
     profile=None,
     native: Optional[bool] = None,
-    kernel_jobs: Optional[int] = None,
 ) -> Optional[LlcSimResult]:
     """Replay through the fastest exact tier, or ``None`` for scalar.
 
@@ -1570,9 +1437,7 @@ def try_fast_replay(
     ``seed`` feeds the standard ``derive_seed(seed, "replay", name)``
     stream only when ``policy`` is a name; an instance already carries its
     own seed, so callers with bespoke seed derivations (the oracle runner,
-    the characterization report) pass instances. ``kernel_jobs`` shards
-    the set-partitioned count kernels intra-replay (see
-    :func:`replay_setpath`).
+    the characterization report) pass instances.
     """
     if not fastpath_enabled(fastpath):
         return None
@@ -1591,7 +1456,7 @@ def try_fast_replay(
             return None
         result = replay_setpath(
             stream, geometry, instance, observers=observers,
-            use_numpy=use_numpy, profile=profile, kernel_jobs=kernel_jobs,
+            use_numpy=use_numpy, profile=profile,
         )
     else:
         result = try_native_replay(

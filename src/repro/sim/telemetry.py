@@ -365,19 +365,13 @@ def describe_environment(context=None) -> Dict:
     import repro
     from repro.common.npsupport import HAVE_NUMPY, numpy
     from repro.sim.fastpath import fastpath_enabled
-    from repro.sim.nativepath import (
-        have_numba,
-        native_enabled,
-        resolve_kernel_jobs,
-    )
+    from repro.sim.nativepath import native_enabled
 
     fields: Dict = {
         "repro_version": repro.__version__,
         "numpy_available": HAVE_NUMPY,
         "numpy_version": getattr(numpy, "__version__", None) if HAVE_NUMPY else None,
-        "numba_available": have_numba(),
         "native_backend": native_enabled(),
-        "kernel_jobs": resolve_kernel_jobs(),
     }
     if context is not None:
         from repro.sim.experiment import machine_digest

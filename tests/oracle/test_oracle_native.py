@@ -2,8 +2,8 @@
 
 The oracle lowering extends the nativepath contract across a composition:
 a :class:`SharingAwareWrapper` over an exact-type {LRU, SRRIP, SHiP} base,
-fed by an :class:`AnnotationHintSource`, replayed through the compact (or
-numba) oracle kernel must reproduce the scalar object model bit for bit —
+fed by an :class:`AnnotationHintSource`, replayed through the compact
+oracle kernel must reproduce the scalar object model bit for bit —
 hit/miss counts *and* the wrapper's study counters (``protected_fills``,
 ``exemptions_applied``, ``releases``) — across every protection mode and
 release policy. Anything the spec guard cannot prove safe (bound
@@ -39,7 +39,6 @@ from repro.policies.base import REPLAY_SCALAR
 from repro.policies.registry import make_policy
 from repro.sim.multipass import run_policy_on_stream
 from repro.sim.nativepath import (
-    KERNEL_JOBS_ENV,
     NO_NATIVE_ENV,
     oracle_native_spec,
     replay_oracle_nativepath,
@@ -56,9 +55,8 @@ GEOMETRY = CacheGeometry(16 * 4 * 64, 4)
 
 @pytest.fixture(autouse=True)
 def _auto_native_gates(monkeypatch):
-    """Pin the native env gates to their unset-auto defaults."""
+    """Pin the native env gate to its unset-auto default."""
     monkeypatch.delenv(NO_NATIVE_ENV, raising=False)
-    monkeypatch.delenv(KERNEL_JOBS_ENV, raising=False)
 
 
 def shared_stream(n=2500, spread=130, cores=4):
@@ -104,7 +102,7 @@ class TestOracleBitIdentity:
         assert native == model, (base, mode, release)
         assert counters(native_wrapper) == counters(model_wrapper)
         assert native.tier == REPLAY_SCALAR
-        assert native.backend in ("compact", "numba")
+        assert native.backend == "compact"
         assert model.backend == "model"
 
     def test_counters_are_exercised(self):
@@ -132,7 +130,7 @@ class TestOracleBitIdentity:
             native=False,
         )
         assert native == model
-        assert native.backend in ("compact", "numba")
+        assert native.backend == "compact"
 
     def test_empty_stream(self):
         stream = make_stream([])
@@ -183,7 +181,7 @@ class TestOracleBitIdentity:
         assert native.base == model.base
         assert native.protected_fills == model.protected_fills
         assert native.exemptions == model.exemptions
-        assert native.oracle.backend in ("compact", "numba")
+        assert native.oracle.backend == "compact"
         assert model.oracle.backend == "model"
 
 
@@ -296,7 +294,7 @@ class TestOracleFallbackChain:
         auto = run_policy_on_stream(
             stream, GEOMETRY, make_wrapper("srrip", budgets), seed=SEED
         )
-        assert auto.backend in ("compact", "numba")
+        assert auto.backend == "compact"
         assert gated == auto
 
     def test_no_fastpath_still_means_pure_model(self):
@@ -315,7 +313,7 @@ class TestOracleFallbackChain:
         )
         assert profile["native_prepare"] >= 0.0
         assert profile["native_kernel"] >= 0.0
-        assert profile["native_backend"] in ("compact", "numba")
+        assert profile["native_backend"] == "compact"
 
 
 class TestAnnotationMemo:

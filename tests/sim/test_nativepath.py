@@ -2,7 +2,7 @@
 
 The nativepath contract is the same one every other replay tier carries:
 *bit-identity with the scalar model*. SHiP replayed through the compact
-(or numba) kernel must produce exactly the counters
+kernel must produce exactly the counters
 ``LlcOnlySimulator(geometry, ShipPolicy()).run(stream)`` produces —
 including parameterized variants, adversarial hypothesis streams, and the
 single-set degenerate geometry — with the scalar tier recorded (this is a
@@ -11,12 +11,6 @@ faster *backend*, not a new tier) and the kernel that ran recorded in
 layer pins its forced-scalar cells: gated off, observer-carrying,
 undeclared-subclass, and bound-instance replays all land on the object
 model with ``backend == "model"``.
-
-The intra-replay sharding half of the backend is pinned here too: the
-set-partitioned count kernels split across ``kernel_jobs`` worker threads
-must be bit-identical to the serial pass for the whole non-dueling policy
-matrix (per-set state and per-set RNG streams make the decomposition
-exact — DESIGN.md decision 11).
 """
 
 import pytest
@@ -26,19 +20,16 @@ from repro.common.config import CacheGeometry
 from repro.common.npsupport import HAVE_NUMPY
 from repro.common.rng import derive_seed
 from repro.policies.base import REPLAY_SCALAR
-from repro.policies.registry import make_policy
 from repro.policies.ship import ShipPolicy
 from repro.sim.engine import LlcOnlySimulator
 from repro.sim.multipass import run_policy_on_stream
 from repro.sim.nativepath import (
-    KERNEL_JOBS_ENV,
     NO_NATIVE_ENV,
     native_eligible,
     replay_ship_nativepath,
-    resolve_kernel_jobs,
     try_native_replay,
 )
-from repro.sim.setpath import replay_setpath, try_fast_replay
+from repro.sim.setpath import try_fast_replay
 from tests.conftest import make_stream
 from tests.strategies import SIGNATURE_PCS, replay_stream_lists
 
@@ -47,14 +38,13 @@ SEED = 11
 
 @pytest.fixture(autouse=True)
 def _auto_native_gates(monkeypatch):
-    """Pin the native/sharding env gates to their defaults.
+    """Pin the native env gate to its default.
 
     The CI matrix runs the whole suite with ``REPRO_SIM_NO_NATIVE=1`` (the
-    escape-hatch job); these tests probe the gates themselves, so they
-    must see the unset-auto state regardless of the ambient environment.
+    escape-hatch job); these tests probe the gate itself, so they must see
+    the unset-auto state regardless of the ambient environment.
     """
     monkeypatch.delenv(NO_NATIVE_ENV, raising=False)
-    monkeypatch.delenv(KERNEL_JOBS_ENV, raising=False)
 
 GEOMETRIES = [
     CacheGeometry(8 * 4 * 64, 4),    # 8 sets x 4 ways
@@ -62,8 +52,6 @@ GEOMETRIES = [
     CacheGeometry(1 * 4 * 64, 4),    # single set (set_mask == 0)
     CacheGeometry(4 * 1 * 64, 1),    # direct-mapped
 ]
-
-SHARDED_POLICIES = ("lip", "bip", "nru", "srrip", "brrip", "random")
 
 
 def cell_seed(name: str) -> int:
@@ -99,7 +87,7 @@ class TestShipBitIdentity:
         native = replay_ship_nativepath(stream, geometry, ShipPolicy())
         assert native == ref
         assert native.tier == REPLAY_SCALAR
-        assert native.backend in ("compact", "numba")
+        assert native.backend == "compact"
 
     def test_parameter_variants_match(self):
         stream = mixed_stream(3000, 90)
@@ -136,7 +124,7 @@ class TestShipBitIdentity:
         )
         assert profile["native_prepare"] >= 0.0
         assert profile["native_kernel"] >= 0.0
-        assert profile["native_backend"] in ("compact", "numba")
+        assert profile["native_backend"] == "compact"
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
     def test_numpy_twin_matches_python_signatures(self):
@@ -172,7 +160,7 @@ class TestFallbackChain:
         geometry = CacheGeometry(8 * 4 * 64, 4)
         result = run_policy_on_stream(stream, geometry, "ship", seed=SEED)
         assert result.tier == REPLAY_SCALAR
-        assert result.backend in ("compact", "numba")
+        assert result.backend == "compact"
         assert result == scalar_reference(stream, geometry)
 
     def test_env_escape_hatch_lands_on_model(self, monkeypatch):
@@ -185,7 +173,7 @@ class TestFallbackChain:
         # =0 counts as unset (the env_flag contract) — native again.
         monkeypatch.setenv(NO_NATIVE_ENV, "0")
         auto = run_policy_on_stream(stream, geometry, "ship", seed=SEED)
-        assert auto.backend in ("compact", "numba")
+        assert auto.backend == "compact"
         assert gated == auto
 
     def test_native_false_param_lands_on_model(self):
@@ -259,137 +247,5 @@ class TestFallbackChain:
             stream, geometry, "ship", seed=SEED
         ).as_dict()
         assert payload["tier"] == REPLAY_SCALAR
-        assert payload["backend"] in ("compact", "numba")
+        assert payload["backend"] == "compact"
 
-
-class TestKernelJobs:
-    def test_resolution_matrix(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_JOBS_ENV, raising=False)
-        assert resolve_kernel_jobs() == 1
-        assert resolve_kernel_jobs(3) == 3
-        assert resolve_kernel_jobs(0) >= 1
-        monkeypatch.setenv(KERNEL_JOBS_ENV, "4")
-        assert resolve_kernel_jobs() == 4
-        assert resolve_kernel_jobs(2) == 2  # explicit beats env
-        monkeypatch.setenv(KERNEL_JOBS_ENV, "not-a-number")
-        assert resolve_kernel_jobs() == 1
-        monkeypatch.setenv(KERNEL_JOBS_ENV, "-5")
-        assert resolve_kernel_jobs() == 1
-
-    @pytest.mark.parametrize("policy", SHARDED_POLICIES)
-    def test_sharded_bit_identity(self, policy):
-        stream = mixed_stream()
-        geometry = CacheGeometry(8 * 4 * 64, 4)
-        serial = run_policy_on_stream(stream, geometry, policy, seed=SEED)
-        for jobs in (2, 3, 8, 64):
-            sharded = run_policy_on_stream(
-                stream, geometry, policy, seed=SEED, kernel_jobs=jobs
-            )
-            assert sharded == serial, (policy, jobs)
-            assert sharded.backend.endswith(
-                f"+threads{min(jobs, geometry.num_sets)}"
-            )
-
-    def test_all_leader_dueling_stays_serial_and_exact(self):
-        # At 8 sets every set is a sampling leader (no followers exist),
-        # so there is nothing to shard: the replay must stay serial and
-        # honest — no "+threads" claim for threads that never ran.
-        stream = mixed_stream()
-        geometry = CacheGeometry(8 * 4 * 64, 4)
-        for policy in ("dip", "drrip"):
-            serial = run_policy_on_stream(stream, geometry, policy, seed=SEED)
-            sharded = run_policy_on_stream(
-                stream, geometry, policy, seed=SEED, kernel_jobs=4
-            )
-            assert sharded == serial
-            assert "+threads" not in sharded.backend
-
-    DUELING_GEOMETRY = CacheGeometry(128 * 4 * 64, 4)  # 64 followers
-
-    @pytest.mark.parametrize("policy", ("dip", "drrip"))
-    def test_dueling_follower_sharding_bit_identity(self, policy):
-        # With followers present (128 sets -> 64), the follower phase
-        # shards across kernel_jobs threads after the serial leader pass
-        # and PSEL reconstruction; results must match the serial replay
-        # exactly and stamp the thread count that actually ran.
-        stream = mixed_stream(6000, 900)
-        serial = run_policy_on_stream(
-            stream, self.DUELING_GEOMETRY, policy, seed=SEED
-        )
-        assert "+threads" not in serial.backend
-        for jobs in (2, 8):
-            sharded = run_policy_on_stream(
-                stream, self.DUELING_GEOMETRY, policy, seed=SEED,
-                kernel_jobs=jobs,
-            )
-            assert sharded == serial, (policy, jobs)
-            assert sharded.backend.endswith(f"+threads{jobs}")
-
-    def test_dueling_effective_thread_count_is_stamped(self):
-        # Requesting more jobs than there are followers must stamp the
-        # follower count actually sharded over, not the request.
-        stream = mixed_stream(3000, 500)
-        serial = run_policy_on_stream(
-            stream, self.DUELING_GEOMETRY, "drrip", seed=SEED
-        )
-        sharded = run_policy_on_stream(
-            stream, self.DUELING_GEOMETRY, "drrip", seed=SEED,
-            kernel_jobs=200,
-        )
-        assert sharded == serial
-        assert sharded.backend.endswith("+threads64")
-
-    def test_dueling_sharded_profile_records_threads(self):
-        stream = mixed_stream(2000, 400)
-        profile = {}
-        replay_setpath(
-            stream, self.DUELING_GEOMETRY, make_policy("drrip", seed=9),
-            kernel_jobs=2, profile=profile,
-        )
-        assert profile["kernel_threads"] == 2
-
-    def test_env_default_shards(self, monkeypatch):
-        stream = mixed_stream(2000, 90)
-        geometry = CacheGeometry(8 * 4 * 64, 4)
-        serial = run_policy_on_stream(stream, geometry, "srrip", seed=SEED)
-        monkeypatch.setenv(KERNEL_JOBS_ENV, "2")
-        sharded = run_policy_on_stream(stream, geometry, "srrip", seed=SEED)
-        assert sharded == serial
-        assert sharded.backend.endswith("+threads2")
-
-    def test_single_set_geometry_stays_serial(self):
-        stream = mixed_stream(600, 40)
-        geometry = CacheGeometry(1 * 4 * 64, 4)
-        result = run_policy_on_stream(
-            stream, geometry, "srrip", seed=SEED, kernel_jobs=4
-        )
-        assert "+threads" not in result.backend
-        assert result == run_policy_on_stream(
-            stream, geometry, "srrip", seed=SEED
-        )
-
-    def test_sharded_instance_replay(self):
-        # replay_setpath's own kernel_jobs knob, with a stochastic policy:
-        # per-set RNG streams are pre-created serially, then shards draw
-        # from them without interleaving hazards.
-        stream = mixed_stream(3000, 120)
-        geometry = CacheGeometry(16 * 4 * 64, 4)
-        serial = replay_setpath(
-            stream, geometry, make_policy("brrip", seed=9)
-        )
-        sharded = replay_setpath(
-            stream, geometry, make_policy("brrip", seed=9), kernel_jobs=4
-        )
-        assert sharded == serial
-
-    @settings(max_examples=25, deadline=None)
-    @given(accesses=accesses_strategy)
-    def test_hypothesis_sharded_streams(self, accesses):
-        stream = make_stream(accesses)
-        geometry = CacheGeometry(4 * 2 * 64, 2)
-        for policy in ("srrip", "random"):
-            serial = run_policy_on_stream(stream, geometry, policy, seed=3)
-            sharded = run_policy_on_stream(
-                stream, geometry, policy, seed=3, kernel_jobs=4
-            )
-            assert sharded == serial

@@ -255,7 +255,7 @@ class TestDispatch:
         result = try_fast_replay(stream, geometry, "ship")
         assert result is not None
         assert result.tier == "scalar"
-        assert result.backend in ("compact", "numba")
+        assert result.backend == "compact"
 
     def test_scalar_tier_declines_without_native(self):
         stream = mixed_stream(n=500)

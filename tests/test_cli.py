@@ -1,8 +1,12 @@
 """Tests for the repro-sim command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim import telemetry
+from repro.sim.nativepath import NO_NATIVE_ENV
 
 FAST = ["--accesses", "3000", "--workloads", "swaptions", "water"]
 
@@ -192,6 +196,49 @@ class TestFastpathCli:
         assert main([*args, "--no-fastpath"]) == 0
         scalar = capsys.readouterr().out
         assert scalar == fast
+
+
+class TestNoNativeCli:
+    ARGS = ["compare", "--accesses", "3000", "--workloads", "water",
+            "--policies", "ship"]
+
+    @staticmethod
+    def _ship_backends(cache):
+        """Backends of each run's SHiP replays, oldest run first."""
+        root = telemetry.resolve_runs_root(cache_dir=cache)
+        return [
+            {event["backend"] for event in telemetry.read_events(run.path)
+             if event.get("stage") == "replay"
+             and event.get("policy") == "ship"}
+            for run in telemetry.list_runs(root)
+        ]
+
+    def test_no_native_is_scoped_to_its_command(self, capsys, tmp_path,
+                                                monkeypatch):
+        monkeypatch.delenv(NO_NATIVE_ENV, raising=False)
+        cache = str(tmp_path / "cache")
+        args = [*self.ARGS, "--cache-dir", cache]
+        assert main([*args, "--no-native"]) == 0
+        assert NO_NATIVE_ENV not in os.environ
+        assert main(args) == 0
+        assert self._ship_backends(cache) == [{"model"}, {"compact"}]
+
+    def test_no_native_restores_a_user_setting(self, capsys, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setenv(NO_NATIVE_ENV, "0")
+        assert main([*self.ARGS, "--cache-dir", str(tmp_path / "cache"),
+                     "--no-native"]) == 0
+        assert os.environ[NO_NATIVE_ENV] == "0"
+
+    def test_retired_sharding_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.ARGS, "--kernel-jobs", "2"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(
+            "error: unrecognized arguments: --kernel-jobs 2"
+        )
+        assert "Traceback" not in err
 
 
 class TestNewPredictorsInCli:
