@@ -13,8 +13,18 @@ Storage mirrors :class:`repro.trace.Trace`: four parallel arrays.
 from array import array
 from typing import Iterator, NamedTuple, Tuple
 
+import numpy as np
+
 from repro.common.errors import TraceError
-from repro.common.npsupport import frozen_view, require_numpy
+
+
+def frozen_view(column, dtype):
+    """Zero-copy read-only numpy view over one column buffer."""
+    if len(column) == 0:
+        return np.empty(0, dtype=dtype)
+    view = np.frombuffer(column, dtype=dtype)
+    view.flags.writeable = False
+    return view
 
 
 class LlcAccess(NamedTuple):
@@ -69,9 +79,8 @@ class LlcStream:
 
         Zero-copy: the views alias the stream's own column buffers (the
         whole point — vectorized kernels must not pay a materialization
-        copy per replay). Raises :class:`RuntimeError` without numpy.
+        copy per replay).
         """
-        np = require_numpy()
         return (
             frozen_view(self._cores, np.int8),
             frozen_view(self._pcs, np.int64),

@@ -33,11 +33,11 @@ still load, under both suffixes.
 
 One decoder parses every file from a bytes-like buffer: the ``mmap`` of
 a plain file, or the decompressed bytes of a ``.gz`` file. Plain loads
-with numpy return ``np.frombuffer`` columns; the int8 columns (and the
-int64 columns of v1/v2 files) are zero-copy views over the mapping, so
-pool workers re-opening one stream share the page cache. Gzip loads and
-numpy-less interpreters return ``array.array`` columns. Every consumer is
-duck-typed over both, and the equivalence is differential-tested.
+return ``np.frombuffer`` columns; the int8 columns (and the int64 columns
+of v1/v2 files) are zero-copy views over the mapping, so pool workers
+re-opening one stream share the page cache. Gzip loads return
+``array.array`` columns. Every consumer is duck-typed over both, and the
+equivalence is differential-tested.
 """
 
 import gzip
@@ -48,9 +48,10 @@ from array import array
 from pathlib import Path
 from typing import Union
 
+import numpy as np
+
 from repro.cache.stream import LlcStream
 from repro.common.errors import TraceError
-from repro.common.npsupport import HAVE_NUMPY, require_numpy
 
 _MAGIC = b"RLLC"
 _VERSION = 3
@@ -130,7 +131,7 @@ def read_llc_stream(path: Union[str, Path]) -> LlcStream:
             buf = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
         except (ValueError, OSError):  # empty file, exotic filesystem
             buf = handle.read()
-    return _decode(buf, path, views=HAVE_NUMPY)
+    return _decode(buf, path, views=True)
 
 
 def _decode(buf, path: Path, views: bool) -> LlcStream:
@@ -169,7 +170,7 @@ def _decode(buf, path: Path, views: bool) -> LlcStream:
             blob = _from_planes(blob, count)
         checksum = zlib.crc32(blob, checksum)
         if views:
-            column = require_numpy().frombuffer(blob, dtype=typecode)
+            column = np.frombuffer(blob, dtype=typecode)
             column.flags.writeable = False
         else:
             column = array(typecode)

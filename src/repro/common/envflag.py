@@ -1,8 +1,8 @@
 """Boolean environment-variable toggles, parsed consistently.
 
 Every ``REPRO_SIM_*`` escape hatch (``REPRO_SIM_NO_FASTPATH``,
-``REPRO_SIM_NO_NUMPY``, ``REPRO_SIM_NO_NATIVE``) is a boolean *flag*: the
-user either asked for the toggle or did not. The obvious
+``REPRO_SIM_NO_NATIVE``) is a boolean *flag*: the user either asked for
+the toggle or did not. The obvious
 ``os.environ.get(NAME)`` truthiness check gets the common negative
 spellings wrong — ``REPRO_SIM_NO_FASTPATH=0`` or ``=false`` would
 *disable* the fast path, the opposite of what the user wrote — so every

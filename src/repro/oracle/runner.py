@@ -297,7 +297,7 @@ def run_oracle_variants(
     for mode, release in variants:
         wrapper = SharingAwareWrapper(
             make_policy(base, seed=derive_seed(seed, "oracle-base", base)),
-            oracle_hint_source(budgets, cap=cap), mode, release=release,
+            oracle_hint_source(budgets), mode, release=release,
         )
         oracle_result = try_fast_replay(
             stream, geometry, wrapper, fastpath=fastpath, native=native,

@@ -79,7 +79,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import CacheGeometry
 from repro.common.errors import ConfigError
-from repro.common.npsupport import HAVE_NUMPY
 from repro.common.stats import ratio
 from repro.oracle.annotate import oracle_hint_source
 from repro.oracle.runner import stream_annotation
@@ -387,7 +386,6 @@ def run_bench(
         "target_accesses": context.target_accesses,
         "seed": context.seed,
         "python_version": platform.python_version(),
-        "numpy_available": HAVE_NUMPY,
         "cells": cells,
         "disabled_probe_overhead": overhead,
         "setpath_speedups": setpath_speedups(cells),

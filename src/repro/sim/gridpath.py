@@ -39,7 +39,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
-from repro.common.npsupport import should_vectorize
 from repro.common.rng import derive_seed
 from repro.policies.base import (
     REPLAY_DUELING,
@@ -53,7 +52,6 @@ from repro.policies.rrip import SrripPolicy
 from repro.sim import telemetry
 from repro.sim.engine import LlcOnlySimulator
 from repro.sim.fastpath import (
-    VECTORIZE_THRESHOLD,
     _histogram_walk,
     fastpath_enabled,
     replay_lru_fastpath,
@@ -82,7 +80,6 @@ def lru_grid_hits(
     blocks: Sequence[int],
     num_sets: int,
     ways_grid: Sequence[int],
-    use_numpy: Optional[bool] = None,
 ) -> Dict[int, int]:
     """Exact LRU hit counts for every associativity in ``ways_grid`` at once.
 
@@ -91,8 +88,7 @@ def lru_grid_hits(
     for each ``w``, so the whole grid reduces to a distance histogram and
     one cumulative-sum threshold per cell. Returns ``{ways: hits}``.
 
-    ``use_numpy`` is accepted for signature symmetry with the other grid
-    entry points but unused: the walk accumulates the histogram in-loop
+    Pure Python by design: the walk accumulates the histogram in-loop
     (:func:`repro.sim.fastpath._histogram_walk`) and the cumulative sum is
     over ``cap + 1`` integers, so there is nothing left to vectorize.
     """
@@ -123,7 +119,6 @@ def _group_by_num_sets(geometries) -> Dict[int, List[int]]:
 def replay_lru_grid(
     stream: LlcStream,
     geometries: Sequence[CacheGeometry],
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> List[LlcSimResult]:
     """Replay ``stream`` under exact LRU for every geometry in one pass each.
@@ -144,7 +139,6 @@ def replay_lru_grid(
             stream.blocks,
             num_sets,
             sorted({geometries[idx].ways for idx in indices}),
-            use_numpy=use_numpy,
         )
         elapsed = perf_counter() - start
         walk_sec += elapsed
@@ -199,7 +193,6 @@ def replay_geometry_grid(
     policy: PolicySpec = "lru",
     seed: int = 0,
     fastpath: Optional[bool] = None,
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> List[LlcSimResult]:
     """Replay one policy across a whole geometry grid, sharing every pass.
@@ -231,7 +224,7 @@ def replay_geometry_grid(
             cell = try_fast_replay(
                 stream, geometry, policy if isinstance(policy, str)
                 else _fresh_instance(policy, seed),
-                seed=seed, fastpath=fastpath, use_numpy=use_numpy,
+                seed=seed, fastpath=fastpath,
             )
             if cell is None:
                 cell = _scalar_cell(
@@ -243,24 +236,19 @@ def replay_geometry_grid(
             profile["grid_fallback_cells"] = len(geometries)
         return results
     if tier == REPLAY_STACK:
-        results = replay_lru_grid(
-            stream, geometries, use_numpy=use_numpy, profile=profile
-        )
+        results = replay_lru_grid(stream, geometries, profile=profile)
     else:
-        use_np = should_vectorize(use_numpy, n, VECTORIZE_THRESHOLD)
         results = [None] * len(geometries)
         groups = _group_by_num_sets(geometries)
         for num_sets, indices in groups.items():
-            part = partition_stream(
-                stream.blocks, num_sets, use_numpy=use_np, profile=profile
-            )
+            part = partition_stream(stream.blocks, num_sets, profile=profile)
             for idx in indices:
                 geometry = geometries[idx]
                 cell_start = perf_counter()
                 instance = _fresh_instance(policy, seed)
                 instance.bind(geometry)
                 hits = _run_partitioned(
-                    part, geometry, instance, None, use_np, profile=profile
+                    part, geometry, instance, None, profile=profile
                 )
                 results[idx] = LlcSimResult(
                     policy=instance.name,
@@ -270,7 +258,7 @@ def replay_geometry_grid(
                     misses=n - hits,
                     elapsed_sec=perf_counter() - cell_start,
                     tier=REPLAY_GRID,
-                    backend="numpy" if use_np else "python",
+                    backend="numpy",
                 )
         if profile is not None:
             profile["grid_groups"] = len(groups)
@@ -289,7 +277,6 @@ def replay_param_grid(
     geometry: CacheGeometry,
     policies: Sequence[ReplacementPolicy],
     fastpath: Optional[bool] = None,
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> List[LlcSimResult]:
     """Replay a parameter grid of policy variants at one fixed geometry.
@@ -322,19 +309,17 @@ def replay_param_grid(
         for idx, instance in enumerate(instances):
             results[idx] = _scalar_cell(stream, geometry, instance)
         return results
-    use_np = should_vectorize(use_numpy, n, VECTORIZE_THRESHOLD)
     tiers = [setpath_tier_of(instance) for instance in instances]
     part = None
     if any(tier in (REPLAY_SET, REPLAY_DUELING) for tier in tiers):
         part = partition_stream(
-            stream.blocks, num_sets=geometry.num_sets, use_numpy=use_np,
-            profile=profile,
+            stream.blocks, num_sets=geometry.num_sets, profile=profile,
         )
     # Exact-type SRRIP variants stack into one synchronous kernel.
     stacked = [
         idx for idx, instance in enumerate(instances)
         if type(instance) is SrripPolicy and tiers[idx] == REPLAY_SET
-    ] if (part is not None and use_np and part.blocks_np is not None) else []
+    ]
     if len(stacked) >= 2:
         kernel_start = perf_counter()
         hits_list = _count_rrip_sync_stacked(
@@ -366,7 +351,7 @@ def replay_param_grid(
             cell_start = perf_counter()
             instance.bind(geometry)
             hits = _run_partitioned(
-                part, geometry, instance, None, use_np, profile=profile
+                part, geometry, instance, None, profile=profile
             )
             results[idx] = LlcSimResult(
                 policy=instance.name,
@@ -376,20 +361,17 @@ def replay_param_grid(
                 misses=n - hits,
                 elapsed_sec=perf_counter() - cell_start,
                 tier=REPLAY_GRID,
-                backend="numpy" if use_np else "python",
+                backend="numpy",
             )
         elif tier == REPLAY_STACK:
-            results[idx] = replay_lru_fastpath(
-                stream, geometry, use_numpy=use_numpy, profile=profile
-            )
+            results[idx] = replay_lru_fastpath(stream, geometry, profile=profile)
         else:
             # Scalar-tier variants get the native backend when eligible
             # (exact unbound SHiP — parameter variants qualify, the kernel
             # reads each instance's own SHCT geometry); the env escape
             # hatch and everything else land on the scalar model.
             native = try_native_replay(
-                stream, geometry, instance, use_numpy=use_numpy,
-                profile=profile,
+                stream, geometry, instance, profile=profile,
             )
             results[idx] = native if native is not None else _scalar_cell(
                 stream, geometry, instance

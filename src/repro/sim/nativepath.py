@@ -42,10 +42,11 @@ This module supplies that backend, in three layers:
 from time import perf_counter
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.envflag import env_flag
-from repro.common.npsupport import require_numpy, should_vectorize
 from repro.policies.base import REPLAY_SCALAR
 from repro.policies.lru import LruPolicy
 from repro.policies.rrip import SrripPolicy
@@ -82,17 +83,14 @@ def native_enabled(flag: Optional[bool] = None) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Signature preparation (vectorized, with a pure-Python twin)
+# Signature preparation (vectorized)
 # ----------------------------------------------------------------------
 
-def _hash_pcs(pcs, mask: int, use_np: bool):
+def _hash_pcs(pcs, mask: int):
     """Every access's SHCT signature: ``ShipPolicy._hash_pc`` columnwise."""
-    if use_np:
-        np = require_numpy()
-        column = np.asarray(pcs, dtype=np.int64)
-        sigs = ((column >> 2) ^ (column >> 11) ^ (column >> 19)) & mask
-        return sigs.tolist()
-    return [((pc >> 2) ^ (pc >> 11) ^ (pc >> 19)) & mask for pc in pcs]
+    column = np.asarray(pcs, dtype=np.int64)
+    sigs = ((column >> 2) ^ (column >> 11) ^ (column >> 19)) & mask
+    return sigs.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -194,10 +192,6 @@ _ORACLE_BASE_FAMILIES = {
 
 _ORACLE_MODES = {"victim-exempt": 0, "insert-promote": 1, "both": 2}
 _ORACLE_RELEASES = {"budget": 0, "first-share": 1, "never": 2}
-
-_HINT_INT8_MAX = 127
-"""Hints export as an int8 column; wrappers whose annotation cap exceeds
-this (never the default ``BUDGET_CAP``) fall back to the object model."""
 
 
 def _oracle_count_compact(blocks, cores, hints, sigs, num_sets: int,
@@ -355,9 +349,9 @@ def oracle_native_spec(policy):
     The guards mirror :func:`native_eligible`, extended across the
     composition: the wrapper itself must be the exact class and unbound,
     its base an exact-type unbound {LRU, SRRIP, SHiP}, and its hint source
-    an exact :class:`repro.oracle.annotate.AnnotationHintSource` whose cap
-    fits the int8 hint column. Anything else — undeclared subclasses,
-    bound instances, live predictor hint sources — takes the object model.
+    an exact :class:`repro.oracle.annotate.AnnotationHintSource`. Anything
+    else — undeclared subclasses, bound instances, live predictor hint
+    sources — takes the object model.
     """
     # Imported lazily: repro.oracle pulls in the replay dispatch at module
     # import, so a top-level import here would be circular.
@@ -373,8 +367,6 @@ def oracle_native_spec(policy):
     source = policy.hint_source
     if type(source) is not AnnotationHintSource:
         return None
-    if source.cap > _HINT_INT8_MAX:
-        return None
     return family, base, source
 
 
@@ -382,7 +374,6 @@ def replay_oracle_nativepath(
     stream: LlcStream,
     geometry: CacheGeometry,
     policy,
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> Optional[LlcSimResult]:
     """Replay ``stream`` under an unbound oracle wrapper, natively.
@@ -408,9 +399,6 @@ def replay_oracle_nativepath(
         # out-of-range) hints the closure would serve.
         return None
     start = perf_counter()
-    from repro.sim.fastpath import VECTORIZE_THRESHOLD
-
-    use_np = should_vectorize(use_numpy, n, VECTORIZE_THRESHOLD)
     mode = _ORACLE_MODES[policy.mode]
     release = _ORACLE_RELEASES[policy.release]
     if family == _FAMILY_ORACLE_SHIP:
@@ -427,7 +415,7 @@ def replay_oracle_nativepath(
     # budgets[i + 1] is access i's hint.
     hints = budgets[1:]
     sigs = (
-        _hash_pcs(stream.pcs, sig_mask, use_np)
+        _hash_pcs(stream.pcs, sig_mask)
         if family == _FAMILY_ORACLE_SHIP else None
     )
     if profile is not None:
@@ -463,7 +451,6 @@ def replay_ship_nativepath(
     stream: LlcStream,
     geometry: CacheGeometry,
     policy: ShipPolicy,
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> LlcSimResult:
     """Replay ``stream`` under an unbound SHiP instance, natively.
@@ -480,17 +467,14 @@ def replay_ship_nativepath(
     ``profile``, when a dict, receives ``native_prepare`` /
     ``native_kernel`` wall times and the chosen ``native_backend``.
     """
-    from repro.sim.fastpath import VECTORIZE_THRESHOLD
-
     start = perf_counter()
     n = len(stream.blocks)
-    use_np = should_vectorize(use_numpy, n, VECTORIZE_THRESHOLD)
     rmax = policy.rrpv_max
     cmax = policy.counter_max
     sig_mask = policy.shct_size - 1
     shct = list(policy._shct)  # never mutate the caller's instance
     prep_start = perf_counter()
-    sigs = _hash_pcs(stream.pcs, sig_mask, use_np)
+    sigs = _hash_pcs(stream.pcs, sig_mask)
     if profile is not None:
         profile["native_prepare"] = perf_counter() - prep_start
     kernel_start = perf_counter()
@@ -532,7 +516,6 @@ def try_native_replay(
     policy,
     observers: Tuple = (),
     native: Optional[bool] = None,
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> Optional[LlcSimResult]:
     """Native replay of a scalar-tier policy, or ``None`` to fall back.
@@ -552,10 +535,8 @@ def try_native_replay(
     if native_eligible(policy):
         instance = policy if isinstance(policy, ShipPolicy) else ShipPolicy()
         return replay_ship_nativepath(
-            stream, geometry, instance, use_numpy=use_numpy, profile=profile,
+            stream, geometry, instance, profile=profile,
         )
     if isinstance(policy, str):
         return None
-    return replay_oracle_nativepath(
-        stream, geometry, policy, use_numpy=use_numpy, profile=profile,
-    )
+    return replay_oracle_nativepath(stream, geometry, policy, profile=profile)

@@ -704,7 +704,6 @@ def run_probed_replay(
     probes: Iterable[Union[str, Probe]],
     seed: int = 0,
     fastpath: Optional[bool] = None,
-    use_numpy: Optional[bool] = None,
 ) -> ProbeReport:
     """Replay ``stream`` under ``policy_name`` with probes attached.
 
@@ -748,17 +747,14 @@ def run_probed_replay(
         for probe in probes:
             probe.bind(geometry, None)
         if tier == REPLAY_STACK:
-            walk = reconstruct_lru_replay(
-                stream, geometry, use_numpy=use_numpy, profile=profile
-            )
+            walk = reconstruct_lru_replay(stream, geometry, profile=profile)
             lru_walk = walk
         else:
             policy = make_policy(
                 policy_name, seed=derive_seed(seed, "replay", policy_name)
             )
             walk = reconstruct_setpath_replay(
-                stream, geometry, policy,
-                use_numpy=use_numpy, profile=profile,
+                stream, geometry, policy, profile=profile,
             )
             lru_walk = None
         if observers:
@@ -769,9 +765,7 @@ def run_probed_replay(
             if probe.wants_access_events:
                 if lru_walk is None:
                     phase_start = perf_counter()
-                    lru_walk = reconstruct_lru_replay(
-                        stream, geometry, use_numpy=use_numpy
-                    )
+                    lru_walk = reconstruct_lru_replay(stream, geometry)
                     profile["reuse_model"] = perf_counter() - phase_start
                 phase_start = perf_counter()
                 probe.consume_fastpath(lru_walk, stream, geometry)

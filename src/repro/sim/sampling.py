@@ -14,11 +14,12 @@ still produced by full simulation.
 from array import array
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cache.llc import SharedLlc
-from repro.cache.stream import LlcStream, LlcStreamBuilder
+from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.errors import ConfigError
-from repro.common.npsupport import HAVE_NUMPY
 from repro.common.rng import derive_seed
 from repro.common.stats import ratio
 from repro.policies.base import ReplacementPolicy
@@ -152,26 +153,16 @@ def sampled_substream(stream: LlcStream, geometry: CacheGeometry,
     del small
     name = f"{stream.name}#s{sample_ratio}.{offset}"
     mask = geometry.num_sets - 1
-    if HAVE_NUMPY and len(stream):
-        import numpy as np
-
-        cores, pcs, blocks, writes = stream.numpy_columns()
-        keep = (blocks & mask) % sample_ratio == offset
-        out_cores = array("b")
-        out_pcs = array("q")
-        out_blocks = array("q")
-        out_writes = array("b")
-        out_cores.frombytes(np.ascontiguousarray(cores[keep]).tobytes())
-        out_pcs.frombytes(np.ascontiguousarray(pcs[keep]).tobytes())
-        out_blocks.frombytes(
-            np.ascontiguousarray(blocks[keep] // sample_ratio).tobytes()
-        )
-        out_writes.frombytes(np.ascontiguousarray(writes[keep]).tobytes())
-        return LlcStream(out_cores, out_pcs, out_blocks, out_writes, name)
-    builder = LlcStreamBuilder(name)
-    cores, pcs, blocks, writes = stream.columns()
-    for i in range(len(cores)):
-        block = blocks[i]
-        if (block & mask) % sample_ratio == offset:
-            builder.append(cores[i], pcs[i], block // sample_ratio, writes[i] != 0)
-    return builder.build()
+    cores, pcs, blocks, writes = stream.numpy_columns()
+    keep = (blocks & mask) % sample_ratio == offset
+    out_cores = array("b")
+    out_pcs = array("q")
+    out_blocks = array("q")
+    out_writes = array("b")
+    out_cores.frombytes(np.ascontiguousarray(cores[keep]).tobytes())
+    out_pcs.frombytes(np.ascontiguousarray(pcs[keep]).tobytes())
+    out_blocks.frombytes(
+        np.ascontiguousarray(blocks[keep] // sample_ratio).tobytes()
+    )
+    out_writes.frombytes(np.ascontiguousarray(writes[keep]).tobytes())
+    return LlcStream(out_cores, out_pcs, out_blocks, out_writes, name)

@@ -11,8 +11,8 @@ per-set state, read and written only by accesses mapping to that set. The
 replay therefore decomposes exactly:
 
 1. **Partition** — bucket the recorded stream by set index in one
-   vectorized pass (stable ``argsort`` over ``block & (num_sets-1)``, with
-   a pure-Python twin), keeping each access's global position.
+   vectorized pass (stable ``argsort`` over ``block & (num_sets-1)``),
+   keeping each access's global position.
 2. **Per-set kernels** — replay each set's subsequence under a compact
    array-state kernel (RRPV list for SRRIP/BRRIP, ordered recency list for
    the LRU/LIP/BIP family, reference bits for NRU, next-use values for
@@ -46,14 +46,14 @@ for scalar so the caller can fall back to the full model.
 """
 
 from array import array
-from bisect import bisect_left
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
-from repro.common.npsupport import require_numpy, should_vectorize
 from repro.common.rng import derive_seed
 from repro.policies.base import (
     REPLAY_DUELING,
@@ -71,10 +71,8 @@ from repro.policies.registry import POLICY_NAMES, make_policy, policy_class
 from repro.policies.rrip import BrripPolicy, DrripPolicy, SrripPolicy
 from repro.sim import telemetry
 from repro.sim.fastpath import (
-    VECTORIZE_THRESHOLD,
     LruReplayReconstruction,
-    _reconstruct_numpy,
-    _reconstruct_python,
+    _reconstruct,
     _replay_observers,
     fastpath_enabled,
     replay_lru_fastpath,
@@ -156,7 +154,7 @@ class StreamPartition:
     ``blocks[starts[s]:starts[s+1]]`` is set ``s``'s access subsequence in
     stream order; ``order`` holds each grouped access's global stream
     position (``order_np``/``blocks_np`` are the same columns as numpy
-    arrays when the vectorized bucketing built them, else ``None``).
+    arrays).
     """
 
     __slots__ = (
@@ -164,59 +162,31 @@ class StreamPartition:
     )
 
 
-def partition_stream(
-    blocks,
-    num_sets: int,
-    use_numpy: Optional[bool] = None,
-    profile=None,
-) -> StreamPartition:
+def partition_stream(blocks, num_sets: int, profile=None) -> StreamPartition:
     """Bucket ``blocks`` by ``block & (num_sets - 1)`` preserving order.
 
-    One stable ``argsort`` over the set-index column on the numpy path; a
-    per-set bucket append on the Python twin. Both produce identical
-    grouped columns (equivalence-tested).
+    One stable ``argsort`` over the set-index column.
     """
-    n = len(blocks)
     part = StreamPartition()
     part.num_sets = num_sets
     start = perf_counter()
-    if should_vectorize(use_numpy, n, VECTORIZE_THRESHOLD):
-        np = require_numpy()
-        if isinstance(blocks, array) and blocks.typecode == "q":
-            column = np.frombuffer(blocks, dtype=np.int64)
-        else:
-            column = np.asarray(blocks, dtype=np.int64)
-        sets = column & (num_sets - 1)
-        order_np = np.argsort(sets, kind="stable")
-        counts = np.bincount(sets, minlength=num_sets)
-        starts = np.zeros(num_sets + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        grouped = column[order_np]
-        part.blocks = grouped.tolist()
-        part.order = order_np.tolist()
-        part.starts = starts.tolist()
-        part.order_np = order_np
-        part.blocks_np = grouped
-        kernel = "numpy"
+    if isinstance(blocks, array) and blocks.typecode == "q":
+        column = np.frombuffer(blocks, dtype=np.int64)
     else:
-        mask = num_sets - 1
-        buckets: List[List[int]] = [[] for __ in range(num_sets)]
-        for i, block in enumerate(blocks):
-            buckets[block & mask].append(i)
-        order: List[int] = []
-        starts = [0]
-        for bucket in buckets:
-            order.extend(bucket)
-            starts.append(len(order))
-        part.blocks = [blocks[i] for i in order]
-        part.order = order
-        part.starts = starts
-        part.order_np = None
-        part.blocks_np = None
-        kernel = "python"
+        column = np.asarray(blocks, dtype=np.int64)
+    sets = column & (num_sets - 1)
+    order_np = np.argsort(sets, kind="stable")
+    counts = np.bincount(sets, minlength=num_sets)
+    starts = np.zeros(num_sets + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    grouped = column[order_np]
+    part.blocks = grouped.tolist()
+    part.order = order_np.tolist()
+    part.starts = starts.tolist()
+    part.order_np = order_np
+    part.blocks_np = grouped
     if profile is not None:
         profile["partition"] = perf_counter() - start
-        profile["partition_kernel"] = kernel
     return part
 
 
@@ -279,10 +249,9 @@ def _count_rrip_sync(part: StreamPartition, ways: int, rmax: int) -> int:
     still-cold way, and misses are masked the same way so padded lanes
     never fill.
     """
-    np = require_numpy()
     starts = np.asarray(part.starts, dtype=np.int64)
     lens = np.diff(starts)
-    if len(lens) == 0 or part.blocks_np is None:
+    if len(lens) == 0:
         return 0
     maxlen = int(lens.max())
     num_sets = part.num_sets
@@ -364,11 +333,10 @@ def _count_rrip_sync_stacked(
       over ``rel`` still finds the victim because the offset is uniform
       within a row.
     """
-    np = require_numpy()
     nv = len(configs)
     starts = np.asarray(part.starts, dtype=np.int64)
     lens = np.diff(starts)
-    if nv == 0 or len(lens) == 0 or part.blocks_np is None:
+    if nv == 0 or len(lens) == 0:
         return [0] * nv
     maxlen = int(lens.max())
     num_sets = part.num_sets
@@ -924,7 +892,7 @@ def _walk_opt(seg, seg_next, pos, ways, buf, set_index) -> int:
 # Phase 2c: two-phase dueling (PSEL time-series reconstruction)
 # ----------------------------------------------------------------------
 
-def _psel_steps(a_fills, b_fills, duel, use_np: bool):
+def _psel_steps(a_fills, b_fills, duel):
     """Merge leader miss positions into the exact PSEL time-series.
 
     Returns ``(positions, values, flags)``: the sorted global positions of
@@ -935,22 +903,14 @@ def _psel_steps(a_fills, b_fills, duel, use_np: bool):
     saturating walk itself stays scalar — saturation breaks ``cumsum`` —
     but the event merge vectorizes.
     """
-    if use_np and (a_fills or b_fills):
-        np = require_numpy()
-        pos_np = np.asarray(a_fills + b_fills, dtype=np.int64)
-        delta_np = np.ones(len(pos_np), dtype=np.int64)
-        delta_np[len(a_fills):] = -1
-        # Fill positions are unique (one access per position), so the
-        # unstable default sort is deterministic here.
-        order = np.argsort(pos_np)
-        positions = pos_np[order].tolist()
-        deltas = delta_np[order].tolist()
-    else:
-        events = sorted(
-            [(p, 1) for p in a_fills] + [(p, -1) for p in b_fills]
-        )
-        positions = [p for p, __ in events]
-        deltas = [d for __, d in events]
+    pos_np = np.asarray(a_fills + b_fills, dtype=np.int64)
+    delta_np = np.ones(len(pos_np), dtype=np.int64)
+    delta_np[len(a_fills):] = -1
+    # Fill positions are unique (one access per position), so the
+    # unstable default sort is deterministic here.
+    order = np.argsort(pos_np)
+    positions = pos_np[order].tolist()
+    deltas = delta_np[order].tolist()
     psel = duel.psel
     psel_max = duel.psel_max
     threshold = duel.threshold
@@ -967,7 +927,7 @@ def _psel_steps(a_fills, b_fills, duel, use_np: bool):
     return positions, values, flags
 
 
-def _make_flag_lookup(positions, flags, part: StreamPartition, use_np: bool):
+def _make_flag_lookup(positions, flags, part: StreamPartition):
     """Per-set follower-decision gather: ``lookup(lo, hi) -> [bool, ...]``.
 
     The flag for an access at global position ``p`` is the PSEL decision
@@ -975,19 +935,12 @@ def _make_flag_lookup(positions, flags, part: StreamPartition, use_np: bool):
     scalar model reads at that access's fill (a follower's own miss never
     moves PSEL).
     """
-    if use_np and part.order_np is not None:
-        np = require_numpy()
-        pos_np = np.asarray(positions, dtype=np.int64)
-        flags_np = np.asarray(flags, dtype=bool)
+    pos_np = np.asarray(positions, dtype=np.int64)
+    flags_np = np.asarray(flags, dtype=bool)
 
-        def lookup(lo: int, hi: int) -> List[bool]:
-            idx = np.searchsorted(pos_np, part.order_np[lo:hi], side="left")
-            return flags_np[idx].tolist()
-    else:
-        order = part.order
-
-        def lookup(lo: int, hi: int) -> List[bool]:
-            return [flags[bisect_left(positions, p)] for p in order[lo:hi]]
+    def lookup(lo: int, hi: int) -> List[bool]:
+        idx = np.searchsorted(pos_np, part.order_np[lo:hi], side="left")
+        return flags_np[idx].tolist()
 
     return lookup
 
@@ -1090,20 +1043,17 @@ def _follower_pass(part: StreamPartition, geometry: CacheGeometry,
     return hits
 
 
-def _gather_next_use(next_use, part: StreamPartition, use_np: bool):
+def _gather_next_use(next_use, part: StreamPartition):
     """Group the precomputed next-use column by the partition order."""
-    if use_np and part.order_np is not None:
-        np = require_numpy()
-        if isinstance(next_use, array) and next_use.typecode == "q":
-            column = np.frombuffer(next_use, dtype=np.int64)
-        else:
-            column = np.asarray(next_use, dtype=np.int64)
-        return column[part.order_np].tolist()
-    return [next_use[p] for p in part.order]
+    if isinstance(next_use, array) and next_use.typecode == "q":
+        column = np.frombuffer(next_use, dtype=np.int64)
+    else:
+        column = np.asarray(next_use, dtype=np.int64)
+    return column[part.order_np].tolist()
 
 
 def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
-                policy, buf: Optional[_WalkBuf], use_np: bool) -> int:
+                policy, buf: Optional[_WalkBuf]) -> int:
     """Replay every set of a non-dueling per-set policy; returns hits."""
     cls = type(policy)
     family = _KERNEL_FAMILIES[cls]
@@ -1115,11 +1065,8 @@ def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
                 f"OPT replayed against a mismatched stream: next-use column "
                 f"has {len(next_use)} entries for {len(part.blocks)} accesses"
             )
-        grouped_next = _gather_next_use(next_use, part, use_np)
-    if (
-        buf is None and use_np and part.blocks_np is not None
-        and cls is SrripPolicy
-    ):
+        grouped_next = _gather_next_use(next_use, part)
+    if buf is None and cls is SrripPolicy:
         # Count-mode SRRIP has a fully synchronous vectorized kernel (no
         # RNG, no residency skeleton to record); BRRIP's per-set draws
         # and walk mode stay on the per-set kernels.
@@ -1178,8 +1125,7 @@ def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
 
 
 def _run_partitioned(part: StreamPartition, geometry: CacheGeometry,
-                     policy, buf: Optional[_WalkBuf], use_np: bool,
-                     profile=None) -> int:
+                     policy, buf: Optional[_WalkBuf], profile=None) -> int:
     """Replay every set (count mode when ``buf`` is None); returns hits."""
     start = perf_counter()
     if type(policy) in (DipPolicy, DrripPolicy):
@@ -1187,15 +1133,13 @@ def _run_partitioned(part: StreamPartition, geometry: CacheGeometry,
             part, geometry, policy, buf
         )
         psel_start = perf_counter()
-        positions, __, flags = _psel_steps(
-            a_fills, b_fills, policy.duel, use_np
-        )
-        lookup = _make_flag_lookup(positions, flags, part, use_np)
+        positions, __, flags = _psel_steps(a_fills, b_fills, policy.duel)
+        lookup = _make_flag_lookup(positions, flags, part)
         if profile is not None:
             profile["psel_series"] = perf_counter() - psel_start
         hits += _follower_pass(part, geometry, policy, buf, lookup, followers)
     else:
-        hits = _plain_pass(part, geometry, policy, buf, use_np)
+        hits = _plain_pass(part, geometry, policy, buf)
     if profile is not None:
         profile["set_kernels"] = perf_counter() - start
     return hits
@@ -1205,7 +1149,6 @@ def reconstruct_psel_series(
     stream: LlcStream,
     geometry: CacheGeometry,
     policy,
-    use_numpy: Optional[bool] = None,
 ) -> Tuple[List[int], List[int]]:
     """The exact PSEL time-series of a dueling replay, from leaders alone.
 
@@ -1222,11 +1165,10 @@ def reconstruct_psel_series(
             f"policy {getattr(policy, 'name', policy)!r} is not a dueling "
             f"policy; no PSEL series exists"
         )
-    use_np = should_vectorize(use_numpy, len(stream.blocks), VECTORIZE_THRESHOLD)
-    part = partition_stream(stream.blocks, geometry.num_sets, use_numpy=use_np)
+    part = partition_stream(stream.blocks, geometry.num_sets)
     policy.bind(geometry)
     __, a_fills, b_fills, ___ = _leader_pass(part, geometry, policy, None)
-    positions, values, ____ = _psel_steps(a_fills, b_fills, policy.duel, use_np)
+    positions, values, ____ = _psel_steps(a_fills, b_fills, policy.duel)
     return positions, values
 
 
@@ -1249,7 +1191,7 @@ class SetReplayReconstruction(LruReplayReconstruction):
 
 
 def _assemble_walk(buf: _WalkBuf, stream: LlcStream,
-                   geometry: CacheGeometry, use_np: bool,
+                   geometry: CacheGeometry,
                    profile=None) -> SetReplayReconstruction:
     """Stitch per-set skeletons into a global fill-ordered walk."""
     start = perf_counter()
@@ -1257,43 +1199,24 @@ def _assemble_walk(buf: _WalkBuf, stream: LlcStream,
     n = buf.n
     count = buf.counter
     buf.live.sort()
-    if use_np and count:
-        np = require_numpy()
-        fill_np = np.asarray(buf.res_fill, dtype=np.int64)
-        perm = np.argsort(fill_np)  # fill positions are unique
-        inv = np.empty(count, dtype=np.int64)
-        inv[perm] = np.arange(count, dtype=np.int64)
-        walk.res_block = np.asarray(buf.res_block, dtype=np.int64)[perm].tolist()
-        walk.res_fill = fill_np[perm].tolist()
-        walk.res_end = np.asarray(buf.res_end, dtype=np.int64)[perm].tolist()
-        walk.res_way = np.asarray(buf.res_way, dtype=np.int64)[perm].tolist()
-        evicted_np = np.asarray(buf.evicted, dtype=np.int64)
-        mapped = np.where(
-            evicted_np >= 0, inv[np.maximum(evicted_np, 0)], np.int64(-1)
-        )
-        walk.evicted_rid = mapped[perm].tolist()
-        rids_np = np.frombuffer(buf.rids, dtype=np.int64)
-        remapped = array("q", bytes(8 * n))
-        np.frombuffer(remapped, dtype=np.int64)[...] = inv[rids_np]
-        walk.rids = remapped
-        walk.live_rids = [int(inv[cid]) for __, ___, cid in buf.live]
-    else:
-        perm = sorted(range(count), key=buf.res_fill.__getitem__)
-        inv = [0] * count
-        for global_rid, concat_rid in enumerate(perm):
-            inv[concat_rid] = global_rid
-        walk.res_block = [buf.res_block[c] for c in perm]
-        walk.res_fill = [buf.res_fill[c] for c in perm]
-        walk.res_end = [buf.res_end[c] for c in perm]
-        walk.res_way = [buf.res_way[c] for c in perm]
-        walk.evicted_rid = [
-            inv[buf.evicted[c]] if buf.evicted[c] >= 0 else -1 for c in perm
-        ]
-        rids = buf.rids
-        for i in range(n):
-            rids[i] = inv[rids[i]]
-        walk.rids = rids
-        walk.live_rids = [inv[cid] for __, ___, cid in buf.live]
+    fill_np = np.asarray(buf.res_fill, dtype=np.int64)
+    perm = np.argsort(fill_np)  # fill positions are unique
+    inv = np.empty(count, dtype=np.int64)
+    inv[perm] = np.arange(count, dtype=np.int64)
+    walk.res_block = np.asarray(buf.res_block, dtype=np.int64)[perm].tolist()
+    walk.res_fill = fill_np[perm].tolist()
+    walk.res_end = np.asarray(buf.res_end, dtype=np.int64)[perm].tolist()
+    walk.res_way = np.asarray(buf.res_way, dtype=np.int64)[perm].tolist()
+    evicted_np = np.asarray(buf.evicted, dtype=np.int64)
+    mapped = np.where(
+        evicted_np >= 0, inv[np.maximum(evicted_np, 0)], np.int64(-1)
+    )
+    walk.evicted_rid = mapped[perm].tolist()
+    rids_np = np.frombuffer(buf.rids, dtype=np.int64)
+    remapped = array("q", bytes(8 * n))
+    np.frombuffer(remapped, dtype=np.int64)[...] = inv[rids_np]
+    walk.rids = remapped
+    walk.live_rids = [int(inv[cid]) for __, ___, cid in buf.live]
     walk.n = n
     walk.ways = geometry.ways
     walk.set_mask = geometry.num_sets - 1
@@ -1304,12 +1227,7 @@ def _assemble_walk(buf: _WalkBuf, stream: LlcStream,
     if profile is not None:
         profile["assemble"] = perf_counter() - start
         start = perf_counter()
-    kernel = "python"
-    if use_np:
-        if _reconstruct_numpy(walk, stream):
-            kernel = "numpy"
-    if kernel == "python":
-        _reconstruct_python(walk, stream)
+    kernel = _reconstruct(walk, stream)
     if profile is not None:
         profile["reconstruct"] = perf_counter() - start
         profile["reconstruct_kernel"] = kernel
@@ -1320,7 +1238,6 @@ def reconstruct_setpath_replay(
     stream: LlcStream,
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> SetReplayReconstruction:
     """Replay ``stream`` under ``policy`` rebuilding the full walk.
@@ -1337,15 +1254,11 @@ def reconstruct_setpath_replay(
             f"policy {getattr(policy, 'name', policy)!r} is not "
             f"setpath-eligible (tier {tier!r})"
         )
-    n = len(stream.blocks)
-    use_np = should_vectorize(use_numpy, n, VECTORIZE_THRESHOLD)
-    part = partition_stream(
-        stream.blocks, geometry.num_sets, use_numpy=use_np, profile=profile
-    )
+    part = partition_stream(stream.blocks, geometry.num_sets, profile=profile)
     policy.bind(geometry)
-    buf = _WalkBuf(n)
-    _run_partitioned(part, geometry, policy, buf, use_np, profile=profile)
-    return _assemble_walk(buf, stream, geometry, use_np, profile=profile)
+    buf = _WalkBuf(len(stream.blocks))
+    _run_partitioned(part, geometry, policy, buf, profile=profile)
+    return _assemble_walk(buf, stream, geometry, profile=profile)
 
 
 def replay_setpath(
@@ -1353,7 +1266,6 @@ def replay_setpath(
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
     observers: Tuple = (),
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> LlcSimResult:
     """Replay ``stream`` under an unbound per-set policy instance.
@@ -1375,11 +1287,9 @@ def replay_setpath(
             f"setpath-eligible (tier {tier!r})"
         )
     n = len(stream.blocks)
-    use_np = should_vectorize(use_numpy, n, VECTORIZE_THRESHOLD)
-    backend = "numpy" if use_np else "python"
     if observers:
         walk = reconstruct_setpath_replay(
-            stream, geometry, policy, use_numpy=use_numpy, profile=profile
+            stream, geometry, policy, profile=profile
         )
         phase_start = perf_counter()
         _replay_observers(walk, stream, tuple(observers))
@@ -1388,11 +1298,10 @@ def replay_setpath(
         hits, misses = walk.hits, walk.misses
     else:
         part = partition_stream(
-            stream.blocks, geometry.num_sets, use_numpy=use_np, profile=profile
+            stream.blocks, geometry.num_sets, profile=profile
         )
         policy.bind(geometry)
-        hits = _run_partitioned(part, geometry, policy, None, use_np,
-                                profile=profile)
+        hits = _run_partitioned(part, geometry, policy, None, profile=profile)
         misses = n - hits
     return LlcSimResult(
         policy=policy.name,
@@ -1402,7 +1311,7 @@ def replay_setpath(
         misses=misses,
         elapsed_sec=perf_counter() - start,
         tier=tier,
-        backend=backend,
+        backend="numpy",
     )
 
 
@@ -1417,7 +1326,6 @@ def try_fast_replay(
     seed: int = 0,
     observers: Tuple = (),
     fastpath: Optional[bool] = None,
-    use_numpy: Optional[bool] = None,
     profile=None,
     native: Optional[bool] = None,
 ) -> Optional[LlcSimResult]:
@@ -1432,7 +1340,10 @@ def try_fast_replay(
     ``REPRO_SIM_NO_NATIVE``) before returning ``None`` for the model.
     Because the native hook sits behind the ``fastpath`` gate,
     ``fastpath=False`` still yields the pure scalar reference the
-    differential suite compares everything against.
+    differential suite compares everything against. The result's
+    ``backend`` names the evaluator: ``"python"`` for the stack walk,
+    ``"numpy"`` for the set-partitioned engine, ``"compact"`` for the
+    native kernels.
 
     ``seed`` feeds the standard ``derive_seed(seed, "replay", name)``
     stream only when ``policy`` is a name; an instance already carries its
@@ -1444,8 +1355,7 @@ def try_fast_replay(
     tier = setpath_tier_of(policy)
     if tier == REPLAY_STACK:
         result = replay_lru_fastpath(
-            stream, geometry, observers=observers, use_numpy=use_numpy,
-            profile=profile,
+            stream, geometry, observers=observers, profile=profile,
         )
     elif tier in (REPLAY_SET, REPLAY_DUELING):
         if isinstance(policy, ReplacementPolicy):
@@ -1455,13 +1365,12 @@ def try_fast_replay(
         else:
             return None
         result = replay_setpath(
-            stream, geometry, instance, observers=observers,
-            use_numpy=use_numpy, profile=profile,
+            stream, geometry, instance, observers=observers, profile=profile,
         )
     else:
         result = try_native_replay(
             stream, geometry, policy, observers=observers, native=native,
-            use_numpy=use_numpy, profile=profile,
+            profile=profile,
         )
         if result is None:
             return None

@@ -6,7 +6,7 @@ the stream cache they describe) containing exactly two files:
 
 * ``manifest.json`` — one JSON document describing the run: machine digest
   and geometry, workload set, seeds, access budget, policy list, library
-  versions, which numpy/fast-path tiers were in effect, wall time, final
+  versions, which fast-path tiers were in effect, wall time, final
   status, and a per-cell failure record for every experiment cell that was
   retried out or timed out. Written atomically (temp file + rename) and
   rewritten as the run progresses, so a crashed run leaves its last
@@ -362,15 +362,15 @@ def describe_environment(context=None) -> Dict:
     contributes machine digest, workloads, seed, budget, and the resolved
     fast-path gate.
     """
+    import numpy
+
     import repro
-    from repro.common.npsupport import HAVE_NUMPY, numpy
     from repro.sim.fastpath import fastpath_enabled
     from repro.sim.nativepath import native_enabled
 
     fields: Dict = {
         "repro_version": repro.__version__,
-        "numpy_available": HAVE_NUMPY,
-        "numpy_version": getattr(numpy, "__version__", None) if HAVE_NUMPY else None,
+        "numpy_version": numpy.__version__,
         "native_backend": native_enabled(),
     }
     if context is not None:

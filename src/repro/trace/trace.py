@@ -16,8 +16,8 @@ class Trace:
     """An ordered, immutable sequence of memory accesses.
 
     Built via :class:`TraceBuilder` or :func:`Trace.from_accesses`. Columns
-    are exposed read-only for bulk consumers (the simulator, numpy-based
-    analysis); item access materialises :class:`Access` records.
+    are exposed read-only for bulk consumers (the simulator); item access
+    materialises :class:`Access` records.
     """
 
     def __init__(
@@ -95,22 +95,6 @@ class Trace:
         This is the form the simulator's hot loop consumes.
         """
         return self._tids, self._pcs, self._addrs, self._writes
-
-    def numpy_columns(self) -> Tuple:
-        """``(tids, pcs, addrs, writes)`` as read-only zero-copy numpy views.
-
-        Raises :class:`RuntimeError` when numpy is unavailable; bulk
-        consumers fall back to :meth:`columns`.
-        """
-        from repro.common.npsupport import frozen_view, require_numpy
-
-        np = require_numpy()
-        return (
-            frozen_view(self._tids, np.int16),
-            frozen_view(self._pcs, np.int64),
-            frozen_view(self._addrs, np.int64),
-            frozen_view(self._writes, np.int8),
-        )
 
     def slice(self, start: int, stop: Optional[int] = None) -> "Trace":
         """A new trace covering ``[start, stop)`` of this one."""

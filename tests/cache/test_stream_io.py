@@ -9,9 +9,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.cache.stream_io as stream_io
 from repro.cache.stream_io import read_llc_stream, write_llc_stream
-from repro.common.npsupport import HAVE_NUMPY
 from repro.common.errors import TraceError
 from repro.trace.io import write_trace
 from repro.trace.trace import Trace
@@ -233,22 +231,21 @@ class TestZeroCopyLoads:
     STREAM = [(i % 4, 0x40 + (i % 3), (i * 7) % 90, i % 5 == 0)
               for i in range(400)]
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-    def test_mapped_and_streamed_readers_agree(self, tmp_path, monkeypatch):
+    def test_mapped_and_streamed_readers_agree(self, tmp_path):
+        import numpy as np
+
         stream = make_stream(self.STREAM, name="zc")
         plain, packed = tmp_path / "zc.rllc", tmp_path / "zc.rllc.gz"
         write_llc_stream(stream, plain)
         write_llc_stream(stream, packed)
         mapped = read_llc_stream(plain)
         unpacked = read_llc_stream(packed)
-        monkeypatch.setattr(stream_io, "HAVE_NUMPY", False)
-        copied = read_llc_stream(plain)
-        assert list(mapped) == list(unpacked) == list(copied) == list(stream)
-        assert mapped.name == unpacked.name == copied.name == "zc"
-        assert (mapped.num_cores == unpacked.num_cores == copied.num_cores
-                == stream.num_cores)
+        assert all(isinstance(c, np.ndarray) for c in mapped.columns())
+        assert all(isinstance(c, array) for c in unpacked.columns())
+        assert list(mapped) == list(unpacked) == list(stream)
+        assert mapped.name == unpacked.name == "zc"
+        assert mapped.num_cores == unpacked.num_cores == stream.num_cores
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
     def test_plain_load_is_mapped_and_views_the_file(self, tmp_path):
         import mmap
 
@@ -266,7 +263,6 @@ class TestZeroCopyLoads:
         for column in (cores, writes):
             assert isinstance(column.base.obj, mmap.mmap)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
     def test_mapped_stream_reserializes_byte_identically(self, tmp_path):
         stream = make_stream(self.STREAM, name="rt2")
         for suffix in (".rllc", ".rllc.gz"):
@@ -287,16 +283,6 @@ class TestZeroCopyLoads:
         assert [c.typecode for c in loaded.columns()] == ["b", "q", "q", "b"]
         assert list(loaded) == list(stream)
 
-    def test_numpyless_fallback_equivalent(self, tmp_path, monkeypatch):
-        stream = make_stream(self.STREAM, name="nofb")
-        path = tmp_path / "n.rllc"
-        write_llc_stream(stream, path)
-        monkeypatch.setattr(stream_io, "HAVE_NUMPY", False)
-        loaded = read_llc_stream(path)
-        assert all(isinstance(c, array) for c in loaded.columns())
-        assert list(loaded) == list(stream)
-        assert loaded.num_cores == stream.num_cores
-
     def test_empty_file_falls_back_to_streamed_error(self, tmp_path):
         # mmap refuses zero-length files; the decoder still reports the
         # ordinary truncation error instead of a mapping error.
@@ -306,7 +292,6 @@ class TestZeroCopyLoads:
             with pytest.raises(TraceError, match="truncated header"):
                 read_llc_stream(path)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
     def test_mapped_replay_matches_builder_replay(self, tmp_path):
         # End to end: a replay over ndarray-backed columns must be
         # indistinguishable from one over the builder's array.array.

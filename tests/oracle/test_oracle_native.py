@@ -7,9 +7,9 @@ oracle kernel must reproduce the scalar object model bit for bit —
 hit/miss counts *and* the wrapper's study counters (``protected_fills``,
 ``exemptions_applied``, ``releases``) — across every protection mode and
 release policy. Anything the spec guard cannot prove safe (bound
-instances, undeclared subclasses, closure hint sources, caps that do not
-fit the int8 hint column, misaligned annotations, observers) must land on
-the object model, recorded as ``backend == "model"``.
+instances, undeclared subclasses, closure hint sources, misaligned
+annotations, observers) must land on the object model, recorded as
+``backend == "model"``.
 """
 
 import gc
@@ -132,6 +132,38 @@ class TestOracleBitIdentity:
         assert native == model
         assert native.backend == "compact"
 
+    def test_oversized_cap_replays_natively(self):
+        # The compact kernel reads budgets as plain ints, so budgets above
+        # 127 (cap 300) take it too. One hot block shared by every core in
+        # every other access drives the budgets to ~190.
+        accesses = []
+        for i in range(3000):
+            if i % 2 == 0:
+                accesses.append(((i // 2) % 4, 0x400000, 7, False))
+            else:
+                block = 8 + (i * 5 + (i // 11) * 2) % 200
+                accesses.append(
+                    ((i // 3) % 4, 0x400000 + (i % 6) * 0x1C, block,
+                     i % 7 == 0)
+                )
+        stream = make_stream(accesses)
+        budgets = build_stream_annotation(
+            stream, GEOMETRY, horizon_factor=8, cap=300
+        )
+        assert max(budgets) > 127
+        for base in BASES:
+            native_wrapper = make_wrapper(base, budgets)
+            model_wrapper = make_wrapper(base, budgets)
+            native = run_policy_on_stream(
+                stream, GEOMETRY, native_wrapper, seed=SEED, native=True
+            )
+            model = run_policy_on_stream(
+                stream, GEOMETRY, model_wrapper, seed=SEED, native=False
+            )
+            assert native.backend == "compact", base
+            assert native == model, base
+            assert counters(native_wrapper) == counters(model_wrapper), base
+
     def test_empty_stream(self):
         stream = make_stream([])
         budgets = build_stream_annotation(stream, GEOMETRY, horizon_factor=4)
@@ -247,18 +279,6 @@ class TestOracleFallbackChain:
     def test_closure_hint_source_declines(self):
         wrapper = SharingAwareWrapper(
             make_policy("lru", seed=SEED), lambda llc, c, b, pc: 0, "both"
-        )
-        assert oracle_native_spec(wrapper) is None
-
-    def test_oversized_cap_declines(self):
-        # A cap beyond int8 range cannot ride the int8 hint column.
-        stream = shared_stream(400, 30)
-        budgets = build_stream_annotation(
-            stream, GEOMETRY, horizon_factor=4, cap=300
-        )
-        wrapper = SharingAwareWrapper(
-            make_policy("lru", seed=SEED),
-            AnnotationHintSource(budgets, cap=300), "both",
         )
         assert oracle_native_spec(wrapper) is None
 

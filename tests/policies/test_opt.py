@@ -7,12 +7,33 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
-from repro.common.npsupport import HAVE_NUMPY
 from repro.policies.opt import NO_NEXT_USE, BeladyOptPolicy, compute_next_use
 from repro.policies.registry import make_policy
 from repro.sim.engine import LlcOnlySimulator
 from repro.sim.multipass import run_opt, run_policy_on_stream
 from tests.conftest import read_stream
+
+
+def naive_next_use(blocks):
+    """Next use by definition: the next position holding the same block."""
+    expected = []
+    for i, block in enumerate(blocks):
+        try:
+            expected.append(blocks.index(block, i + 1))
+        except ValueError:
+            expected.append(NO_NEXT_USE)
+    return expected
+
+
+def scan_next_use(blocks):
+    """Backward last-seen scan; linear, for streams too long for the naive
+    definition."""
+    expected = [NO_NEXT_USE] * len(blocks)
+    last_seen = {}
+    for i in range(len(blocks) - 1, -1, -1):
+        expected[i] = last_seen.get(blocks[i], NO_NEXT_USE)
+        last_seen[blocks[i]] = i
+    return expected
 
 
 class TestComputeNextUse:
@@ -25,27 +46,16 @@ class TestComputeNextUse:
 
     @given(st.lists(st.integers(min_value=0, max_value=8), max_size=60))
     def test_matches_naive_reference(self, blocks):
-        next_use = compute_next_use(blocks)
-        for i, block in enumerate(blocks):
-            try:
-                expected = blocks.index(block, i + 1)
-            except ValueError:
-                expected = NO_NEXT_USE
-            assert next_use[i] == expected
+        assert list(compute_next_use(blocks)) == naive_next_use(blocks)
 
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
-
-@needs_numpy
 class TestComputeNextUseVectorized:
-    """The numpy kernel must be bit-identical to the Python scan."""
+    """The numpy kernel must match the definition on every edge input."""
 
     def both(self, blocks):
-        python = compute_next_use(blocks, use_numpy=False)
-        vectorized = compute_next_use(blocks, use_numpy=True)
-        assert list(vectorized) == list(python)
-        return python
+        next_use = compute_next_use(blocks)
+        assert list(next_use) == naive_next_use(blocks)
+        return next_use
 
     @given(st.lists(st.integers(min_value=0, max_value=40), max_size=200))
     def test_random_streams_agree(self, blocks):
@@ -55,8 +65,8 @@ class TestComputeNextUseVectorized:
         # Every edge that produces the sentinel: empty input, a singleton,
         # all-distinct blocks (everything is a last use), and a final
         # access that is also a first use.
-        assert list(compute_next_use([], use_numpy=True)) == []
-        assert list(compute_next_use([7], use_numpy=True)) == [NO_NEXT_USE]
+        assert list(self.both([])) == []
+        assert list(self.both([7])) == [NO_NEXT_USE]
         distinct = self.both(list(range(10)))
         assert set(distinct) == {NO_NEXT_USE}
         tail_first = self.both([1, 1, 2])
@@ -69,7 +79,7 @@ class TestComputeNextUseVectorized:
 
     def test_wide_block_ids_take_factorization_path(self):
         # Ids too wide to pack directly next to positions: the kernel must
-        # factorize to dense ids and still agree with the Python scan.
+        # factorize to dense ids and still match the definition.
         blocks = [(1 << 50) + (i % 3) for i in range(64)]
         self.both(blocks)
 
@@ -77,10 +87,8 @@ class TestComputeNextUseVectorized:
         self.both([-5, 3, -5, -9, 3, -5])
 
     def test_large_stream_smoke(self):
-        # Above VECTORIZE_THRESHOLD so the auto path picks the kernel too.
         blocks = [(i * 2654435761) % 997 for i in range(10_000)]
-        auto = compute_next_use(blocks)
-        assert list(auto) == list(compute_next_use(blocks, use_numpy=False))
+        assert list(compute_next_use(blocks)) == scan_next_use(blocks)
 
 
 def brute_force_min_misses(blocks, capacity):

@@ -6,19 +6,18 @@ The load-bearing property is *bit-identity*: for every stream and geometry,
 same hit/miss counts, same observer callbacks with the same arguments in
 the same order (victim-ended before fill-started, forced flushes in
 (set, way) order). Hypothesis drives random streams across geometries and
-both metadata-reconstruction kernels (numpy and the pure-Python twin).
+both metadata-reconstruction kernels (numpy, and the pure-Python pass that
+serves core ids too wide for int64 masks).
 """
 
 import os
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.llc import ResidencyObserver
 from repro.characterization.hits import SharingClassifier
 from repro.characterization.phases import SharingPhaseTracker
 from repro.common.config import CacheGeometry
-from repro.common.npsupport import HAVE_NUMPY
 from repro.oracle.residency import FillSharingLog
 from repro.policies.lru import LruPolicy
 from repro.predictors.harness import PredictorHarness
@@ -26,6 +25,9 @@ from repro.predictors.registry import make_predictor
 from repro.sim.engine import LlcOnlySimulator
 from repro.sim.fastpath import (
     FASTPATH_ENV,
+    _reconstruct_numpy,
+    _reconstruct_python,
+    _replay_observers,
     fastpath_eligible,
     fastpath_enabled,
     lru_stack_distances,
@@ -35,8 +37,6 @@ from repro.sim.fastpath import (
 from repro.sim.multipass import run_policy_on_stream
 from tests.conftest import make_stream
 from tests.strategies import replay_stream_lists
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 GEOMETRIES = [
     CacheGeometry(1 * 1 * 64, 1),    # 1 set x 1 way (degenerate)
@@ -94,23 +94,26 @@ class TestEquivalence:
         stream = make_stream(accesses)
         slow_obs, fast_obs = RecordingObserver(), RecordingObserver()
         scalar_replay(stream, geometry, observers=(slow_obs,))
-        replay_lru_fastpath(
-            stream, geometry, observers=(fast_obs,), use_numpy=False
-        )
+        walk = reconstruct_lru_replay(stream, geometry)
+        _reconstruct_python(walk, stream)
+        _replay_observers(walk, stream, (fast_obs,))
         assert fast_obs.events == slow_obs.events
 
-    @needs_numpy
     @settings(max_examples=40, deadline=None)
     @given(accesses=accesses_strategy, geometry_index=st.integers(0, 3))
     def test_numpy_kernel_matches_python(self, accesses, geometry_index):
         geometry = GEOMETRIES[geometry_index]
         stream = make_stream(accesses)
-        py = reconstruct_lru_replay(stream, geometry, use_numpy=False)
-        np_ = reconstruct_lru_replay(stream, geometry, use_numpy=True)
-        assert list(np_.res_hits) == list(py.res_hits)
-        assert list(np_.res_other_hits) == list(py.res_other_hits)
-        assert list(np_.res_core_mask) == list(py.res_core_mask)
-        assert list(np_.res_write_mask) == list(py.res_write_mask)
+        walk = reconstruct_lru_replay(stream, geometry)
+
+        def metadata():
+            return (list(walk.res_hits), list(walk.res_other_hits),
+                    list(walk.res_core_mask), list(walk.res_write_mask))
+
+        assert _reconstruct_numpy(walk, stream)
+        vectorized = metadata()
+        _reconstruct_python(walk, stream)
+        assert metadata() == vectorized
 
     @settings(max_examples=40, deadline=None)
     @given(accesses=accesses_strategy, geometry_index=st.integers(0, 3))
@@ -121,7 +124,6 @@ class TestEquivalence:
         fast = replay_lru_fastpath(stream, geometry)
         assert fast == slow  # LlcSimResult equality excludes timing
 
-    @needs_numpy
     def test_wide_core_ids_defer_to_python(self):
         # Core 63 overflows the int64 mask kernel; the numpy pass must
         # defer rather than produce wrong masks.
@@ -129,10 +131,12 @@ class TestEquivalence:
                              + [(63, 0x100, b, False) for b in range(8)])
         geometry = CacheGeometry(2 * 4 * 64, 4)
         obs_fast, obs_slow = RecordingObserver(), RecordingObserver()
+        profile = {}
         replay_lru_fastpath(stream, geometry, observers=(obs_fast,),
-                            use_numpy=True)
+                            profile=profile)
         scalar_replay(stream, geometry, observers=(obs_slow,))
         assert obs_fast.events == obs_slow.events
+        assert profile["reconstruct_kernel"] == "python"
 
 
 class TestStackDistances:

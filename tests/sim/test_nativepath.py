@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import CacheGeometry
-from repro.common.npsupport import HAVE_NUMPY
 from repro.common.rng import derive_seed
 from repro.policies.base import REPLAY_SCALAR
 from repro.policies.ship import ShipPolicy
@@ -125,18 +124,6 @@ class TestShipBitIdentity:
         assert profile["native_prepare"] >= 0.0
         assert profile["native_kernel"] >= 0.0
         assert profile["native_backend"] == "compact"
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-    def test_numpy_twin_matches_python_signatures(self):
-        # The vectorized and pure-Python signature preparations feed the
-        # same kernel; force each and compare whole results.
-        stream = mixed_stream(2000, 80)
-        geometry = CacheGeometry(8 * 4 * 64, 4)
-        a = replay_ship_nativepath(stream, geometry, ShipPolicy(),
-                                   use_numpy=False)
-        b = replay_ship_nativepath(stream, geometry, ShipPolicy(),
-                                   use_numpy=True)
-        assert a == b
 
     def test_empty_stream(self):
         stream = make_stream([])

@@ -1,7 +1,7 @@
 """Unit and equivalence tests for the set-partitioned replay engine.
 
-The big differential matrix (every policy, real streams, numpy twins,
-PSEL reconstruction) lives in ``tests/test_differential.py``; this file
+The big differential matrix (every policy, real streams, PSEL
+reconstruction) lives in ``tests/test_differential.py``; this file
 pins the engine's own contracts:
 
 * tier resolution — double eligibility (declared tier *and* an
@@ -125,13 +125,10 @@ class TestTierResolution:
 
 
 class TestPartition:
-    @pytest.mark.parametrize("use_numpy", [None, False])
-    def test_partition_is_stable_per_set_grouping(self, use_numpy):
+    def test_partition_is_stable_per_set_grouping(self):
         stream = mixed_stream(n=3000)
         num_sets = 8
-        part = partition_stream(
-            stream.blocks, num_sets, use_numpy=use_numpy
-        )
+        part = partition_stream(stream.blocks, num_sets)
         assert sorted(part.order) == list(range(len(stream)))
         assert part.starts[0] == 0 and part.starts[-1] == len(stream)
         for s in range(num_sets):
@@ -170,13 +167,8 @@ class TestObserverExactness:
             ).run(stream)
             assert (fast.hits, fast.misses) == (slow.hits, slow.misses), policy
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        policy=st.sampled_from(sorted(SETPATH_POLICIES)),
-        seed=st.integers(0, 5),
-        accesses=accesses_strategy,
-    )
-    def test_random_streams_bit_identical(self, policy, seed, accesses):
+    @staticmethod
+    def _assert_matches_scalar(policy, seed, accesses):
         stream = make_stream(accesses)
         geometry = CacheGeometry(4 * 2 * 64, 2)
         slow = RecordingObserver()
@@ -189,6 +181,27 @@ class TestObserverExactness:
         )
         assert (result.hits, result.misses) == (ref.hits, ref.misses)
         assert fast.events == slow.events
+        counted = replay_setpath(
+            stream, geometry, make_policy(policy, seed=seed)
+        )
+        assert (counted.hits, counted.misses) == (ref.hits, ref.misses)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        policy=st.sampled_from(sorted(SETPATH_POLICIES)),
+        seed=st.integers(0, 5),
+        accesses=accesses_strategy,
+    )
+    def test_random_streams_bit_identical(self, policy, seed, accesses):
+        self._assert_matches_scalar(policy, seed, accesses)
+
+    @pytest.mark.parametrize("policy", sorted(SETPATH_POLICIES))
+    @pytest.mark.parametrize(
+        "accesses", [[], [(1, 0x44, 5, True)]], ids=["empty", "one-access"]
+    )
+    def test_degenerate_streams_bit_identical(self, policy, accesses):
+        # The hypothesis strategy never draws an empty stream.
+        self._assert_matches_scalar(policy, 3, accesses)
 
     def test_opt_walk_matches_scalar(self):
         stream = mixed_stream()

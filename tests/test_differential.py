@@ -1,20 +1,13 @@
 """Differential matrix: every accelerated path against its reference.
 
-Two axes, each promising *bit-identical* results:
-
-* fast tiers vs scalar — the accelerated replays against the scalar
-  ``LlcOnlySimulator`` model, checked for **every registered policy**
-  plus OPT. Each policy declares a replay tier (``stack`` for plain LRU's
-  stack-distance walk, ``set``/``dueling`` for the set-partitioned
-  kernels, ``scalar`` for SHiP and wrapped policies); eligible tiers must
-  match the scalar model exactly *and* record the tier that ran, while
-  scalar-tier policies must be rejected by the dispatch (taking a fast
-  tier for a policy it does not model would be the bug).
-* numpy vs pure Python — every dual-implementation kernel
-  (:func:`compute_next_use`, :func:`reconstruct_lru_replay`,
-  :func:`replay_lru_fastpath`, :func:`build_stream_annotation`,
-  :func:`partition_stream`, :func:`replay_setpath`) with the backend
-  forced each way.
+Fast tiers vs scalar, promising *bit-identical* results: the accelerated
+replays against the scalar ``LlcOnlySimulator`` model, checked for
+**every registered policy** plus OPT. Each policy declares a replay tier
+(``stack`` for plain LRU's stack-distance walk, ``set``/``dueling`` for
+the set-partitioned kernels, ``scalar`` for SHiP and wrapped policies);
+eligible tiers must match the scalar model exactly *and* record the tier
+that ran, while scalar-tier policies must be rejected by the dispatch
+(taking a fast tier for a policy it does not model would be the bug).
 
 The set-dueling tier additionally pins its PSEL reconstruction: the
 two-phase replay rebuilds the PSEL time-series from leader misses alone,
@@ -31,30 +24,16 @@ from bisect import bisect_right
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.npsupport import HAVE_NUMPY
-from repro.oracle.annotate import build_stream_annotation
-from repro.policies.opt import compute_next_use
 from repro.policies.registry import POLICY_NAMES, make_policy
 from repro.sim.experiment import ExperimentContext
-from repro.sim.fastpath import (
-    fastpath_eligible,
-    reconstruct_lru_replay,
-    replay_lru_fastpath,
-)
+from repro.sim.fastpath import fastpath_eligible, replay_lru_fastpath
 from repro.sim.multipass import run_opt, run_policy_on_stream
 from repro.sim.setpath import (
-    partition_stream,
     reconstruct_psel_series,
-    replay_setpath,
     replay_tier_table,
     setpath_tier_of,
 )
 from tests.conftest import make_stream
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy unavailable: only the pure-Python "
-    "backend exists, nothing to differentiate"
-)
 
 
 @pytest.fixture(scope="module")
@@ -204,64 +183,3 @@ class TestPselReconstruction:
         for p, expected in enumerate(trace):
             assert values[bisect_right(positions, p)] == expected, p
 
-
-@needs_numpy
-class TestNumpyVsPython:
-    def test_compute_next_use(self, stream):
-        vectorized = compute_next_use(stream.blocks, use_numpy=True)
-        scalar = compute_next_use(stream.blocks, use_numpy=False)
-        assert list(vectorized) == list(scalar)
-
-    def test_replay_lru_fastpath(self, stream, geometry):
-        vectorized = replay_lru_fastpath(stream, geometry, use_numpy=True)
-        scalar = replay_lru_fastpath(stream, geometry, use_numpy=False)
-        assert vectorized == scalar
-
-    def test_reconstruct_lru_replay(self, stream, geometry):
-        vectorized = reconstruct_lru_replay(stream, geometry, use_numpy=True)
-        scalar = reconstruct_lru_replay(stream, geometry, use_numpy=False)
-        assert vectorized.hits == scalar.hits
-        assert vectorized.misses == scalar.misses
-        assert vectorized.evictions == scalar.evictions
-        for column in ("distances", "rids", "res_block", "res_fill",
-                       "res_end", "res_way", "res_hits", "res_other_hits",
-                       "res_core_mask", "res_write_mask", "evicted_rid",
-                       "live_rids"):
-            assert list(getattr(vectorized, column)) == \
-                list(getattr(scalar, column)), column
-
-    def test_partition_stream(self, stream, geometry):
-        vectorized = partition_stream(
-            stream.blocks, geometry.num_sets, use_numpy=True
-        )
-        scalar = partition_stream(
-            stream.blocks, geometry.num_sets, use_numpy=False
-        )
-        assert vectorized.order == scalar.order
-        assert vectorized.starts == scalar.starts
-        assert vectorized.blocks == scalar.blocks
-
-    @pytest.mark.parametrize("policy", ["srrip", "drrip", "nru", "random"])
-    def test_replay_setpath(self, stream, geometry, policy):
-        def run(use_numpy):
-            return replay_setpath(
-                stream, geometry, make_policy(policy, seed=1),
-                use_numpy=use_numpy,
-            )
-
-        assert run(True) == run(False)
-
-    def test_reconstruct_psel_series(self, stream, geometry):
-        for policy in ("dip", "drrip"):
-            vectorized = reconstruct_psel_series(
-                stream, geometry, make_policy(policy, seed=2), use_numpy=True
-            )
-            scalar = reconstruct_psel_series(
-                stream, geometry, make_policy(policy, seed=2), use_numpy=False
-            )
-            assert vectorized == scalar
-
-    def test_build_stream_annotation(self, stream, geometry):
-        vectorized = build_stream_annotation(stream, geometry, use_numpy=True)
-        scalar = build_stream_annotation(stream, geometry, use_numpy=False)
-        assert list(vectorized) == list(scalar)
