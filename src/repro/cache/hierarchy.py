@@ -24,7 +24,7 @@ Protocol, functionally:
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.cache.llc import NO_BLOCK, SharedLlc
 from repro.cache.private import PrivateCache
@@ -32,7 +32,7 @@ from repro.cache.stream import LlcStreamBuilder
 from repro.coherence.directory import Directory
 from repro.common.addressing import log2_exact
 from repro.common.config import MachineConfig
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigError, SimulationError
 from repro.common.stats import ratio
 from repro.policies.base import ReplacementPolicy
 from repro.trace.trace import Trace
@@ -77,11 +77,15 @@ class CmpHierarchy:
         self,
         machine: MachineConfig,
         policy: ReplacementPolicy,
-        observers: Tuple = (),
         record_stream: bool = False,
         inclusive: bool = True,
         probe_bus=None,
     ):
+        if record_stream and machine.num_cores > 127:
+            raise ConfigError(
+                "LLC stream recording stores core ids in an int8 column, so a "
+                f"recording machine has at most 127 cores, got {machine.num_cores}"
+            )
         self.machine = machine
         self.inclusive = inclusive
         # Coherence probe bus (observability only): when set, directory
@@ -97,7 +101,7 @@ class CmpHierarchy:
             PrivateCache(machine.l2, name=f"l2.{core}")
             for core in range(machine.num_cores)
         ]
-        self.llc = SharedLlc(machine.llc, policy, observers=observers)
+        self.llc = SharedLlc(machine.llc, policy)
         self.directory = Directory(machine.num_cores)
         self.stats = HierarchyStats()
         self._block_shift = log2_exact(machine.block_bytes)
@@ -106,110 +110,198 @@ class CmpHierarchy:
         )
         self._dirty_l2_blocks = [set() for __ in range(machine.num_cores)]
 
-    def run(self, trace: Trace, flush: bool = True) -> HierarchyStats:
+    def run(self, trace: Trace) -> HierarchyStats:
         """Drive the whole ``trace`` through the hierarchy.
 
-        Args:
-            trace: the interleaved multi-thread trace; thread ids must be
-                within the machine's core count.
-            flush: end live LLC residencies afterwards so observers see
-                every residency exactly once.
+        One loop over the trace columns with all state bound to locals; per
+        access it calls only the LLC policy's hooks, so it is exact for any
+        policy. Cache contents, the directory, the dirty sets and
+        ``llc.access_count`` stay current access by access; the counters
+        are added at the end. The LLC's residency metadata is not kept.
 
         Raises:
-            SimulationError: when the trace uses more threads than cores.
+            SimulationError: when the trace uses more threads than cores,
+                when the LLC has residency observers or an access probe
+                bus, or when the policy picks a way outside the set.
         """
         if trace.num_threads > self.machine.num_cores:
             raise SimulationError(
                 f"trace has {trace.num_threads} threads but machine has "
                 f"{self.machine.num_cores} cores"
             )
+        llc = self.llc
+        if llc.observers or getattr(llc, "_probe_bus", None) is not None:
+            raise SimulationError(
+                "the hierarchy keeps no LLC residency metadata; residency "
+                "observers and access probes need an LLC-only replay"
+            )
         tids, pcs, addrs, writes = trace.columns()
         shift = self._block_shift
-        for i in range(len(tids)):
-            self.access(tids[i], pcs[i], addrs[i] >> shift, writes[i] != 0)
-        if flush:
-            self.llc.flush_residencies()
-        return self.stats
+        l1_sets = [l1._sets for l1 in self.l1s]
+        l2_sets = [l2._sets for l2 in self.l2s]
+        l1_mask, l1_ways = self.l1s[0]._set_mask, self.machine.l1.ways
+        l2_mask, l2_ways = self.l2s[0]._set_mask, self.machine.l2.ways
+        sharers = self.directory._sharers
+        sharers_get = sharers.get
+        dirty = self._dirty_l2_blocks
+        policy = llc.policy
+        on_hit, on_fill = policy.on_hit, policy.on_fill
+        select_victim, on_evict = policy.select_victim, policy.on_evict
+        where = llc._where
+        where_get = where.get
+        llc_sets, used = llc._blocks, llc._used
+        llc_mask, llc_ways = llc._set_mask, llc.ways
+        builder = self._stream_builder
+        record = builder is not None
+        if record:
+            add_core, add_pc = builder._cores.append, builder._pcs.append
+            add_block, add_write = builder._blocks.append, builder._writes.append
+        inclusive, probe = self.inclusive, self._probe_bus
+        count = start = llc.access_count
+        l1_hits = l2_hits = llc_hits = evictions = upgrades = 0
+        invalidations = l2_evictions = writebacks = victims = 0
 
-    def access(self, core: int, pc: int, block: int, is_write: bool) -> None:
-        """Process one demand access of ``core`` to ``block``."""
-        stats = self.stats
-        stats.accesses += 1
-        l1 = self.l1s[core]
-        if l1.access(block):
-            stats.l1_hits += 1
-        else:
-            l2 = self.l2s[core]
-            if l2.access(block):
-                stats.l2_hits += 1
-                l1.fill(block)
+        for core, pc, addr, wr in zip(tids, pcs, addrs, writes):
+            block = addr >> shift
+            l1_set = l1_sets[core][block & l1_mask]
+            if block in l1_set:
+                if l1_set[0] != block:
+                    l1_set.remove(block)
+                    l1_set.insert(0, block)
+                l1_hits += 1
+                if not wr:
+                    continue
             else:
-                self._llc_access(core, pc, block, is_write)
-        if is_write:
-            self._acquire_exclusive(core, block)
+                l2_set = l2_sets[core][block & l2_mask]
+                if block in l2_set:
+                    if l2_set[0] != block:
+                        l2_set.remove(block)
+                        l2_set.insert(0, block)
+                    l2_hits += 1
+                    l1_set.insert(0, block)
+                    if len(l1_set) > l1_ways:
+                        l1_set.pop()
+                    if not wr:
+                        continue
+                else:
+                    is_write = wr != 0
+                    count += 1
+                    llc.access_count = count
+                    loc = where_get(block)
+                    if loc is not None:
+                        llc_hits += 1
+                        on_hit(loc[0], loc[1], block, pc, core, is_write)
+                    else:
+                        set_index = block & llc_mask
+                        frames = llc_sets[set_index]
+                        if used[set_index] < llc_ways:
+                            way = frames.index(NO_BLOCK)
+                            used[set_index] += 1
+                        else:
+                            way = select_victim(set_index)
+                            if way < 0 or way >= llc_ways:
+                                raise SimulationError(
+                                    f"policy {policy.name} chose invalid way {way}"
+                                )
+                            victim = frames[way]
+                            on_evict(set_index, way, victim)
+                            del where[victim]
+                            evictions += 1
+                            # Inclusion: the victim leaves every private level.
+                            mask = sharers.pop(victim, 0) if inclusive else 0
+                            for other in range(mask.bit_length()):
+                                if mask >> other & 1:
+                                    copies = l1_sets[other][victim & l1_mask]
+                                    if victim in copies:
+                                        copies.remove(victim)
+                                    copies = l2_sets[other][victim & l2_mask]
+                                    if victim in copies:  # L1 is within L2
+                                        copies.remove(victim)
+                                        victims += 1
+                                        if probe is not None:
+                                            probe.on_coherence(
+                                                "inclusion_victim", other, victim)
+                                    owned = dirty[other]
+                                    if victim in owned:
+                                        owned.discard(victim)
+                                        writebacks += 1
+                                        if probe is not None:
+                                            probe.on_coherence(
+                                                "writeback", other, victim)
+                        frames[way] = block
+                        where[block] = (set_index, way)
+                        on_fill(set_index, way, block, pc, core, is_write)
+                    if record:
+                        add_core(core)
+                        add_pc(pc)
+                        add_block(block)
+                        add_write(is_write)
+                    # Fill L2, then L1 (L1 within L2).
+                    l2_set.insert(0, block)
+                    if len(l2_set) > l2_ways:
+                        l2_victim = l2_set.pop()
+                        l2_evictions += 1
+                        copies = l1_sets[core][l2_victim & l1_mask]
+                        if l2_victim in copies:
+                            copies.remove(l2_victim)
+                        mask = sharers_get(l2_victim, 0) & ~(1 << core)
+                        if mask:
+                            sharers[l2_victim] = mask
+                        else:
+                            sharers.pop(l2_victim, None)
+                        owned = dirty[core]
+                        if l2_victim in owned:
+                            owned.discard(l2_victim)
+                            writebacks += 1
+                            if probe is not None:
+                                probe.on_coherence("writeback", core, l2_victim)
+                    l1_set.insert(0, block)
+                    if len(l1_set) > l1_ways:
+                        l1_set.pop()
+                    if not wr:
+                        sharers[block] = sharers_get(block, 0) | (1 << core)
+                        continue
+            # A write leaves the writer the sole (dirty) owner.
+            bit = 1 << core
+            mask = sharers_get(block, 0) & ~bit
+            sharers[block] = bit
+            if mask:
+                upgrades += 1
+                if probe is not None:
+                    probe.on_coherence("upgrade", core, block)
+                for other in range(mask.bit_length()):
+                    if mask >> other & 1:
+                        copies = l1_sets[other][block & l1_mask]
+                        if block in copies:
+                            copies.remove(block)
+                            invalidations += 1
+                            if probe is not None:
+                                probe.on_coherence("invalidation", other, block)
+                        copies = l2_sets[other][block & l2_mask]
+                        if block in copies:
+                            copies.remove(block)
+                            invalidations += 1
+                            if probe is not None:
+                                probe.on_coherence("invalidation", other, block)
+                        dirty[other].discard(block)
+            dirty[core].add(block)
 
-    def _llc_access(self, core: int, pc: int, block: int, is_write: bool) -> None:
+        llc_misses = count - start - llc_hits
         stats = self.stats
-        hit, evicted = self.llc.access(core, pc, block, is_write)
-        if hit:
-            stats.llc_hits += 1
-        else:
-            stats.llc_misses += 1
-        if self._stream_builder is not None:
-            self._stream_builder.append(core, pc, block, is_write)
-        if evicted != NO_BLOCK and self.inclusive:
-            self._back_invalidate(evicted)
-        # Fill the private levels (L2 first; inclusion L1 within L2).
-        l2_victim = self.l2s[core].fill(block)
-        if l2_victim is not None:
-            stats.l2_evictions += 1
-            self.l1s[core].invalidate(l2_victim)
-            self.directory.remove_sharer(l2_victim, core)
-            dirty = self._dirty_l2_blocks[core]
-            if l2_victim in dirty:
-                dirty.discard(l2_victim)
-                stats.writebacks += 1
-                if self._probe_bus is not None:
-                    self._probe_bus.on_coherence("writeback", core, l2_victim)
-        self.l1s[core].fill(block)
-        self.directory.add_sharer(block, core)
-
-    def _acquire_exclusive(self, core: int, block: int) -> None:
-        """Make ``core`` the sole owner, invalidating other private copies."""
-        others = self.directory.set_exclusive(block, core)
-        if others:
-            self.stats.upgrades += 1
-            if self._probe_bus is not None:
-                self._probe_bus.on_coherence("upgrade", core, block)
-            for other in self.directory.iter_cores(others):
-                if self.l1s[other].invalidate(block):
-                    self.stats.invalidations += 1
-                    if self._probe_bus is not None:
-                        self._probe_bus.on_coherence("invalidation", other, block)
-                if self.l2s[other].invalidate(block):
-                    self.stats.invalidations += 1
-                    if self._probe_bus is not None:
-                        self._probe_bus.on_coherence("invalidation", other, block)
-                self._dirty_l2_blocks[other].discard(block)
-        self._dirty_l2_blocks[core].add(block)
-
-    def _back_invalidate(self, block: int) -> None:
-        """Remove an LLC-evicted block from every private cache (inclusion)."""
-        mask = self.directory.clear_block(block)
-        if not mask:
-            return
-        for core in self.directory.iter_cores(mask):
-            invalidated = self.l1s[core].invalidate(block)
-            invalidated = self.l2s[core].invalidate(block) or invalidated
-            if invalidated:
-                self.stats.inclusion_victims += 1
-                if self._probe_bus is not None:
-                    self._probe_bus.on_coherence("inclusion_victim", core, block)
-            if block in self._dirty_l2_blocks[core]:
-                self._dirty_l2_blocks[core].discard(block)
-                self.stats.writebacks += 1
-                if self._probe_bus is not None:
-                    self._probe_bus.on_coherence("writeback", core, block)
+        stats.accesses += len(tids)
+        stats.l1_hits += l1_hits
+        stats.l2_hits += l2_hits
+        stats.llc_hits += llc_hits
+        stats.llc_misses += llc_misses
+        stats.upgrades += upgrades
+        stats.invalidations += invalidations
+        stats.l2_evictions += l2_evictions
+        stats.writebacks += writebacks
+        stats.inclusion_victims += victims
+        llc.hits += llc_hits
+        llc.misses += llc_misses
+        llc.evictions += evictions
+        return stats
 
     def stream(self):
         """The recorded LLC stream (requires ``record_stream=True``).

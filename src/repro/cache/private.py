@@ -15,8 +15,8 @@ class PrivateCache:
     """A set-associative LRU cache holding block addresses.
 
     The cache stores no data and no dirty bits — functional simulation only
-    needs presence. Dirtiness is tracked by the directory at the granularity
-    the experiments need (writeback counting).
+    needs presence. The hierarchy tracks dirtiness in per-core sets, at the
+    granularity the experiments need (writeback counting).
     """
 
     def __init__(self, geometry: CacheGeometry, name: str = "private"):
@@ -26,8 +26,6 @@ class PrivateCache:
         self.ways = geometry.ways
         self._set_mask = self.num_sets - 1
         self._sets: List[List[int]] = [[] for __ in range(self.num_sets)]
-        self.hits = 0
-        self.misses = 0
 
     def access(self, block: int) -> bool:
         """Probe for ``block``; on a hit promote it to MRU and return True.
@@ -41,9 +39,7 @@ class PrivateCache:
             if lru_list[0] != block:
                 lru_list.remove(block)
                 lru_list.insert(0, block)
-            self.hits += 1
             return True
-        self.misses += 1
         return False
 
     def fill(self, block: int) -> Optional[int]:

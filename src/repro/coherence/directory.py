@@ -1,10 +1,10 @@
 """Sharer directory for the private cache levels.
 
 One entry per block currently cached in at least one private hierarchy:
-a bitmask of cores holding a valid copy. Dirty blocks additionally record
-their single owner so writeback traffic can be counted. The directory is a
-bookkeeping structure — invalidation of the private caches themselves is
-performed by the hierarchy, which consults the masks returned here.
+a bitmask of cores holding a valid copy. The directory is a bookkeeping
+structure — invalidation of the private caches themselves is performed by
+the hierarchy, which consults the masks returned here, and which tracks
+dirty copies (for writeback counting) in its own per-core sets.
 """
 
 from typing import Dict, Iterator, List, Tuple
@@ -23,9 +23,7 @@ class Directory:
         if num_cores <= 0:
             raise SimulationError(f"directory needs positive core count, got {num_cores}")
         self.num_cores = num_cores
-        self._full_mask = (1 << num_cores) - 1
         self._sharers: Dict[int, int] = {}
-        self._dirty_owner: Dict[int, int] = {}
 
     def sharers(self, block: int) -> int:
         """Sharer bitmask of ``block`` (0 when privately uncached)."""
@@ -46,29 +44,19 @@ class Directory:
             self._sharers[block] = mask
         else:
             self._sharers.pop(block, None)
-        if self._dirty_owner.get(block) == core:
-            del self._dirty_owner[block]
 
-    def set_exclusive(self, block: int, core: int, dirty: bool = True) -> int:
-        """Make ``core`` the sole (dirty) owner; returns the mask of *other*
-        cores that must be invalidated by the caller."""
+    def set_exclusive(self, block: int, core: int) -> int:
+        """Make ``core`` the sole sharer; returns the mask of *other* cores
+        that must be invalidated by the caller."""
         bit = 1 << core
         others = self._sharers.get(block, 0) & ~bit
         self._sharers[block] = bit
-        if dirty:
-            self._dirty_owner[block] = core
         return others
-
-    def dirty_owner(self, block: int) -> int:
-        """Core owning ``block`` dirty, or -1."""
-        return self._dirty_owner.get(block, -1)
 
     def clear_block(self, block: int) -> int:
         """Drop every sharer of ``block`` (LLC back-invalidation); returns
         the mask of cores that held it."""
-        mask = self._sharers.pop(block, 0)
-        self._dirty_owner.pop(block, None)
-        return mask
+        return self._sharers.pop(block, 0)
 
     def iter_cores(self, mask: int) -> Iterator[int]:
         """Yield core ids present in ``mask``."""

@@ -1,11 +1,16 @@
 """Tests for the full CMP hierarchy (repro.cache.hierarchy)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cache.hierarchy import CmpHierarchy
-from repro.common.errors import SimulationError
+from repro.cache.llc import ResidencyObserver
+from repro.common.config import CacheGeometry, MachineConfig
+from repro.common.errors import ConfigError, SimulationError
 from repro.policies.lru import LruPolicy
-from tests.conftest import make_trace
+from tests.cache.hierarchy_reference import assert_fused_matches_reference
+from tests.conftest import QUAD_MACHINE, TINY_MACHINE, make_trace
+from tests.strategies import mixed_access_lists, policy_configs
 
 B = 64  # block size
 
@@ -238,3 +243,59 @@ class TestNonInclusive:
 
     def test_default_is_inclusive(self, tiny_machine):
         assert CmpHierarchy(tiny_machine, LruPolicy()).inclusive
+
+
+class TestFusedLoop:
+    """``run`` is one fused loop; the per-access component chain of
+    :mod:`tests.cache.hierarchy_reference` is its reference."""
+
+    @given(
+        accesses=mixed_access_lists(),
+        config=policy_configs(),
+        machine=st.sampled_from([TINY_MACHINE, QUAD_MACHINE]),
+        inclusive=st.booleans(),
+    )
+    def test_matches_per_access_reference(self, accesses, config, machine,
+                                          inclusive):
+        name, seed = config
+        assert_fused_matches_reference(machine, accesses, name, seed,
+                                       inclusive)
+
+    def test_rejects_llc_residency_observers(self, tiny_machine):
+        hierarchy = CmpHierarchy(tiny_machine, LruPolicy())
+        hierarchy.llc.add_observer(ResidencyObserver())
+        with pytest.raises(SimulationError, match="observers"):
+            hierarchy.run(make_trace([(0, 0, 0, False)]))
+        assert hierarchy.stats.accesses == 0
+
+    def test_rejects_llc_access_probe_bus(self, tiny_machine):
+        hierarchy = CmpHierarchy(tiny_machine, LruPolicy())
+        hierarchy.llc.attach_probe_bus(object())
+        with pytest.raises(SimulationError, match="probes"):
+            hierarchy.run(make_trace([(0, 0, 0, False)]))
+        assert hierarchy.llc.access_count == 0
+
+
+def _wide_machine(num_cores):
+    return MachineConfig(
+        name="wide", num_cores=num_cores,
+        l1=CacheGeometry(512, 8), l2=CacheGeometry(1024, 8),
+        llc=CacheGeometry(512 * 1024, 16),
+    )
+
+
+class TestWideMachines:
+    def test_recording_rejects_core_ids_beyond_int8(self):
+        with pytest.raises(ConfigError, match="int8"):
+            CmpHierarchy(_wide_machine(128), LruPolicy(), record_stream=True)
+
+    def test_recording_accepts_127_cores(self):
+        hierarchy = CmpHierarchy(_wide_machine(127), LruPolicy(),
+                                 record_stream=True)
+        hierarchy.run(make_trace([(126, 0x1, 0, True)]))
+        assert hierarchy.stream()[0].core == 126
+
+    def test_wide_machine_runs_without_recording(self):
+        hierarchy = CmpHierarchy(_wide_machine(130), LruPolicy())
+        hierarchy.run(make_trace([(129, 0x1, 0, False)]))
+        assert hierarchy.stats.llc_misses == 1

@@ -17,13 +17,11 @@ class TestAccessAndFill:
         cache = tiny_cache()
         assert not cache.access(0)
         assert not cache.contains(0)
-        assert cache.misses == 1
 
     def test_fill_then_hit(self):
         cache = tiny_cache()
         cache.fill(0)
         assert cache.access(0)
-        assert cache.hits == 1
 
     def test_lru_eviction_order(self):
         cache = tiny_cache(sets=1, ways=2)

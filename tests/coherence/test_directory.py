@@ -52,23 +52,23 @@ class TestDirectory:
         others = directory.set_exclusive(10, 1)
         assert others == 0b1001
         assert directory.sharers(10) == 0b10
-        assert directory.dirty_owner(10) == 1
 
     def test_set_exclusive_on_uncached_block(self):
         directory = Directory(4)
         assert directory.set_exclusive(10, 2) == 0
         assert directory.sharers(10) == 0b100
 
-    def test_set_exclusive_clean(self):
+    def test_set_exclusive_by_sole_sharer(self):
         directory = Directory(4)
-        directory.set_exclusive(10, 2, dirty=False)
-        assert directory.dirty_owner(10) == -1
+        directory.add_sharer(10, 2)
+        assert directory.set_exclusive(10, 2) == 0
+        assert directory.sharers(10) == 0b100
 
-    def test_dirty_owner_cleared_on_remove(self):
+    def test_remove_after_set_exclusive_drops_entry(self):
         directory = Directory(4)
         directory.set_exclusive(10, 2)
         directory.remove_sharer(10, 2)
-        assert directory.dirty_owner(10) == -1
+        assert not directory.is_cached(10)
 
     def test_clear_block_returns_mask(self):
         directory = Directory(4)

@@ -60,27 +60,32 @@ def small_geometry() -> CacheGeometry:
     return CacheGeometry(size_bytes=2048, ways=4, block_bytes=64)
 
 
+TINY_MACHINE = MachineConfig(
+    name="tiny",
+    num_cores=2,
+    l1=CacheGeometry(512, 4),       # 2 sets x 4 ways
+    l2=CacheGeometry(1024, 4),      # 4 sets x 4 ways
+    llc=CacheGeometry(4096, 8),     # 8 sets x 8 ways
+    scale=1024,
+)
+
+QUAD_MACHINE = MachineConfig(
+    name="quad",
+    num_cores=4,
+    l1=CacheGeometry(512, 4),
+    l2=CacheGeometry(1024, 4),
+    llc=CacheGeometry(8192, 8),     # 16 sets x 8 ways
+    scale=1024,
+)
+
+
 @pytest.fixture
 def tiny_machine() -> MachineConfig:
     """2-core machine small enough to exercise every eviction path."""
-    return MachineConfig(
-        name="tiny",
-        num_cores=2,
-        l1=CacheGeometry(512, 4),       # 2 sets x 4 ways
-        l2=CacheGeometry(1024, 4),      # 4 sets x 4 ways
-        llc=CacheGeometry(4096, 8),     # 8 sets x 8 ways
-        scale=1024,
-    )
+    return TINY_MACHINE
 
 
 @pytest.fixture
 def quad_machine() -> MachineConfig:
     """4-core machine for sharing-heavy hierarchy tests."""
-    return MachineConfig(
-        name="quad",
-        num_cores=4,
-        l1=CacheGeometry(512, 4),
-        l2=CacheGeometry(1024, 4),
-        llc=CacheGeometry(8192, 8),     # 16 sets x 8 ways
-        scale=1024,
-    )
+    return QUAD_MACHINE

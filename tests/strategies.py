@@ -55,6 +55,37 @@ def access_lists(num_threads=2, max_addr=4096, max_pc=8, min_size=1,
     )
 
 
+def mixed_access_lists(num_threads=4, min_size=1, max_size=600):
+    """Full-hierarchy access lists mixing hot and cold blocks.
+
+    Hypothesis draws the list size, the hot and cold footprints (in
+    blocks), the hot share, the write share and a seed; a seeded RNG then
+    builds the list. Hot blocks hit in the private levels and get upgraded,
+    while cold ones evict them from a small LLC, so back-invalidation and
+    writebacks show up even within the ``ci`` profile's 25 examples.
+    """
+
+    def build(params):
+        seed, size, hot, cold, hot_pct, write_pct = params
+        rng = DeterministicRng(seed)
+        return [
+            (
+                rng.randrange(num_threads),
+                0x400 + 4 * rng.randrange(8),
+                64 * (rng.randrange(hot) if rng.randrange(100) < hot_pct
+                      else rng.randrange(cold)) + rng.randrange(64),
+                rng.randrange(100) < write_pct,
+            )
+            for __ in range(size)
+        ]
+
+    return st.tuples(
+        st.integers(0, 2**32 - 1), st.integers(min_size, max_size),
+        st.integers(1, 32), st.integers(1, 512),
+        st.integers(0, 100), st.integers(0, 60),
+    ).map(build)
+
+
 def stream_lists(num_cores=2, max_block=64, max_pc=8, min_size=1,
                  max_size=400):
     """Random ``(core, pc, block, is_write)`` LLC stream access lists."""

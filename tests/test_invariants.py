@@ -20,7 +20,7 @@ for the nightly job (``pytest -m slow``).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.hierarchy import CmpHierarchy
 from repro.common.config import CacheGeometry
@@ -28,9 +28,12 @@ from repro.policies.registry import make_policy
 from repro.sim.multipass import run_opt, run_policy_on_stream
 from repro.sim.sampling import SampledLlcSimulator
 from repro.trace.stats import compute_trace_statistics
-from tests.conftest import make_stream, make_trace
+from tests.cache.hierarchy_reference import assert_fused_matches_reference
+from tests.conftest import QUAD_MACHINE, TINY_MACHINE, make_stream, make_trace
 from tests.strategies import (
     access_lists as accesses_strategy,
+    mixed_access_lists,
+    policy_configs,
     policy_names,
     stream_lists as stream_strategy,
 )
@@ -41,8 +44,7 @@ class TestConservation:
 
     @given(accesses=accesses_strategy())
     def test_hierarchy_counters_telescope(self, accesses):
-        machine = _tiny_machine()
-        stats = CmpHierarchy(machine, make_policy("lru")).run(
+        stats = CmpHierarchy(TINY_MACHINE, make_policy("lru")).run(
             make_trace(accesses)
         )
         assert stats.accesses == len(accesses)
@@ -166,7 +168,7 @@ class TestNightlyFuzz:
     @settings(max_examples=1000, deadline=None)
     @given(accesses=accesses_strategy(num_threads=4, max_addr=16384))
     def test_hierarchy_counters_telescope_deep(self, accesses):
-        stats = CmpHierarchy(_quad_machine(), make_policy("lru")).run(
+        stats = CmpHierarchy(QUAD_MACHINE, make_policy("lru")).run(
             make_trace(accesses)
         )
         assert stats.accesses == (
@@ -185,22 +187,15 @@ class TestNightlyFuzz:
         )
         assert result.hits + result.misses == result.accesses == len(accesses)
 
-
-def _tiny_machine():
-    from repro.common.config import MachineConfig
-
-    return MachineConfig(
-        name="tiny", num_cores=2,
-        l1=CacheGeometry(512, 4), l2=CacheGeometry(1024, 4),
-        llc=CacheGeometry(4096, 8), scale=1024,
+    @settings(max_examples=500, deadline=None)
+    @given(
+        accesses=mixed_access_lists(min_size=1000, max_size=4000),
+        config=policy_configs(),
+        machine=st.sampled_from([TINY_MACHINE, QUAD_MACHINE]),
+        inclusive=st.booleans(),
     )
-
-
-def _quad_machine():
-    from repro.common.config import MachineConfig
-
-    return MachineConfig(
-        name="quad", num_cores=4,
-        l1=CacheGeometry(512, 4), l2=CacheGeometry(1024, 4),
-        llc=CacheGeometry(8192, 8), scale=1024,
-    )
+    def test_fused_hierarchy_matches_reference_deep(self, accesses, config,
+                                                    machine, inclusive):
+        name, seed = config
+        assert_fused_matches_reference(machine, accesses, name, seed,
+                                       inclusive)
