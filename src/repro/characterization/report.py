@@ -51,27 +51,21 @@ def characterize_stream(
             either way).
     """
     # Imported here rather than at module level: repro.sim.experiment
-    # imports this module, and pulling the engine in lazily keeps the
-    # package import graph acyclic whichever package is imported first.
-    from repro.sim.engine import LlcOnlySimulator
-    from repro.sim.setpath import try_fast_replay
+    # imports this module, and pulling the replay runner in lazily keeps
+    # the package import graph acyclic whichever package is imported first.
+    from repro.sim.multipass import run_policy_on_stream
 
     classifier = SharingClassifier()
     observers = [classifier]
     phase_tracker = SharingPhaseTracker() if track_phases else None
     if phase_tracker is not None:
         observers.append(phase_tracker)
-    # The instance (not the name) goes to the dispatch: this caller seeds
-    # with the plain ``seed`` rather than a derived stream, and passing
-    # the instance keeps that on every tier.
-    result = try_fast_replay(
+    # An instance (not the name): this caller seeds with the plain
+    # ``seed`` rather than the derived replay stream.
+    result = run_policy_on_stream(
         stream, geometry, make_policy(policy_name, seed=seed),
         observers=tuple(observers), fastpath=fastpath,
     )
-    if result is None:
-        policy = make_policy(policy_name, seed=seed)
-        simulator = LlcOnlySimulator(geometry, policy, observers=tuple(observers))
-        result = simulator.run(stream)
     phases = phase_tracker.finalize() if phase_tracker is not None else PhaseStats()
     return CharacterizationReport(
         result=result, breakdown=classifier.breakdown, phases=phases
@@ -257,9 +251,12 @@ def render_probe_report(payload) -> str:
     if hasattr(payload, "as_dict"):
         payload = payload.as_dict()
     result = payload["result"]
+    # Version-1 reports carry no ``reason``.
+    reason = payload.get("reason") or "-"
     lines: List[str] = [
         f"probe report: workload {payload['workload']}, "
-        f"policy {payload['policy']}, tier {payload['tier']}",
+        f"policy {payload['policy']}, tier {payload['tier']}, "
+        f"backend {result.get('backend', 'model')}, reason {reason}",
         f"replay: {result['accesses']} accesses, {result['hits']} hits, "
         f"{result['misses']} misses "
         f"(miss ratio {result['miss_ratio']:.4f})",

@@ -1166,6 +1166,14 @@ def cmd_runs(args) -> int:
             ["stage", "spans", "total_sec", "mean_sec", "max_sec"],
             stage_rows, title="Stage spans",
         ))
+    replays = telemetry.summarize_replays(events)
+    if replays:
+        print(render_table(
+            ["tier", "backend", "reason", "count"],
+            [[tier, backend, reason or "-", count] for (tier, backend, reason),
+             count in sorted(replays.items())],
+            title="Replays",
+        ))
     failures = run.manifest.get("failures")
     if isinstance(failures, list) and failures:
         print(render_table(
@@ -1404,7 +1412,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("action", choices=("list", "show"),
                    help="list: one row per run; show: manifest + stage "
-                        "spans + failed cells of one run")
+                        "spans + replays by tier/backend/reason + failed "
+                        "cells of one run")
     p.add_argument("run_id", nargs="?", default=None,
                    help="run id (unique prefixes accepted; required for "
                         "'show')")

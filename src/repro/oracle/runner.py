@@ -18,9 +18,8 @@ from repro.oracle.annotate import (
 from repro.oracle.residency import FillSharingLog
 from repro.oracle.wrapper import SharingAwareWrapper
 from repro.policies.registry import make_policy
-from repro.sim.engine import LlcOnlySimulator
+from repro.sim.multipass import run_policy_on_stream
 from repro.sim.results import LlcSimResult
-from repro.sim.setpath import try_fast_replay
 
 
 MAX_HORIZON_FACTOR = 10
@@ -230,21 +229,13 @@ def _base_pass(
     protection mode or release policy, which is what lets a whole A1
     variant grid share one base pass.
     """
-
-    def fresh_base():
-        return make_policy(base, seed=derive_seed(seed, "oracle-base", base))
-
     base_log = FillSharingLog(len(stream))
-    # The instance (not the name) goes to the dispatch so the base keeps
-    # its "oracle-base" seed derivation on every tier.
-    base_result = try_fast_replay(
-        stream, geometry, fresh_base(), observers=(base_log,),
-        fastpath=fastpath,
+    # An instance (not the name) keeps the "oracle-base" seed derivation.
+    base_result = run_policy_on_stream(
+        stream, geometry,
+        make_policy(base, seed=derive_seed(seed, "oracle-base", base)),
+        observers=(base_log,), fastpath=fastpath,
     )
-    if base_result is None:
-        base_result = LlcOnlySimulator(
-            geometry, fresh_base(), observers=(base_log,)
-        ).run(stream)
     shared_fill_fraction = (
         base_log.shared_fills / base_log.total_fills if base_log.total_fills else 0.0
     )
@@ -278,9 +269,9 @@ def run_oracle_variants(
     ablation therefore costs one base pass, one annotation, and one
     wrapped replay per variant, with every cell bit-identical to an
     independent :func:`run_oracle_study` call. Results align positionally
-    with ``variants``. The wrapped replay routes through the replay
-    dispatch, so annotation-backed wrappers over {LRU, SRRIP, SHiP} take
-    the native oracle kernels unless gated off (``fastpath=False``,
+    with ``variants``. The wrapped replay goes through the replay planner,
+    so annotation-backed wrappers over {LRU, SRRIP, SHiP} take the native
+    oracle kernels unless gated off (``fastpath=False``,
     ``native=False``, or their environment toggles); the wrapper's study
     counters are identical either way.
     """
@@ -299,11 +290,9 @@ def run_oracle_variants(
             make_policy(base, seed=derive_seed(seed, "oracle-base", base)),
             oracle_hint_source(budgets), mode, release=release,
         )
-        oracle_result = try_fast_replay(
+        oracle_result = run_policy_on_stream(
             stream, geometry, wrapper, fastpath=fastpath, native=native,
         )
-        if oracle_result is None:
-            oracle_result = LlcOnlySimulator(geometry, wrapper).run(stream)
         studies.append(OracleStudyResult(
             base=base_result,
             oracle=oracle_result,

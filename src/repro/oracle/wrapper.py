@@ -34,7 +34,7 @@ Release policies (``release``; also in A1):
 from typing import Callable
 
 from repro.common.errors import ConfigError
-from repro.policies.base import REPLAY_SCALAR, ReplacementPolicy
+from repro.policies.base import ReplacementPolicy
 
 PROTECTION_MODES = ("victim-exempt", "insert-promote", "both")
 """Valid ``mode`` values for :class:`SharingAwareWrapper`."""
@@ -48,12 +48,6 @@ HintSource = Callable[[object, int, int, int], int]
 
 class SharingAwareWrapper(ReplacementPolicy):
     """Sharing-awareness layered over any ranked-victim base policy."""
-
-    # Explicitly scalar (tiers never inherit, but the wrapper documents
-    # its own ineligibility): hints key off the global access ordinal and
-    # protection state interacts with the base policy mid-selection, so no
-    # per-set kernel reproduces it.
-    REPLAY_TIER = REPLAY_SCALAR
 
     def __init__(self, base: ReplacementPolicy, hint_source: HintSource,
                  mode: str = "both", release: str = "budget"):

@@ -36,32 +36,23 @@ REPLAY_SCALAR = "scalar"
 REPLAY_GRID = "grid"
 """Grid replay: one pass amortised across a whole configuration grid.
 
-Never *declared* by a policy — it is an engine tier stamped on results by
-:mod:`repro.sim.gridpath` when a cell's counters came out of a shared
-single-pass walk (stack-distance thresholding across ways, a stacked
-parameter kernel, or a shared set partition) rather than an independent
-replay (see DESIGN.md decision 10).
+Never planned for a single replay — it is an engine tier stamped on
+results by :mod:`repro.sim.gridpath` when a cell's counters came out of a
+shared single-pass walk (stack-distance thresholding across ways, a
+stacked parameter kernel, or a shared set partition) rather than an
+independent replay (see DESIGN.md decision 10).
 """
 
 REPLAY_TIERS = (REPLAY_STACK, REPLAY_SET, REPLAY_DUELING, REPLAY_SCALAR)
-"""Every declarable replay tier, fastest-first (see DESIGN.md decision 9);
-:data:`REPLAY_GRID` is engine-assigned and deliberately absent here."""
+"""Every tier the replay planner (:func:`repro.sim.plan.plan_replay`)
+picks from, fastest-first (see DESIGN.md decision 9); :data:`REPLAY_GRID`
+is engine-assigned and deliberately absent here."""
 
 
 class ReplacementPolicy(ABC):
     """Base class of all LLC replacement policies."""
 
     name: str = "base"
-
-    REPLAY_TIER: str = REPLAY_SCALAR
-    """Replay tier this class declares itself exact under.
-
-    Deliberately **not inherited**: :meth:`replay_tier` reads the declaring
-    class's own ``__dict__``, so a subclass that changes behaviour without
-    re-declaring its tier falls back to the scalar model instead of being
-    silently mis-replayed by the parent's kernel. Wrappers and new policies
-    opt in explicitly (the eligibility registry the fast paths dispatch on).
-    """
 
     def __init__(self):
         self.geometry = None
@@ -70,11 +61,6 @@ class ReplacementPolicy(ABC):
         self.llc = None
         self._rng_seed: Optional[int] = None
         self._set_rngs: Dict[int, DeterministicRng] = {}
-
-    @classmethod
-    def replay_tier(cls) -> str:
-        """The replay tier declared *on this exact class* (see REPLAY_TIER)."""
-        return cls.__dict__.get("REPLAY_TIER", REPLAY_SCALAR)
 
     def set_rng(self, set_index: int) -> DeterministicRng:
         """Lazily-created independent RNG stream for one set.

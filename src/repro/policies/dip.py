@@ -10,7 +10,6 @@ misses, and every other (follower) set adopts the currently winning policy.
 """
 
 from repro.common.errors import ConfigError
-from repro.policies.base import REPLAY_DUELING, REPLAY_SET
 from repro.policies.lru import LruPolicy
 
 
@@ -103,8 +102,6 @@ class BipPolicy(LruPolicy):
 
     name = "bip"
 
-    REPLAY_TIER = REPLAY_SET
-
     def __init__(self, seed: int = 0, bip_throttle: int = 32):
         super().__init__()
         if bip_throttle <= 0:
@@ -130,10 +127,6 @@ class DipPolicy(LruPolicy):
     """Dynamic insertion policy: set-duels LRU (A) against BIP (B)."""
 
     name = "dip"
-
-    # Sets couple only through PSEL, and only leader sets write it: exact
-    # under the two-phase (leaders, then followers) partitioned replay.
-    REPLAY_TIER = REPLAY_DUELING
 
     def __init__(self, seed: int = 0, bip_throttle: int = 32,
                  num_leaders_each: int = 32, psel_bits: int = 10):

@@ -7,17 +7,13 @@ current set minimum, i.e. it is inserted at the LRU position and must earn
 a hit to be promoted (Qureshi et al., ISCA 2007).
 """
 
-from repro.policies.base import REPLAY_SET, REPLAY_STACK, ReplacementPolicy
+from repro.policies.base import ReplacementPolicy
 
 
 class LruPolicy(ReplacementPolicy):
     """Least-recently-used replacement with MRU insertion."""
 
     name = "lru"
-
-    # Plain LRU is a stack algorithm: hit/miss is a pure function of the
-    # per-set stack distance, served by repro.sim.fastpath.
-    REPLAY_TIER = REPLAY_STACK
 
     def bind(self, geometry) -> None:
         super().bind(geometry)
@@ -58,10 +54,6 @@ class LipPolicy(LruPolicy):
     """LRU-insertion policy: fills land at the LRU position."""
 
     name = "lip"
-
-    # Not a stack algorithm (insertion depth breaks inclusion), but each
-    # set evolves independently: exact under set-partitioned replay.
-    REPLAY_TIER = REPLAY_SET
 
     def on_fill(self, set_index, way, block, pc, core, is_write) -> None:
         stamps = self._stamps[set_index]

@@ -6,17 +6,13 @@ all bits except the just-touched information are cleared (the classic
 one-bit approximation of LRU used by several commercial LLCs).
 """
 
-from repro.policies.base import REPLAY_SET, ReplacementPolicy
+from repro.policies.base import ReplacementPolicy
 
 
 class NruPolicy(ReplacementPolicy):
     """One-reference-bit NRU."""
 
     name = "nru"
-
-    # Reference bits never leave their set: exact under set-partitioned
-    # replay.
-    REPLAY_TIER = REPLAY_SET
 
     def bind(self, geometry) -> None:
         super().bind(geometry)

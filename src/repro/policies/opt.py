@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.common.errors import SimulationError
-from repro.policies.base import REPLAY_SET, ReplacementPolicy
+from repro.policies.base import ReplacementPolicy
 
 NO_NEXT_USE = 1 << 62
 """Sentinel next-use position meaning "never accessed again"."""
@@ -71,11 +71,6 @@ class BeladyOptPolicy(ReplacementPolicy):
     """Belady's MIN over a precomputed next-use sequence (replay only)."""
 
     name = "opt"
-
-    # Per-way next-use positions are indexed by the *global* stream
-    # ordinal, which the set partition preserves per access: exact under
-    # set-partitioned replay.
-    REPLAY_TIER = REPLAY_SET
 
     def __init__(self, next_use: array):
         super().__init__()

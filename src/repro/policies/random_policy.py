@@ -1,6 +1,6 @@
 """Random replacement: the zero-information baseline."""
 
-from repro.policies.base import REPLAY_SET, ReplacementPolicy
+from repro.policies.base import ReplacementPolicy
 
 
 class RandomPolicy(ReplacementPolicy):
@@ -12,8 +12,6 @@ class RandomPolicy(ReplacementPolicy):
     """
 
     name = "random"
-
-    REPLAY_TIER = REPLAY_SET
 
     def __init__(self, seed: int = 0):
         super().__init__()

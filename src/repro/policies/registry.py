@@ -4,7 +4,7 @@ OPT is deliberately absent: it needs a recorded stream's next-use array and
 is built by ``repro.sim.multipass`` instead.
 """
 
-from typing import Callable, Dict, Optional, Type
+from typing import Callable, Dict
 
 from repro.common.errors import ConfigError
 from repro.policies.base import ReplacementPolicy
@@ -28,31 +28,8 @@ _FACTORIES: Dict[str, Callable[[int], ReplacementPolicy]] = {
     "ship": lambda seed: ShipPolicy(),
 }
 
-_CLASSES: Dict[str, Type[ReplacementPolicy]] = {
-    "lru": LruPolicy,
-    "lip": LipPolicy,
-    "nru": NruPolicy,
-    "random": RandomPolicy,
-    "bip": BipPolicy,
-    "dip": DipPolicy,
-    "srrip": SrripPolicy,
-    "brrip": BrripPolicy,
-    "drrip": DrripPolicy,
-    "ship": ShipPolicy,
-}
-
 POLICY_NAMES = tuple(sorted(_FACTORIES))
 """All policy names constructible by :func:`make_policy`."""
-
-
-def policy_class(name: str) -> Optional[Type[ReplacementPolicy]]:
-    """The class a registered name constructs, or ``None`` if unknown.
-
-    The replay-tier resolution (:func:`repro.sim.fastpath.replay_tier_of`)
-    uses this to read a named policy's :meth:`ReplacementPolicy.replay_tier`
-    declaration without constructing an instance.
-    """
-    return _CLASSES.get(name)
 
 
 def make_policy(name: str, seed: int = 0) -> ReplacementPolicy:

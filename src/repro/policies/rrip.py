@@ -8,7 +8,7 @@ for a 1-in-32 fraction at ``max - 1``; DRRIP set-duels the two.
 """
 
 from repro.common.errors import ConfigError
-from repro.policies.base import REPLAY_DUELING, REPLAY_SET, ReplacementPolicy
+from repro.policies.base import ReplacementPolicy
 from repro.policies.dip import DuelingController
 
 
@@ -16,10 +16,6 @@ class SrripPolicy(ReplacementPolicy):
     """Static RRIP with hit-priority promotion."""
 
     name = "srrip"
-
-    # RRPVs, aging, and victim choice are all per-set state: exact under
-    # set-partitioned replay.
-    REPLAY_TIER = REPLAY_SET
 
     def __init__(self, rrpv_bits: int = 2):
         super().__init__()
@@ -89,8 +85,6 @@ class BrripPolicy(SrripPolicy):
 
     name = "brrip"
 
-    REPLAY_TIER = REPLAY_SET
-
     def __init__(self, seed: int = 0, rrpv_bits: int = 2, throttle: int = 32):
         super().__init__(rrpv_bits)
         self._rng_seed = seed
@@ -111,10 +105,6 @@ class DrripPolicy(SrripPolicy):
     """Dynamic RRIP: set-duels SRRIP (A) against BRRIP (B)."""
 
     name = "drrip"
-
-    # Sets couple only through PSEL, and only leader sets write it: exact
-    # under the two-phase (leaders, then followers) partitioned replay.
-    REPLAY_TIER = REPLAY_DUELING
 
     def __init__(self, seed: int = 0, rrpv_bits: int = 2, throttle: int = 32,
                  num_leaders_each: int = 32, psel_bits: int = 10):

@@ -15,7 +15,6 @@ information.
 """
 
 from repro.common.errors import ConfigError
-from repro.policies.base import REPLAY_SCALAR
 from repro.policies.rrip import SrripPolicy
 
 
@@ -23,13 +22,6 @@ class ShipPolicy(SrripPolicy):
     """SHiP-PC on an SRRIP substrate."""
 
     name = "ship"
-
-    # Deliberately scalar: the SHCT is written by *every* set's fills,
-    # hits, and evictions (not just leaders), so the counter a fill reads
-    # depends on the global interleaving of all sets' events — no exact
-    # per-set decomposition exists (DESIGN.md decision 9 has the
-    # counterexample).
-    REPLAY_TIER = REPLAY_SCALAR
 
     def __init__(self, rrpv_bits: int = 2, shct_bits: int = 14, counter_bits: int = 2):
         super().__init__(rrpv_bits)

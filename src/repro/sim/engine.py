@@ -12,12 +12,14 @@ replay tier: the stack fast path, the set-partitioned and dueling kernels
 what this loop produces — hit/miss counts, per-set decision order, and
 (for the oracle wrapper) the study counters. Results therefore carry
 provenance: this simulator stamps ``backend="model"``; accelerated paths
-stamp their tier/backend (``compact``/``numpy``/``python``).
-Disabling the accelerations (``fastpath=False``,
-``native=False``, or the ``REPRO_SIM_NO_*`` environment toggles) must
-always land back here. Stream columns are duck-typed — ``array.array``
-from the builder, numpy views after a zero-copy load — and the loop only
-relies on iteration and ``!=``, which both provide.
+stamp their tier/backend (``compact``/``numpy``/``python``). The replay
+planner (:func:`repro.sim.plan.plan_replay`) lands here whenever it
+declines every faster engine, ``fastpath=False``/``native=False`` and the
+``REPRO_SIM_NO_*`` toggles included, and
+:func:`repro.sim.multipass.run_policy_on_stream` emits the replay's span.
+Stream columns are duck-typed — ``array.array`` from the stream
+recorder, numpy views after a zero-copy load — and the loop only relies
+on iteration and ``!=``, which both provide.
 """
 
 from time import perf_counter
@@ -27,7 +29,6 @@ from repro.cache.llc import SharedLlc
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.policies.base import ReplacementPolicy
-from repro.sim import telemetry
 from repro.sim.results import LlcSimResult
 
 
@@ -71,7 +72,7 @@ class LlcOnlySimulator:
                 profile["flush"] = perf_counter() - flush_start
         if profile is not None:
             profile["replay_loop"] = elapsed
-        result = LlcSimResult(
+        return LlcSimResult(
             policy=self.llc.policy.name,
             stream_name=stream.name,
             accesses=self.llc.access_count,
@@ -80,14 +81,3 @@ class LlcOnlySimulator:
             elapsed_sec=elapsed,
             backend="model",
         )
-        # One event per replay (never per access): telemetry overhead on a
-        # warm replay cell is a single line append, disabled it is one
-        # global None check inside telemetry.emit.
-        telemetry.emit(
-            "span", stage="replay", policy=result.policy,
-            stream=result.stream_name, wall_sec=round(elapsed, 6),
-            accesses=result.accesses, hits=result.hits,
-            misses=result.misses, fastpath=False, tier=result.tier,
-            backend=result.backend,
-        )
-        return result

@@ -33,13 +33,11 @@ sweep) for plain-LRU replays with three cheaper phases:
 All three phases are deterministic and equivalence-tested against the
 scalar path: results are **bit-identical** — same hits/misses/evictions,
 same observer callbacks in the same order with the same arguments. This
-stack-distance path is the ``stack`` replay tier; which tier a policy may
-take is declared by the policy itself
-(:meth:`repro.policies.base.ReplacementPolicy.replay_tier`) and resolved
-by :func:`replay_tier_of` — non-LRU eligible policies go through the
-set-partitioned engine (:mod:`repro.sim.setpath`) instead, and everything
-else replays through the scalar model. ``REPRO_SIM_NO_FASTPATH=1`` (or
-``--no-fastpath`` on the CLI) forces the scalar path everywhere.
+stack-distance path is the ``stack`` replay tier; the replay planner
+(:func:`repro.sim.plan.plan_replay`) sends exact unbound LRU here, other
+per-set policies to the set-partitioned engine (:mod:`repro.sim.setpath`),
+and everything else to the scalar tier. ``REPRO_SIM_NO_FASTPATH=1`` (or
+``--no-fastpath`` on the CLI) forces the scalar model everywhere.
 """
 
 from array import array
@@ -51,8 +49,7 @@ import numpy as np
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.envflag import env_flag
-from repro.policies.base import REPLAY_SCALAR, REPLAY_STACK, ReplacementPolicy
-from repro.policies.registry import policy_class
+from repro.policies.base import REPLAY_STACK
 from repro.sim.results import LlcSimResult
 
 FASTPATH_ENV = "REPRO_SIM_NO_FASTPATH"
@@ -73,50 +70,6 @@ def fastpath_enabled(flag: Optional[bool] = None) -> bool:
     if flag is not None:
         return flag
     return not env_flag(FASTPATH_ENV)
-
-
-def replay_tier_of(policy) -> str:
-    """The replay tier ``policy`` *declares* (name, class, or instance).
-
-    Resolution rules:
-
-    * a registered name resolves through its class's
-      :meth:`ReplacementPolicy.replay_tier` declaration (unknown names are
-      scalar);
-    * a class resolves through its own declaration — declarations never
-      inherit, so an undeclared subclass of an eligible policy is scalar;
-    * an instance resolves through its class, except that a *bound*
-      instance (``geometry`` already set) is always scalar: it may carry
-      pre-seeded replacement state no offline reconstruction can see.
-
-    This is the declared tier only; the set-partitioned engine additionally
-    requires an exact-type kernel (:func:`repro.sim.setpath.setpath_tier_of`
-    folds both in).
-    """
-    if isinstance(policy, str):
-        cls = policy_class(policy)
-        return cls.replay_tier() if cls is not None else REPLAY_SCALAR
-    if isinstance(policy, type):
-        if issubclass(policy, ReplacementPolicy):
-            return policy.replay_tier()
-        return REPLAY_SCALAR
-    if isinstance(policy, ReplacementPolicy):
-        if policy.geometry is not None:
-            return REPLAY_SCALAR
-        return type(policy).replay_tier()
-    return REPLAY_SCALAR
-
-
-def fastpath_eligible(policy) -> bool:
-    """True when a replay under ``policy`` may take the LRU stack path.
-
-    Resolved through the policy's own tier declaration
-    (:func:`replay_tier_of`): only classes declaring the ``stack`` tier —
-    plain LRU — qualify. Subclasses (LIP/BIP/DIP), wrapped policies (the
-    sharing oracle), and bound instances resolve to other tiers and replay
-    through the set-partitioned engine or the scalar model.
-    """
-    return replay_tier_of(policy) == REPLAY_STACK
 
 
 class LruReplayReconstruction:

@@ -23,13 +23,16 @@ the structure the exact fast paths already expose:
   over the *shared* partition: each variant instantiates its own per-set
   RNG streams and PSEL series, so sharing the partition is exact.
 
-Results produced by a shared pass carry the engine-assigned ``grid`` tier
-(:data:`repro.policies.base.REPLAY_GRID`); cells that had to fall back to
-an independent replay keep that replay's own tier — preserving the PR 5
-contract that scalar-tier policies (SHiP, oracle wrappers, bound
-instances) are never silently mis-replayed. Every grid cell is
-bit-identical to its per-cell replay (``tests/sim/test_gridpath.py`` pins
-the full matrix); DESIGN.md decision 10 has the exactness argument.
+Which cells share a pass is the replay planner's call
+(:func:`repro.sim.plan.plan_replay`): results produced by a shared pass
+carry the engine-assigned ``grid`` tier
+(:data:`repro.policies.base.REPLAY_GRID`), and every other cell is an
+independent :func:`repro.sim.multipass.run_policy_on_stream` replay with
+its own tier, backend and reason recorded — so scalar-tier policies
+(SHiP, oracle wrappers, bound instances) are never silently mis-replayed.
+Every grid cell is bit-identical to its per-cell replay
+(``tests/sim/test_gridpath.py`` pins the full matrix); DESIGN.md
+decision 10 has the exactness argument.
 """
 
 from array import array
@@ -43,6 +46,7 @@ from repro.common.rng import derive_seed
 from repro.policies.base import (
     REPLAY_DUELING,
     REPLAY_GRID,
+    REPLAY_SCALAR,
     REPLAY_SET,
     REPLAY_STACK,
     ReplacementPolicy,
@@ -50,20 +54,15 @@ from repro.policies.base import (
 from repro.policies.registry import make_policy
 from repro.policies.rrip import SrripPolicy
 from repro.sim import telemetry
-from repro.sim.engine import LlcOnlySimulator
-from repro.sim.fastpath import (
-    _histogram_walk,
-    fastpath_enabled,
-    replay_lru_fastpath,
-)
-from repro.sim.nativepath import try_native_replay
+from repro.sim.fastpath import _histogram_walk, fastpath_enabled
+from repro.sim.multipass import run_policy_on_stream
+from repro.sim.nativepath import native_enabled
+from repro.sim.plan import plan_replay
 from repro.sim.results import LlcSimResult
 from repro.sim.setpath import (
     _count_rrip_sync_stacked,
     _run_partitioned,
     partition_stream,
-    setpath_tier_of,
-    try_fast_replay,
 )
 
 PolicySpec = Union[str, Callable[[], ReplacementPolicy]]
@@ -116,6 +115,17 @@ def _group_by_num_sets(geometries) -> Dict[int, List[int]]:
     return groups
 
 
+def _grid_result(stream: LlcStream, policy: str, hits: int,
+                 elapsed: float, backend: str = "numpy") -> LlcSimResult:
+    """One cell's counters from a shared pass, with the ``grid`` tier."""
+    n = len(stream.blocks)
+    return LlcSimResult(
+        policy=policy, stream_name=stream.name, accesses=n, hits=hits,
+        misses=n - hits, elapsed_sec=elapsed, tier=REPLAY_GRID,
+        backend=backend,
+    )
+
+
 def replay_lru_grid(
     stream: LlcStream,
     geometries: Sequence[CacheGeometry],
@@ -129,7 +139,6 @@ def replay_lru_grid(
     bit-identical to per-cell :func:`repro.sim.fastpath.replay_lru_fastpath`
     replays, with the ``grid`` tier recorded.
     """
-    n = len(stream.blocks)
     results: List[Optional[LlcSimResult]] = [None] * len(geometries)
     groups = _group_by_num_sets(geometries)
     walk_sec = 0.0
@@ -144,15 +153,8 @@ def replay_lru_grid(
         walk_sec += elapsed
         share = elapsed / len(indices)
         for idx in indices:
-            hits = hits_by_ways[geometries[idx].ways]
-            results[idx] = LlcSimResult(
-                policy="lru",
-                stream_name=stream.name,
-                accesses=n,
-                hits=hits,
-                misses=n - hits,
-                elapsed_sec=share,
-                tier=REPLAY_GRID,
+            results[idx] = _grid_result(
+                stream, "lru", hits_by_ways[geometries[idx].ways], share,
                 backend="python",
             )
     if profile is not None:
@@ -182,9 +184,12 @@ def _fresh_instance(policy: PolicySpec, seed: int) -> ReplacementPolicy:
     raise SimulationError(f"not a grid policy spec: {policy!r}")
 
 
-def _scalar_cell(stream, geometry, instance, observers=()) -> LlcSimResult:
-    """Per-cell scalar-model fallback (the PR 5 contract, tier recorded)."""
-    return LlcOnlySimulator(geometry, instance, observers=observers).run(stream)
+def _grid_tier(instance: ReplacementPolicy, stream: LlcStream,
+               fastpath: Optional[bool]) -> str:
+    """The tier the replay planner gives one grid cell's instance."""
+    return plan_replay(
+        instance, (), stream, fastpath_enabled(fastpath), native_enabled(),
+    ).tier
 
 
 def replay_geometry_grid(
@@ -197,7 +202,7 @@ def replay_geometry_grid(
 ) -> List[LlcSimResult]:
     """Replay one policy across a whole geometry grid, sharing every pass.
 
-    Dispatch by the policy's effective replay tier:
+    Dispatch by the tier the replay planner gives the policy:
 
     * ``stack`` (plain LRU) — one capped stack walk per distinct
       ``num_sets`` classifies every associativity cell
@@ -205,32 +210,29 @@ def replay_geometry_grid(
     * ``set``/``dueling`` — one stream partition per distinct ``num_sets``,
       shared by every cell of that group (the partition depends only on
       ``num_sets``); each cell steps a fresh instance's kernels over it;
-    * ``scalar`` — or fast paths disabled — falls back to independent
-      per-cell replays with that cell's own tier recorded.
+    * ``scalar`` — or fast paths disabled — independent per-cell
+      :func:`repro.sim.multipass.run_policy_on_stream` replays, each with
+      its own plan recorded.
 
-    Results align positionally with ``geometries`` and are bit-identical
-    to per-cell replays of the same spec.
+    A factory spec is called at most once per cell: the instance that is
+    planned serves cell 0. Results align positionally with ``geometries``
+    and are bit-identical to per-cell replays of the same spec.
     """
     start = perf_counter()
     n = len(stream.blocks)
-    tier = setpath_tier_of(
-        policy if isinstance(policy, str) else _fresh_instance(policy, seed)
-    )
-    if not fastpath_enabled(fastpath) or tier not in (
-        REPLAY_STACK, REPLAY_SET, REPLAY_DUELING,
-    ):
-        results = []
-        for geometry in geometries:
-            cell = try_fast_replay(
-                stream, geometry, policy if isinstance(policy, str)
-                else _fresh_instance(policy, seed),
-                seed=seed, fastpath=fastpath,
+    first = _fresh_instance(policy, seed)
+
+    def instance_for(idx: int) -> ReplacementPolicy:
+        return first if idx == 0 else _fresh_instance(policy, seed)
+
+    tier = _grid_tier(first, stream, fastpath)
+    if tier == REPLAY_SCALAR:
+        results = [
+            run_policy_on_stream(
+                stream, geometry, instance_for(idx), fastpath=fastpath,
             )
-            if cell is None:
-                cell = _scalar_cell(
-                    stream, geometry, _fresh_instance(policy, seed)
-                )
-            results.append(cell)
+            for idx, geometry in enumerate(geometries)
+        ]
         if profile is not None:
             profile["grid_cells"] = len(geometries)
             profile["grid_fallback_cells"] = len(geometries)
@@ -245,20 +247,13 @@ def replay_geometry_grid(
             for idx in indices:
                 geometry = geometries[idx]
                 cell_start = perf_counter()
-                instance = _fresh_instance(policy, seed)
+                instance = instance_for(idx)
                 instance.bind(geometry)
                 hits = _run_partitioned(
                     part, geometry, instance, None, profile=profile
                 )
-                results[idx] = LlcSimResult(
-                    policy=instance.name,
-                    stream_name=stream.name,
-                    accesses=n,
-                    hits=hits,
-                    misses=n - hits,
-                    elapsed_sec=perf_counter() - cell_start,
-                    tier=REPLAY_GRID,
-                    backend="numpy",
+                results[idx] = _grid_result(
+                    stream, instance.name, hits, perf_counter() - cell_start,
                 )
         if profile is not None:
             profile["grid_groups"] = len(groups)
@@ -268,6 +263,7 @@ def replay_geometry_grid(
         stream=stream.name, wall_sec=round(perf_counter() - start, 6),
         cells=len(geometries), groups=len(_group_by_num_sets(geometries)),
         accesses=n, tier=REPLAY_GRID,
+        backend=results[0].backend if results else "",
     )
     return results
 
@@ -283,13 +279,16 @@ def replay_param_grid(
 
     ``policies`` holds one fresh *unbound* instance per grid cell, each
     carrying its own parameters and seed. The stream is partitioned once
-    and shared by every set-tier cell; exact-type :class:`SrripPolicy`
-    variants additionally collapse into one stacked synchronous kernel
-    (all ``rrpv_bits`` variants stepped together). Stochastic and dueling
-    variants replay per-variant over the shared partition — exact because
-    each variant owns its per-set RNG streams and PSEL series. Scalar-tier
-    variants (and stack-tier LRU, which has no parameter axis to share)
-    fall back to independent replays with their own tier recorded.
+    and shared by every cell the replay planner puts on the set or
+    dueling tier; exact-type :class:`SrripPolicy` variants additionally
+    collapse into one stacked synchronous kernel (all ``rrpv_bits``
+    variants stepped together). Stochastic and dueling variants replay
+    per-variant over the shared partition — exact because each variant
+    owns its per-set RNG streams and PSEL series. Every other cell
+    (stack-tier LRU, which has no parameter axis to share, and scalar-tier
+    variants) is an independent
+    :func:`repro.sim.multipass.run_policy_on_stream` replay with its own
+    plan recorded.
     """
     start = perf_counter()
     n = len(stream.blocks)
@@ -305,82 +304,59 @@ def replay_param_grid(
                 f"bound; grid cells need fresh instances"
             )
     results: List[Optional[LlcSimResult]] = [None] * len(instances)
-    if not fastpath_enabled(fastpath):
-        for idx, instance in enumerate(instances):
-            results[idx] = _scalar_cell(stream, geometry, instance)
-        return results
-    tiers = [setpath_tier_of(instance) for instance in instances]
-    part = None
-    if any(tier in (REPLAY_SET, REPLAY_DUELING) for tier in tiers):
+    shared = [
+        idx for idx, instance in enumerate(instances)
+        if _grid_tier(instance, stream, fastpath)
+        in (REPLAY_SET, REPLAY_DUELING)
+    ]
+    if shared:
         part = partition_stream(
             stream.blocks, num_sets=geometry.num_sets, profile=profile,
         )
-    # Exact-type SRRIP variants stack into one synchronous kernel.
-    stacked = [
-        idx for idx, instance in enumerate(instances)
-        if type(instance) is SrripPolicy and tiers[idx] == REPLAY_SET
-    ]
-    if len(stacked) >= 2:
-        kernel_start = perf_counter()
-        hits_list = _count_rrip_sync_stacked(
-            part, geometry.ways,
-            [(instances[idx].rrpv_max, instances[idx].rrpv_max - 1)
-             for idx in stacked],
-        )
-        elapsed = perf_counter() - kernel_start
-        if profile is not None:
-            profile["stacked_kernel"] = elapsed
-            profile["stacked_variants"] = len(stacked)
-        for idx, hits in zip(stacked, hits_list):
-            instances[idx].bind(geometry)  # grid cells consume their instance
-            results[idx] = LlcSimResult(
-                policy=instances[idx].name,
-                stream_name=stream.name,
-                accesses=n,
-                hits=hits,
-                misses=n - hits,
-                elapsed_sec=elapsed / len(stacked),
-                tier=REPLAY_GRID,
-                backend="numpy",
+        # Exact-type SRRIP variants stack into one synchronous kernel.
+        stacked = [
+            idx for idx in shared if type(instances[idx]) is SrripPolicy
+        ]
+        if len(stacked) >= 2:
+            kernel_start = perf_counter()
+            hits_list = _count_rrip_sync_stacked(
+                part, geometry.ways,
+                [(instances[idx].rrpv_max, instances[idx].rrpv_max - 1)
+                 for idx in stacked],
             )
-    for idx, instance in enumerate(instances):
-        if results[idx] is not None:
-            continue
-        tier = tiers[idx]
-        if tier in (REPLAY_SET, REPLAY_DUELING):
+            elapsed = perf_counter() - kernel_start
+            if profile is not None:
+                profile["stacked_kernel"] = elapsed
+                profile["stacked_variants"] = len(stacked)
+            for idx, hits in zip(stacked, hits_list):
+                # Grid cells consume their instance.
+                instances[idx].bind(geometry)
+                results[idx] = _grid_result(
+                    stream, instances[idx].name, hits, elapsed / len(stacked),
+                )
+        for idx in shared:
+            if results[idx] is not None:
+                continue
+            instance = instances[idx]
             cell_start = perf_counter()
             instance.bind(geometry)
             hits = _run_partitioned(
                 part, geometry, instance, None, profile=profile
             )
-            results[idx] = LlcSimResult(
-                policy=instance.name,
-                stream_name=stream.name,
-                accesses=n,
-                hits=hits,
-                misses=n - hits,
-                elapsed_sec=perf_counter() - cell_start,
-                tier=REPLAY_GRID,
-                backend="numpy",
+            results[idx] = _grid_result(
+                stream, instance.name, hits, perf_counter() - cell_start,
             )
-        elif tier == REPLAY_STACK:
-            results[idx] = replay_lru_fastpath(stream, geometry, profile=profile)
-        else:
-            # Scalar-tier variants get the native backend when eligible
-            # (exact unbound SHiP — parameter variants qualify, the kernel
-            # reads each instance's own SHCT geometry); the env escape
-            # hatch and everything else land on the scalar model.
-            native = try_native_replay(
-                stream, geometry, instance, profile=profile,
+        telemetry.emit(
+            "span", stage="replay_grid", policy="+".join(
+                dict.fromkeys(results[idx].policy for idx in shared)
+            ),
+            stream=stream.name, wall_sec=round(perf_counter() - start, 6),
+            cells=len(shared), groups=1, accesses=n, tier=REPLAY_GRID,
+            backend="numpy",
+        )
+    for idx, instance in enumerate(instances):
+        if results[idx] is None:
+            results[idx] = run_policy_on_stream(
+                stream, geometry, instance, fastpath=fastpath,
             )
-            results[idx] = native if native is not None else _scalar_cell(
-                stream, geometry, instance
-            )
-    telemetry.emit(
-        "span", stage="replay_grid", policy="+".join(
-            dict.fromkeys(r.policy for r in results)
-        ),
-        stream=stream.name, wall_sec=round(perf_counter() - start, 6),
-        cells=len(instances), groups=1, accesses=n, tier=REPLAY_GRID,
-    )
     return results

@@ -7,8 +7,14 @@ The standard experiment pipeline is:
    LLC;
 2. :func:`run_policy_on_stream` / :func:`run_opt` — replay that stream
    under each policy of interest (all passes see identical accesses).
+
+:func:`run_policy_on_stream` is the one executor of the replay planner
+(:func:`repro.sim.plan.plan_replay`): every replay that may take a fast
+tier goes through it, and it stamps the plan on the result and on the
+replay's telemetry span.
 """
 
+from dataclasses import replace
 from typing import Optional, Tuple, Union
 from weakref import WeakKeyDictionary
 
@@ -16,12 +22,22 @@ from repro.cache.hierarchy import CmpHierarchy, HierarchyStats
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry, MachineConfig
 from repro.common.rng import derive_seed
-from repro.policies.base import ReplacementPolicy
+from repro.policies.base import REPLAY_SCALAR, REPLAY_STACK, ReplacementPolicy
 from repro.policies.opt import BeladyOptPolicy, compute_next_use
 from repro.policies.registry import make_policy
+from repro.policies.ship import ShipPolicy
+from repro.sim import telemetry
 from repro.sim.engine import LlcOnlySimulator
+from repro.sim.fastpath import fastpath_enabled, replay_lru_fastpath
+from repro.sim.nativepath import (
+    BACKEND_MODEL,
+    native_enabled,
+    replay_oracle_nativepath,
+    replay_ship_nativepath,
+)
+from repro.sim.plan import plan_replay
 from repro.sim.results import LlcSimResult
-from repro.sim.setpath import try_fast_replay
+from repro.sim.setpath import replay_setpath
 from repro.trace.trace import Trace
 
 
@@ -59,27 +75,42 @@ def run_policy_on_stream(
 ) -> LlcSimResult:
     """Replay ``stream`` under a policy given by name or instance.
 
-    Replays route through the fastest exact replay tier the policy
-    declares (:func:`repro.sim.setpath.try_fast_replay`): plain LRU takes
-    the stack-distance path, the per-set policy matrix (LIP/BIP/NRU/
-    SRRIP/BRRIP/random) the set-partitioned kernels, and DIP/DRRIP the
-    two-phase dueling reconstruction — all bit-identical to the scalar
-    model. Scalar-tier policies that the native backend covers (exact
-    unbound SHiP, no observers) take its compact kernel unless
-    ``native`` is False or ``REPRO_SIM_NO_NATIVE`` is set; everything else
-    scalar (wrappers, bound instances), or any replay with ``fastpath``
-    False / ``REPRO_SIM_NO_FASTPATH`` set, goes through the scalar model.
+    A name builds its registry instance seeded
+    ``derive_seed(seed, "replay", name)``; callers with their own seed
+    derivation pass an instance. The replay planner picks the engine —
+    the LRU stack walk, the set-partitioned or dueling kernels, a compact
+    kernel, or the object model, all bit-identical — and the result and
+    the one ``replay`` span carry its tier, backend and decline reason.
+    ``fastpath``/``native`` are three-state gates (``None`` defers to
+    ``REPRO_SIM_NO_FASTPATH``/``REPRO_SIM_NO_NATIVE``).
     """
-    result = try_fast_replay(
-        stream, geometry, policy, seed=seed, observers=observers,
-        fastpath=fastpath, native=native,
-    )
-    if result is not None:
-        return result
     if isinstance(policy, str):
         policy = make_policy(policy, seed=derive_seed(seed, "replay", policy))
-    simulator = LlcOnlySimulator(geometry, policy, observers=observers)
-    return simulator.run(stream)
+    plan = plan_replay(
+        policy, observers, stream, fastpath_enabled(fastpath),
+        native_enabled(native),
+    )
+    if plan.tier == REPLAY_STACK:
+        result = replay_lru_fastpath(stream, geometry, observers=observers)
+    elif plan.tier != REPLAY_SCALAR:
+        result = replay_setpath(stream, geometry, policy, observers=observers)
+    elif plan.backend == BACKEND_MODEL:
+        simulator = LlcOnlySimulator(geometry, policy, observers=observers)
+        result = simulator.run(stream)
+    elif isinstance(policy, ShipPolicy):
+        result = replay_ship_nativepath(stream, geometry, policy)
+    else:
+        result = replay_oracle_nativepath(stream, geometry, policy)
+    result = replace(result, reason=plan.reason)
+    # One event per replay (never per access): disabled telemetry costs
+    # one global None check inside telemetry.emit.
+    telemetry.emit(
+        "span", stage="replay", policy=result.policy,
+        stream=result.stream_name, wall_sec=round(result.elapsed_sec, 6),
+        accesses=result.accesses, hits=result.hits, misses=result.misses,
+        tier=plan.tier, backend=plan.backend, reason=plan.reason,
+    )
+    return result
 
 
 _NEXT_USE_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()
@@ -115,11 +146,7 @@ def run_opt(
     column itself is geometry-independent and shared across calls
     (:func:`stream_next_use`).
     """
-    policy = BeladyOptPolicy(stream_next_use(stream))
-    result = try_fast_replay(
-        stream, geometry, policy, observers=observers, fastpath=fastpath
+    return run_policy_on_stream(
+        stream, geometry, BeladyOptPolicy(stream_next_use(stream)),
+        observers=observers, fastpath=fastpath,
     )
-    if result is not None:
-        return result
-    simulator = LlcOnlySimulator(geometry, policy, observers=observers)
-    return simulator.run(stream)

@@ -1,6 +1,6 @@
 """Compact-array backend for the scalar replay tier.
 
-The replay-tier registry left exactly one tier paying full model
+The fast replay tiers leave exactly one tier paying full model
 overhead: ``scalar``. SHiP is its canonical occupant — the SHCT is written
 by *every* set's fills, hits, and evictions, so no per-set decomposition
 exists (DESIGN.md decision 9) and every SHiP cell crawls through
@@ -9,7 +9,7 @@ tiny and flat: an RRPV byte, a signature, and an outcome bit per frame,
 plus one global saturating-counter table. That is exactly the shape a
 compact-array kernel handles well.
 
-This module supplies that backend, in three layers:
+This module supplies that backend as two kernels:
 
 * **SHiP kernel** (:func:`_ship_count_compact`) — a bit-exact
   transcription of ``SharedLlc.access`` + :class:`ShipPolicy` over flat
@@ -28,19 +28,16 @@ This module supplies that backend, in three layers:
   stream and the whole protection protocol (victim exemption, synthetic
   promote-hits, budget releases) runs inside the kernel loop. The
   wrapper's study counters are written back onto the instance.
-* **Dispatch** (:func:`try_native_replay`) — called by
-  :func:`repro.sim.setpath.try_fast_replay` when a replay resolves to the
-  scalar tier: exact-type unbound :class:`ShipPolicy` replays with no
-  observers route here, as do native-eligible oracle wrappers
-  (:func:`oracle_native_spec`); everything else (undeclared subclasses,
-  bound instances, live predictor hint sources, observer-carrying
-  replays, ``REPRO_SIM_NO_NATIVE``) falls back to the scalar model with
-  the chosen backend recorded in the result's ``backend`` provenance
-  field.
+
+Which replays take these kernels is decided by
+:func:`repro.sim.plan.plan_replay` (backend ``compact``); everything it
+declines — undeclared subclasses, bound instances, live predictor hint
+sources, observer-carrying replays, ``REPRO_SIM_NO_NATIVE`` — runs on the
+scalar model, with the decline reason stamped on the result.
 """
 
 from time import perf_counter
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -181,10 +178,11 @@ _FAMILY_ORACLE_LRU = 0
 _FAMILY_ORACLE_SRRIP = 1
 _FAMILY_ORACLE_SHIP = 2
 
-# Exact base-policy type -> family code. Subclasses (LIP, BRRIP, DRRIP,
-# undeclared user policies) are deliberately absent: they change fill or
-# victim behaviour and must take the object model.
-_ORACLE_BASE_FAMILIES = {
+# Exact base-policy type -> family code; the planner reads the keys as the
+# bases this kernel covers. Subclasses (LIP, BRRIP, DRRIP, undeclared user
+# policies) are deliberately absent: they change fill or victim behaviour
+# and must take the object model.
+ORACLE_BASE_FAMILIES = {
     LruPolicy: _FAMILY_ORACLE_LRU,
     SrripPolicy: _FAMILY_ORACLE_SRRIP,
     ShipPolicy: _FAMILY_ORACLE_SHIP,
@@ -342,40 +340,12 @@ def _oracle_count_compact(blocks, cores, hints, sigs, num_sets: int,
     return hits, protected_fills, exemptions, released
 
 
-def oracle_native_spec(policy):
-    """``(family, base, hint_source)`` when the native oracle path covers
-    ``policy``, else ``None``.
-
-    The guards mirror :func:`native_eligible`, extended across the
-    composition: the wrapper itself must be the exact class and unbound,
-    its base an exact-type unbound {LRU, SRRIP, SHiP}, and its hint source
-    an exact :class:`repro.oracle.annotate.AnnotationHintSource`. Anything
-    else — undeclared subclasses, bound instances, live predictor hint
-    sources — takes the object model.
-    """
-    # Imported lazily: repro.oracle pulls in the replay dispatch at module
-    # import, so a top-level import here would be circular.
-    from repro.oracle.annotate import AnnotationHintSource
-    from repro.oracle.wrapper import SharingAwareWrapper
-
-    if type(policy) is not SharingAwareWrapper or policy.geometry is not None:
-        return None
-    base = policy.base
-    family = _ORACLE_BASE_FAMILIES.get(type(base))
-    if family is None or base.geometry is not None:
-        return None
-    source = policy.hint_source
-    if type(source) is not AnnotationHintSource:
-        return None
-    return family, base, source
-
-
 def replay_oracle_nativepath(
     stream: LlcStream,
     geometry: CacheGeometry,
     policy,
     profile=None,
-) -> Optional[LlcSimResult]:
+) -> LlcSimResult:
     """Replay ``stream`` under an unbound oracle wrapper, natively.
 
     Classification twin of ``LlcOnlySimulator(geometry, policy).run``:
@@ -383,21 +353,15 @@ def replay_oracle_nativepath(
     (``protected_fills``/``exemptions_applied``/``releases``) written back
     onto the instance — :func:`repro.oracle.runner.run_oracle_variants`
     reads them off the wrapper after the replay, whichever backend ran.
-    The wrapper and its base stay unbound. Returns ``None`` (caller falls
-    back) when the wrapper is not native-eligible or its annotation is not
-    aligned with this stream.
+    The wrapper and its base stay unbound. ``policy`` must be a wrapper
+    the planner sends to this backend: exact types throughout, an
+    annotation hint source, and ``budgets[i + 1]`` the hint of access
+    ``i`` of ``stream``.
     """
-    spec = oracle_native_spec(policy)
-    if spec is None:
-        return None
-    family, base, source = spec
-    budgets = source.budgets
+    base = policy.base
+    family = ORACLE_BASE_FAMILIES[type(base)]
+    budgets = policy.hint_source.budgets
     n = len(stream.blocks)
-    if len(budgets) != n + 1:
-        # The annotation was built for a different stream; hints cannot be
-        # exported by ordinal. The model reproduces whatever (possibly
-        # out-of-range) hints the closure would serve.
-        return None
     start = perf_counter()
     mode = _ORACLE_MODES[policy.mode]
     release = _ORACLE_RELEASES[policy.release]
@@ -444,7 +408,7 @@ def replay_oracle_nativepath(
 
 
 # ----------------------------------------------------------------------
-# Replay entry point + dispatch
+# SHiP entry point
 # ----------------------------------------------------------------------
 
 def replay_ship_nativepath(
@@ -495,48 +459,3 @@ def replay_ship_nativepath(
         tier=REPLAY_SCALAR,
         backend=BACKEND_COMPACT,
     )
-
-
-def native_eligible(policy) -> bool:
-    """True when ``policy`` (name or instance) can take the native backend.
-
-    Mirrors the two-guard discipline of the set-partitioned engine: the
-    kernel is keyed by *exact* type — an undeclared :class:`ShipPolicy`
-    subclass must not ride the parent's kernel — and a bound instance may
-    carry pre-seeded SHCT/RRPV state no offline kernel reconstructs.
-    """
-    if isinstance(policy, str):
-        return policy == "ship"
-    return type(policy) is ShipPolicy and policy.geometry is None
-
-
-def try_native_replay(
-    stream: LlcStream,
-    geometry: CacheGeometry,
-    policy,
-    observers: Tuple = (),
-    native: Optional[bool] = None,
-    profile=None,
-) -> Optional[LlcSimResult]:
-    """Native replay of a scalar-tier policy, or ``None`` to fall back.
-
-    Returns ``None`` — caller proceeds to the scalar model — whenever the
-    backend is gated off (``native=False`` or ``REPRO_SIM_NO_NATIVE``),
-    observers need the full residency callback stream, or the policy is
-    neither an exact-type unbound SHiP (name or instance) nor an
-    exact-type unbound :class:`SharingAwareWrapper` over {LRU, SRRIP,
-    SHiP} with an annotation-backed hint source (see
-    :func:`oracle_native_spec`). ``policy`` given as the name ``"ship"``
-    constructs the registry default, matching what the scalar fallback
-    would build.
-    """
-    if observers or not native_enabled(native):
-        return None
-    if native_eligible(policy):
-        instance = policy if isinstance(policy, ShipPolicy) else ShipPolicy()
-        return replay_ship_nativepath(
-            stream, geometry, instance, profile=profile,
-        )
-    if isinstance(policy, str):
-        return None
-    return replay_oracle_nativepath(stream, geometry, policy, profile=profile)

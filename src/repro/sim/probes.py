@@ -62,21 +62,30 @@ from repro.common.config import CacheGeometry
 from repro.common.errors import ConfigError
 from repro.common.rng import derive_seed
 from repro.common.stats import RunningStats, ratio
+from repro.policies.base import REPLAY_SCALAR, REPLAY_STACK
 from repro.policies.registry import make_policy
 from repro.sim import telemetry
 from repro.sim.engine import LlcOnlySimulator
-from repro.policies.base import REPLAY_SCALAR, REPLAY_STACK
 from repro.sim.fastpath import (
     LruReplayReconstruction,
     _replay_observers,
     fastpath_enabled,
     reconstruct_lru_replay,
 )
+from repro.sim.nativepath import (
+    BACKEND_MODEL,
+    native_enabled,
+    replay_ship_nativepath,
+)
+from repro.sim.plan import plan_replay
 from repro.sim.results import LlcSimResult
-from repro.sim.setpath import reconstruct_setpath_replay, setpath_tier_of
+from repro.sim.setpath import reconstruct_setpath_replay
 
-PROBE_FORMAT_VERSION = 1
-"""Bump when the on-disk shape of :meth:`ProbeReport.as_dict` changes."""
+PROBE_FORMAT_VERSION = 2
+"""Bump when the on-disk shape of :meth:`ProbeReport.as_dict` changes.
+
+Version 2 added ``reason`` (and the result's ``reason``); renderers read
+version-1 reports without it."""
 
 
 class Probe:
@@ -677,6 +686,7 @@ class ProbeReport:
     policy: str
     tier: str
     result: LlcSimResult
+    reason: str = ""
     profile: Dict = field(default_factory=dict)
     probes: Dict[str, Dict] = field(default_factory=dict)
     policy_state: Optional[Dict] = None
@@ -689,6 +699,7 @@ class ProbeReport:
             "workload": self.workload,
             "policy": self.policy,
             "tier": self.tier,
+            "reason": self.reason,
             "result": self.result.as_dict(),
             "profile": dict(self.profile),
             "probes": self.probes,
@@ -707,15 +718,18 @@ def run_probed_replay(
 ) -> ProbeReport:
     """Replay ``stream`` under ``policy_name`` with probes attached.
 
-    Tier selection: the declared replay tier of the policy
-    (:func:`repro.sim.setpath.setpath_tier_of`) engages only when the gate
-    allows it **and every probe is fastpath-safe** — one scalar-only probe
-    forces the whole replay scalar (probes are never silently degraded).
-    The report's ``tier`` is the tier that actually ran: ``"stack"`` (LRU
-    stack-distance fast path), ``"set"`` / ``"dueling"`` (set-partitioned
-    kernels), or ``"scalar"``. Hit/miss counts are bit-identical across
-    tiers, and match :func:`repro.sim.multipass.run_policy_on_stream` for
-    the same ``(policy_name, seed)`` (identical seed derivation).
+    Tier selection: the replay planner
+    (:func:`repro.sim.plan.plan_replay`) plans the replay with every probe
+    attached, so a fast tier engages only when the gate allows it **and
+    every probe is fastpath-safe** — one scalar-only probe forces the whole
+    replay onto the model (reason ``probe``; probes are never silently
+    degraded). The report's ``tier`` and ``reason`` and its result's
+    ``backend`` say what actually ran: ``"stack"`` (LRU stack-distance
+    walk), ``"set"`` / ``"dueling"`` (set-partitioned kernels), or
+    ``"scalar"`` — the object model, or a compact kernel when no probe is
+    attached at all. Hit/miss counts are bit-identical across tiers, and
+    match :func:`repro.sim.multipass.run_policy_on_stream` for the same
+    ``(policy_name, seed)`` (identical seed derivation).
 
     Access probes stay policy-independent on the fast tiers: the reuse
     probe models canonical per-set LRU stacks of the *stream*, so on the
@@ -738,21 +752,21 @@ def run_probed_replay(
             )
     profile: Dict = {}
     observers = tuple(p for p in probes if isinstance(p, ResidencyObserver))
-    tier = REPLAY_SCALAR
-    if fastpath_enabled(fastpath) and all(p.fastpath_safe for p in probes):
-        tier = setpath_tier_of(policy_name)
+    policy = make_policy(
+        policy_name, seed=derive_seed(seed, "replay", policy_name)
+    )
+    plan = plan_replay(
+        policy, probes, stream, fastpath_enabled(fastpath), native_enabled(),
+    )
+    policy_state = None
     start = perf_counter()
-    if tier != REPLAY_SCALAR:
-        policy_state = None
+    if plan.tier != REPLAY_SCALAR:
         for probe in probes:
             probe.bind(geometry, None)
-        if tier == REPLAY_STACK:
+        if plan.tier == REPLAY_STACK:
             walk = reconstruct_lru_replay(stream, geometry, profile=profile)
             lru_walk = walk
         else:
-            policy = make_policy(
-                policy_name, seed=derive_seed(seed, "replay", policy_name)
-            )
             walk = reconstruct_setpath_replay(
                 stream, geometry, policy, profile=profile,
             )
@@ -777,12 +791,10 @@ def run_probed_replay(
             hits=walk.hits,
             misses=walk.misses,
             elapsed_sec=perf_counter() - start,
-            tier=tier,
+            tier=plan.tier,
+            backend=plan.backend,
         )
-    else:
-        policy = make_policy(
-            policy_name, seed=derive_seed(seed, "replay", policy_name)
-        )
+    elif plan.backend == BACKEND_MODEL:
         simulator = LlcOnlySimulator(geometry, policy, observers=observers)
         for probe in probes:
             probe.bind(geometry, policy)
@@ -791,6 +803,13 @@ def run_probed_replay(
             simulator.llc.attach_probe_bus(ProbeBus(access_probes))
         result = simulator.run(stream, profile=profile)
         policy_state = policy.introspect()
+    else:
+        # A compact plan with no probe attached; of the registry's
+        # policies only SHiP has a compact kernel.
+        result = replay_ship_nativepath(
+            stream, geometry, policy, profile=profile,
+        )
+    result = dataclasses.replace(result, reason=plan.reason)
     finalize_start = perf_counter()
     for probe in probes:
         probe.finalize()
@@ -799,13 +818,15 @@ def run_probed_replay(
     summaries = {probe.name: probe.summary() for probe in probes}
     telemetry.emit(
         "span", stage="inspect_replay", policy=policy_name,
-        stream=stream.name, tier=tier, probes=sorted(summaries),
+        stream=stream.name, tier=plan.tier, backend=plan.backend,
+        reason=plan.reason, probes=sorted(summaries),
         wall_sec=round(profile["total"], 6),
     )
     return ProbeReport(
         workload=stream.name,
         policy=policy_name,
-        tier=tier,
+        tier=plan.tier,
+        reason=plan.reason,
         result=result,
         profile=profile,
         probes=summaries,

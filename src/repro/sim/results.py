@@ -21,6 +21,9 @@ class LlcSimResult:
     counters (``model`` for the scalar object model, ``python``/``numpy``
     for the set-partitioned and fastpath kernels, ``compact`` for the
     native scalar backend). Like ``tier`` it is excluded from equality.
+    ``reason`` says why a faster engine declined the replay (one token of
+    :data:`repro.sim.plan.REASONS`, ``""`` when none did); it is
+    excluded from equality too.
     """
 
     policy: str
@@ -31,6 +34,7 @@ class LlcSimResult:
     elapsed_sec: float = field(default=0.0, compare=False, repr=False)
     tier: str = field(default="scalar", compare=False)
     backend: str = field(default="model", compare=False)
+    reason: str = field(default="", compare=False)
 
     @property
     def accesses_per_sec(self) -> float:
@@ -68,6 +72,7 @@ class LlcSimResult:
             "miss_ratio": self.miss_ratio,
             "tier": self.tier,
             "backend": self.backend,
+            "reason": self.reason,
         }
 
 

@@ -39,73 +39,42 @@ fill order, reusing the fast path's metadata reconstruction and observer
 replay verbatim — observers see exactly the callback sequence the scalar
 model would have produced.
 
-:func:`try_fast_replay` is the single dispatch point: it resolves the
-effective tier (declared tier ∧ kernel availability), routes ``stack`` to
-the stack-distance path and ``set``/``dueling`` here, and returns ``None``
-for scalar so the caller can fall back to the full model.
+Which policies run here is decided by the replay planner
+(:func:`repro.sim.plan.plan_replay`), whose
+:data:`repro.sim.plan.REPLAY_KERNELS` table also names the kernel family
+each class steps through; :func:`repro.sim.multipass.run_policy_on_stream`
+carries the plan out.
 """
 
 from array import array
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
-from repro.common.rng import derive_seed
-from repro.policies.base import (
-    REPLAY_DUELING,
-    REPLAY_SCALAR,
-    REPLAY_SET,
-    REPLAY_STACK,
-    ReplacementPolicy,
-)
-from repro.policies.dip import BipPolicy, DipPolicy, DuelingController
+from repro.policies.base import REPLAY_DUELING, REPLAY_SET, ReplacementPolicy
+from repro.policies.dip import BipPolicy, DuelingController
 from repro.policies.lru import LipPolicy, LruPolicy
-from repro.policies.nru import NruPolicy
-from repro.policies.opt import NO_NEXT_USE, BeladyOptPolicy
-from repro.policies.random_policy import RandomPolicy
-from repro.policies.registry import POLICY_NAMES, make_policy, policy_class
-from repro.policies.rrip import BrripPolicy, DrripPolicy, SrripPolicy
-from repro.sim import telemetry
+from repro.policies.opt import NO_NEXT_USE
+from repro.policies.rrip import BrripPolicy, SrripPolicy
 from repro.sim.fastpath import (
     LruReplayReconstruction,
     _reconstruct,
     _replay_observers,
-    fastpath_enabled,
-    replay_lru_fastpath,
-    replay_tier_of,
 )
-from repro.sim.nativepath import try_native_replay
+from repro.sim.plan import (
+    FAMILY_NRU,
+    FAMILY_OPT,
+    FAMILY_RANDOM,
+    FAMILY_RECENCY,
+    FAMILY_RRIP,
+    REPLAY_KERNELS,
+    plan_replay,
+)
 from repro.sim.results import LlcSimResult
-
-_FAMILY_RECENCY = "recency"
-_FAMILY_RRIP = "rrip"
-_FAMILY_NRU = "nru"
-_FAMILY_RANDOM = "random"
-_FAMILY_OPT = "opt"
-
-_KERNEL_FAMILIES: Dict[type, str] = {
-    LruPolicy: _FAMILY_RECENCY,
-    LipPolicy: _FAMILY_RECENCY,
-    BipPolicy: _FAMILY_RECENCY,
-    DipPolicy: _FAMILY_RECENCY,
-    SrripPolicy: _FAMILY_RRIP,
-    BrripPolicy: _FAMILY_RRIP,
-    DrripPolicy: _FAMILY_RRIP,
-    NruPolicy: _FAMILY_NRU,
-    RandomPolicy: _FAMILY_RANDOM,
-    BeladyOptPolicy: _FAMILY_OPT,
-}
-"""Exact classes a set kernel exists for.
-
-Keyed by exact type, deliberately: a subclass that changed behaviour must
-not ride its parent's kernel (and it already resolves to the scalar tier
-through the non-inheriting :meth:`ReplacementPolicy.replay_tier`, so this
-table is the second of two independent guards).
-"""
 
 # Insertion modes of the recency (stamp-ordered) family.
 _MODE_MRU = 0
@@ -113,35 +82,6 @@ _MODE_LIP = 1
 _MODE_BIP = 2
 
 _RECENCY_MODES = {LruPolicy: _MODE_MRU, LipPolicy: _MODE_LIP, BipPolicy: _MODE_BIP}
-
-
-def setpath_tier_of(policy) -> str:
-    """The *effective* replay tier of a policy name, class, or instance.
-
-    The declared tier (:func:`repro.sim.fastpath.replay_tier_of`) demoted
-    to ``scalar`` when no exact-type kernel exists in
-    :data:`_KERNEL_FAMILIES` — both conditions must hold for the
-    set-partitioned engine to run.
-    """
-    tier = replay_tier_of(policy)
-    if tier not in (REPLAY_SET, REPLAY_DUELING):
-        return tier
-    if isinstance(policy, str):
-        cls = policy_class(policy)
-    elif isinstance(policy, type):
-        cls = policy
-    else:
-        cls = type(policy)
-    if cls is None or cls not in _KERNEL_FAMILIES:
-        return REPLAY_SCALAR
-    return tier
-
-
-def replay_tier_table() -> Dict[str, str]:
-    """Effective replay tier of every registered policy name, plus OPT."""
-    table = {name: setpath_tier_of(name) for name in POLICY_NAMES}
-    table["opt"] = setpath_tier_of(BeladyOptPolicy)
-    return table
 
 
 # ----------------------------------------------------------------------
@@ -958,7 +898,7 @@ def _leader_pass(part: StreamPartition, geometry: CacheGeometry,
     order = part.order
     duel = policy.duel
     throttle = policy.throttle
-    family = _KERNEL_FAMILIES[type(policy)]
+    family = REPLAY_KERNELS[type(policy)][1]
     hits = 0
     a_fills: List[int] = []
     b_fills: List[int] = []
@@ -976,7 +916,7 @@ def _leader_pass(part: StreamPartition, geometry: CacheGeometry,
         is_b = role == DuelingController.LEADER_B
         rng = policy.set_rng(s) if is_b else None
         fills = b_fills if is_b else a_fills
-        if family == _FAMILY_RRIP:
+        if family == FAMILY_RRIP:
             rmax = policy.rrpv_max
             if buf is None:
                 hits += _count_rrip_roles(
@@ -1009,7 +949,7 @@ def _follower_pass(part: StreamPartition, geometry: CacheGeometry,
     blocks = part.blocks
     order = part.order
     throttle = policy.throttle
-    family = _KERNEL_FAMILIES[type(policy)]
+    family = REPLAY_KERNELS[type(policy)][1]
     hits = 0
     for s in followers:
         lo, hi = starts[s], starts[s + 1]
@@ -1019,7 +959,7 @@ def _follower_pass(part: StreamPartition, geometry: CacheGeometry,
         pos = order[lo:hi]
         use_b = lookup(lo, hi)
         rng = policy.set_rng(s)
-        if family == _FAMILY_RRIP:
+        if family == FAMILY_RRIP:
             rmax = policy.rrpv_max
             if buf is None:
                 hits += _count_rrip_roles(
@@ -1056,9 +996,9 @@ def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
                 policy, buf: Optional[_WalkBuf]) -> int:
     """Replay every set of a non-dueling per-set policy; returns hits."""
     cls = type(policy)
-    family = _KERNEL_FAMILIES[cls]
+    family = REPLAY_KERNELS[cls][1]
     grouped_next = None
-    if family == _FAMILY_OPT:
+    if family == FAMILY_OPT:
         next_use = policy.next_use
         if len(next_use) != len(part.blocks):
             raise SimulationError(
@@ -1081,7 +1021,7 @@ def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
         if lo == hi:
             continue
         seg = blocks[lo:hi]
-        if family == _FAMILY_RRIP:
+        if family == FAMILY_RRIP:
             rmax = policy.rrpv_max
             bimodal = cls is BrripPolicy
             rng = policy.set_rng(s) if bimodal else None
@@ -1093,7 +1033,7 @@ def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
                     seg, order[lo:hi], ways, rmax, bimodal, rng, throttle,
                     None, None, buf, s,
                 )
-        elif family == _FAMILY_RECENCY:
+        elif family == FAMILY_RECENCY:
             mode = _RECENCY_MODES[cls]
             rng = policy.set_rng(s) if mode == _MODE_BIP else None
             throttle = policy.throttle if mode == _MODE_BIP else 0
@@ -1104,18 +1044,18 @@ def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
                     seg, order[lo:hi], ways, mode, rng, throttle, None, None,
                     buf, s,
                 )
-        elif family == _FAMILY_NRU:
+        elif family == FAMILY_NRU:
             if buf is None:
                 hits += _count_nru(seg, ways)
             else:
                 hits += _walk_nru(seg, order[lo:hi], ways, buf, s)
-        elif family == _FAMILY_RANDOM:
+        elif family == FAMILY_RANDOM:
             rng = policy.set_rng(s)
             if buf is None:
                 hits += _count_random(seg, ways, rng)
             else:
                 hits += _walk_random(seg, order[lo:hi], ways, rng, buf, s)
-        else:  # _FAMILY_OPT
+        else:  # FAMILY_OPT
             seg_next = grouped_next[lo:hi]
             if buf is None:
                 hits += _count_opt(seg, seg_next, ways)
@@ -1128,7 +1068,7 @@ def _run_partitioned(part: StreamPartition, geometry: CacheGeometry,
                      policy, buf: Optional[_WalkBuf], profile=None) -> int:
     """Replay every set (count mode when ``buf`` is None); returns hits."""
     start = perf_counter()
-    if type(policy) in (DipPolicy, DrripPolicy):
+    if REPLAY_KERNELS[type(policy)][0] == REPLAY_DUELING:
         hits, a_fills, b_fills, followers = _leader_pass(
             part, geometry, policy, buf
         )
@@ -1160,7 +1100,7 @@ def reconstruct_psel_series(
     PSEL the scalar model holds after processing the access at position
     ``p`` (the differential suite checks this against a scalar PSEL probe).
     """
-    if setpath_tier_of(policy) != REPLAY_DUELING:
+    if plan_replay(policy, (), stream, True, True).tier != REPLAY_DUELING:
         raise SimulationError(
             f"policy {getattr(policy, 'name', policy)!r} is not a dueling "
             f"policy; no PSEL series exists"
@@ -1234,6 +1174,17 @@ def _assemble_walk(buf: _WalkBuf, stream: LlcStream,
     return walk
 
 
+def _setpath_tier(policy, stream: LlcStream) -> str:
+    """The set or dueling tier the planner gives ``policy``, else raise."""
+    tier = plan_replay(policy, (), stream, True, True).tier
+    if tier not in (REPLAY_SET, REPLAY_DUELING):
+        raise SimulationError(
+            f"policy {getattr(policy, 'name', policy)!r} is not "
+            f"setpath-eligible (tier {tier!r})"
+        )
+    return tier
+
+
 def reconstruct_setpath_replay(
     stream: LlcStream,
     geometry: CacheGeometry,
@@ -1248,12 +1199,7 @@ def reconstruct_setpath_replay(
     consumes it), with degenerate distances (see
     :class:`SetReplayReconstruction`).
     """
-    tier = setpath_tier_of(policy)
-    if tier not in (REPLAY_SET, REPLAY_DUELING):
-        raise SimulationError(
-            f"policy {getattr(policy, 'name', policy)!r} is not "
-            f"setpath-eligible (tier {tier!r})"
-        )
+    _setpath_tier(policy, stream)
     part = partition_stream(stream.blocks, geometry.num_sets, profile=profile)
     policy.bind(geometry)
     buf = _WalkBuf(len(stream.blocks))
@@ -1280,12 +1226,7 @@ def replay_setpath(
     ``assemble``/``reconstruct``/``observer_replay`` with observers).
     """
     start = perf_counter()
-    tier = setpath_tier_of(policy)
-    if tier not in (REPLAY_SET, REPLAY_DUELING):
-        raise SimulationError(
-            f"policy {getattr(policy, 'name', policy)!r} is not "
-            f"setpath-eligible (tier {tier!r})"
-        )
+    tier = _setpath_tier(policy, stream)
     n = len(stream.blocks)
     if observers:
         walk = reconstruct_setpath_replay(
@@ -1313,71 +1254,3 @@ def replay_setpath(
         tier=tier,
         backend="numpy",
     )
-
-
-# ----------------------------------------------------------------------
-# Dispatch
-# ----------------------------------------------------------------------
-
-def try_fast_replay(
-    stream: LlcStream,
-    geometry: CacheGeometry,
-    policy,
-    seed: int = 0,
-    observers: Tuple = (),
-    fastpath: Optional[bool] = None,
-    profile=None,
-    native: Optional[bool] = None,
-) -> Optional[LlcSimResult]:
-    """Replay through the fastest exact tier, or ``None`` for scalar.
-
-    The single dispatch point the replay callers share: resolves the
-    effective tier of ``policy`` (a registered name or an **unbound**
-    instance), routes ``stack`` to the stack-distance path and
-    ``set``/``dueling`` to the set-partitioned engine, and — when the tier
-    resolves to scalar — offers the access to the native scalar backend
-    (:func:`repro.sim.nativepath.try_native_replay`, gated by ``native`` /
-    ``REPRO_SIM_NO_NATIVE``) before returning ``None`` for the model.
-    Because the native hook sits behind the ``fastpath`` gate,
-    ``fastpath=False`` still yields the pure scalar reference the
-    differential suite compares everything against. The result's
-    ``backend`` names the evaluator: ``"python"`` for the stack walk,
-    ``"numpy"`` for the set-partitioned engine, ``"compact"`` for the
-    native kernels.
-
-    ``seed`` feeds the standard ``derive_seed(seed, "replay", name)``
-    stream only when ``policy`` is a name; an instance already carries its
-    own seed, so callers with bespoke seed derivations (the oracle runner,
-    the characterization report) pass instances.
-    """
-    if not fastpath_enabled(fastpath):
-        return None
-    tier = setpath_tier_of(policy)
-    if tier == REPLAY_STACK:
-        result = replay_lru_fastpath(
-            stream, geometry, observers=observers, profile=profile,
-        )
-    elif tier in (REPLAY_SET, REPLAY_DUELING):
-        if isinstance(policy, ReplacementPolicy):
-            instance = policy
-        elif isinstance(policy, str):
-            instance = make_policy(policy, seed=derive_seed(seed, "replay", policy))
-        else:
-            return None
-        result = replay_setpath(
-            stream, geometry, instance, observers=observers, profile=profile,
-        )
-    else:
-        result = try_native_replay(
-            stream, geometry, policy, observers=observers, native=native,
-            profile=profile,
-        )
-        if result is None:
-            return None
-    telemetry.emit(
-        "span", stage="replay", policy=result.policy,
-        stream=result.stream_name, wall_sec=round(result.elapsed_sec, 6),
-        accesses=result.accesses, hits=result.hits, misses=result.misses,
-        fastpath=True, tier=result.tier, backend=result.backend,
-    )
-    return result

@@ -37,7 +37,7 @@ import re
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.common.errors import ConfigError
 from repro.common.stats import RunningStats
@@ -620,6 +620,25 @@ def summarize_spans(events: List[Dict]) -> Dict[str, RunningStats]:
             stage = repr(stage)
         stages.setdefault(stage, RunningStats()).add(wall)
     return stages
+
+
+REPLAY_SPAN_STAGES = ("replay", "replay_grid", "inspect_replay")
+"""Span stages that each record one replay (or one shared grid pass)."""
+
+
+def summarize_replays(events: List[Dict]) -> Dict[Tuple[str, ...], int]:
+    """Replay spans counted by ``(tier, backend, reason)`` (``runs show``).
+
+    A field a span predates counts as ``""``, so old logs still summarize.
+    """
+    counts: Dict[Tuple[str, ...], int] = {}
+    for event in events:
+        if (isinstance(event, dict) and event.get("kind") == "span"
+                and event.get("stage") in REPLAY_SPAN_STAGES):
+            key = tuple(str(event.get(name, ""))
+                        for name in ("tier", "backend", "reason"))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 EVENT_SUMMARY_EXACT_BYTES = 64 * 1024

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache.stream import LlcStream, LlcStreamBuilder
 from repro.common.config import CacheGeometry, MachineConfig
+from repro.sim import telemetry
 from repro.sim.experiment import CACHE_DIR_ENV
 from repro.trace.trace import Trace, TraceBuilder
 
@@ -25,6 +26,21 @@ def _hermetic_cache_dir(tmp_path_factory):
         os.environ.pop(CACHE_DIR_ENV, None)
     else:
         os.environ[CACHE_DIR_ENV] = previous
+
+
+@pytest.fixture
+def record_spans(tmp_path):
+    """``record_spans(func)`` runs ``func()`` under a live telemetry run
+    and returns the span events it emitted, in order."""
+
+    def record(func):
+        run = telemetry.create_run(tmp_path / "runs", command="test")
+        with telemetry.activate(run):
+            func()
+        return [event for event in telemetry.read_events(run.run_dir)
+                if event.get("kind") == "span"]
+
+    return record
 
 
 def make_stream(accesses, name="test-stream") -> LlcStream:

@@ -6,10 +6,10 @@ fed by an :class:`AnnotationHintSource`, replayed through the compact
 oracle kernel must reproduce the scalar object model bit for bit —
 hit/miss counts *and* the wrapper's study counters (``protected_fills``,
 ``exemptions_applied``, ``releases``) — across every protection mode and
-release policy. Anything the spec guard cannot prove safe (bound
+release policy. Anything the replay planner cannot prove safe (bound
 instances, undeclared subclasses, closure hint sources, misaligned
 annotations, observers) must land on the object model, recorded as
-``backend == "model"``.
+``backend == "model"`` with the planner's decline reason.
 """
 
 import gc
@@ -38,13 +38,8 @@ from repro.oracle.wrapper import (
 from repro.policies.base import REPLAY_SCALAR
 from repro.policies.registry import make_policy
 from repro.sim.multipass import run_policy_on_stream
-from repro.sim.nativepath import (
-    NO_NATIVE_ENV,
-    oracle_native_spec,
-    replay_oracle_nativepath,
-    try_native_replay,
-)
-from repro.sim.setpath import try_fast_replay
+from repro.sim.nativepath import NO_NATIVE_ENV, replay_oracle_nativepath
+from repro.sim.plan import plan_replay
 from tests.conftest import make_stream
 from tests.strategies import SIGNATURE_PCS, replay_stream_lists
 
@@ -218,98 +213,85 @@ class TestOracleBitIdentity:
 
 
 class TestOracleFallbackChain:
-    def _budgets(self, stream, geometry=GEOMETRY):
+    """Each wrapper replay lands on the backend, and with the decline
+    reason, that ``run_policy_on_stream`` stamps on its result."""
+
+    STREAM = shared_stream(400, 30)
+
+    def _budgets(self, stream=STREAM, geometry=GEOMETRY):
         return build_stream_annotation(stream, geometry, horizon_factor=4)
 
+    def _replay(self, wrapper, **kwargs):
+        result = run_policy_on_stream(self.STREAM, GEOMETRY, wrapper, **kwargs)
+        return result.backend, result.reason
+
+    def _planned_reason(self, wrapper):
+        return plan_replay(wrapper, (), self.STREAM, True, True).reason
+
     def test_spec_covers_supported_bases(self):
-        stream = shared_stream(400, 30)
-        budgets = self._budgets(stream)
         for base in BASES:
-            assert oracle_native_spec(make_wrapper(base, budgets)) is not None
+            wrapper = make_wrapper(base, self._budgets())
+            assert self._replay(wrapper) == ("compact", "")
 
     def test_unsupported_base_declines(self):
-        stream = shared_stream(400, 30)
-        budgets = self._budgets(stream)
-        wrapper = make_wrapper("drrip", budgets)
-        assert oracle_native_spec(wrapper) is None
-        result = run_policy_on_stream(
-            stream, GEOMETRY, wrapper, seed=SEED, native=True
-        )
-        assert result.backend == "model"
+        wrapper = make_wrapper("drrip", self._budgets())
+        assert self._replay(wrapper, native=True) == ("model", "no-kernel")
 
     def test_bound_wrapper_declines(self):
-        stream = shared_stream(400, 30)
-        wrapper = make_wrapper("lru", self._budgets(stream))
+        wrapper = make_wrapper("lru", self._budgets())
         wrapper.bind(GEOMETRY)
-        assert oracle_native_spec(wrapper) is None
-        assert try_native_replay(stream, GEOMETRY, wrapper) is None
+        assert self._planned_reason(wrapper) == "bound"
 
     def test_bound_base_declines(self):
-        stream = shared_stream(400, 30)
-        wrapper = make_wrapper("lru", self._budgets(stream))
+        wrapper = make_wrapper("lru", self._budgets())
         wrapper.base.bind(GEOMETRY)
-        assert oracle_native_spec(wrapper) is None
+        assert self._planned_reason(wrapper) == "bound"
 
     def test_subclassed_wrapper_declines(self):
         class TweakedWrapper(SharingAwareWrapper):
             pass
 
-        stream = shared_stream(400, 30)
-        wrapper = TweakedWrapper(
-            make_policy("lru", seed=SEED),
-            oracle_hint_source(self._budgets(stream)), "both",
-        )
-        assert oracle_native_spec(wrapper) is None
-        result = run_policy_on_stream(
-            stream, GEOMETRY, wrapper, seed=SEED, native=True
-        )
-        assert result.backend == "model"
+        wrapper = TweakedWrapper(make_policy("lru", seed=SEED),
+                                 oracle_hint_source(self._budgets()), "both")
+        assert self._replay(wrapper, native=True) == ("model", "no-kernel")
 
     def test_subclassed_hint_source_declines(self):
         class TweakedSource(AnnotationHintSource):
             pass
 
-        stream = shared_stream(400, 30)
-        wrapper = SharingAwareWrapper(
-            make_policy("lru", seed=SEED),
-            TweakedSource(self._budgets(stream)), "both",
-        )
-        assert oracle_native_spec(wrapper) is None
+        wrapper = SharingAwareWrapper(make_policy("lru", seed=SEED),
+                                      TweakedSource(self._budgets()), "both")
+        assert self._replay(wrapper) == ("model", "hint-source")
 
     def test_closure_hint_source_declines(self):
         wrapper = SharingAwareWrapper(
             make_policy("lru", seed=SEED), lambda llc, c, b, pc: 0, "both"
         )
-        assert oracle_native_spec(wrapper) is None
+        assert self._replay(wrapper) == ("model", "hint-source")
 
     def test_misaligned_annotation_declines(self):
         # An annotation built for a different stream length cannot be
         # laid down as a per-access hint column.
-        short = shared_stream(200, 30)
-        stream = shared_stream(400, 30)
-        wrapper = make_wrapper("lru", self._budgets(short))
-        assert replay_oracle_nativepath(stream, GEOMETRY, wrapper) is None
+        wrapper = make_wrapper("lru", self._budgets(shared_stream(200, 30)))
+        assert self._replay(wrapper) == ("model", "misaligned")
 
     def test_observers_decline(self):
         class Observer:
             def residency_started(self, *args): pass
             def residency_ended(self, *args): pass
 
-        stream = shared_stream(400, 30)
-        wrapper = make_wrapper("lru", self._budgets(stream))
-        assert try_native_replay(
-            stream, GEOMETRY, wrapper, observers=(Observer(),)
-        ) is None
+        wrapper = make_wrapper("lru", self._budgets())
+        assert self._replay(wrapper, observers=(Observer(),)) == (
+            "model", "observers")
 
     def test_env_escape_hatch_lands_on_model(self, monkeypatch):
         stream = shared_stream(600, 40)
         budgets = self._budgets(stream)
         monkeypatch.setenv(NO_NATIVE_ENV, "1")
-        gated_wrapper = make_wrapper("srrip", budgets)
         gated = run_policy_on_stream(
-            stream, GEOMETRY, gated_wrapper, seed=SEED
+            stream, GEOMETRY, make_wrapper("srrip", budgets), seed=SEED
         )
-        assert gated.backend == "model"
+        assert (gated.backend, gated.reason) == ("model", "native-off")
         monkeypatch.delenv(NO_NATIVE_ENV)
         auto = run_policy_on_stream(
             stream, GEOMETRY, make_wrapper("srrip", budgets), seed=SEED
@@ -318,11 +300,9 @@ class TestOracleFallbackChain:
         assert gated == auto
 
     def test_no_fastpath_still_means_pure_model(self):
-        stream = shared_stream(400, 30)
-        wrapper = make_wrapper("lru", self._budgets(stream))
-        assert try_fast_replay(
-            stream, GEOMETRY, wrapper, fastpath=False
-        ) is None
+        wrapper = make_wrapper("lru", self._budgets())
+        assert self._replay(wrapper, fastpath=False) == (
+            "model", "fastpath-off")
 
     def test_profile_records_native_stages(self):
         stream = shared_stream(600, 40)

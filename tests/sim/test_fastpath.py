@@ -28,7 +28,6 @@ from repro.sim.fastpath import (
     _reconstruct_numpy,
     _reconstruct_python,
     _replay_observers,
-    fastpath_eligible,
     fastpath_enabled,
     lru_stack_distances,
     reconstruct_lru_replay,
@@ -227,17 +226,6 @@ class TestRealObservers:
 
 
 class TestGates:
-    def test_eligibility_is_narrow(self):
-        assert fastpath_eligible("lru")
-        assert not fastpath_eligible("lip")
-        assert not fastpath_eligible("srrip")
-        # Unbound instances inherit the class's declared tier; a *bound*
-        # instance may carry pre-seeded state and never qualifies.
-        assert fastpath_eligible(LruPolicy())
-        bound = LruPolicy()
-        bound.bind(CacheGeometry(4 * 2 * 64, 2))
-        assert not fastpath_eligible(bound)
-
     def test_enabled_three_state(self, monkeypatch):
         monkeypatch.delenv(FASTPATH_ENV, raising=False)
         assert fastpath_enabled(None)

@@ -293,6 +293,40 @@ class TestParamGrid:
             replay_param_grid(stream, geometry, ["srrip"])
 
 
+class TestCellsAndSpans:
+    @pytest.mark.parametrize("name", ("lru", "srrip", "drrip", "ship"))
+    @pytest.mark.parametrize("fastpath", (None, False))
+    def test_factory_called_at_most_once_per_cell(self, name, fastpath):
+        calls = []
+
+        def factory():
+            calls.append(name)
+            return make_policy(name, seed=cell_seed(name))
+
+        stream = mixed_stream(600, 60)
+        cells = replay_geometry_grid(
+            stream, GEOMETRY_GRID[:3], factory, fastpath=fastpath,
+        )
+        assert len(calls) <= len(cells) == 3
+
+    def test_every_unshared_cell_emits_one_replay_span(self, record_spans):
+        stream = mixed_stream(1500, 90)
+        geometry = CacheGeometry(8 * 4 * 64, 4)
+        cells = []
+        spans = record_spans(lambda: cells.extend(replay_param_grid(
+            stream, geometry,
+            [SrripPolicy(), SrripPolicy(rrpv_bits=3), make_policy("ship"),
+             make_policy("lru"), make_policy("dip", seed=1)],
+        )))
+        unshared = [cell for cell in cells if cell.tier != REPLAY_GRID]
+        replays = [s for s in spans if s["stage"] == "replay"]
+        assert sorted((s["policy"], s["tier"]) for s in replays) == sorted(
+            (cell.policy, cell.tier) for cell in unshared
+        ) == [("lru", "stack"), ("ship", "scalar")]
+        [grid] = [s for s in spans if s["stage"] == "replay_grid"]
+        assert (grid["cells"], grid["backend"]) == (3, "numpy")
+
+
 class TestOracleGrid:
     def test_geometry_grid_matches_independent_studies(self):
         stream = mixed_stream(3000, 140)

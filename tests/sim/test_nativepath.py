@@ -22,13 +22,8 @@ from repro.policies.base import REPLAY_SCALAR
 from repro.policies.ship import ShipPolicy
 from repro.sim.engine import LlcOnlySimulator
 from repro.sim.multipass import run_policy_on_stream
-from repro.sim.nativepath import (
-    NO_NATIVE_ENV,
-    native_eligible,
-    replay_ship_nativepath,
-    try_native_replay,
-)
-from repro.sim.setpath import try_fast_replay
+from repro.sim.nativepath import NO_NATIVE_ENV, replay_ship_nativepath
+from repro.sim.plan import plan_replay
 from tests.conftest import make_stream
 from tests.strategies import SIGNATURE_PCS, replay_stream_lists
 
@@ -163,68 +158,51 @@ class TestFallbackChain:
         assert auto.backend == "compact"
         assert gated == auto
 
-    def test_native_false_param_lands_on_model(self):
-        stream = mixed_stream(800, 50)
-        geometry = CacheGeometry(8 * 4 * 64, 4)
+    @staticmethod
+    def _replay(policy, **kwargs):
         result = run_policy_on_stream(
-            stream, geometry, "ship", seed=SEED, native=False
+            mixed_stream(800, 50), CacheGeometry(8 * 4 * 64, 4), policy,
+            seed=SEED, **kwargs,
         )
-        assert result.backend == "model"
+        return result.backend, result.reason
+
+    def test_native_false_param_lands_on_model(self):
+        assert self._replay("ship", native=False) == ("model", "native-off")
 
     def test_undeclared_subclass_lands_on_model(self):
-        # Exact-type guard: a subclass must not ride the parent's kernel
-        # (it resolves to the scalar tier through the non-inheriting
-        # REPLAY_TIER, and native_eligible re-checks the exact type).
+        # Exact-type guard: a subclass must not ride the parent's kernel.
         class TweakedShip(ShipPolicy):
             def on_hit(self, set_index, way, block, pc, core, is_write):
                 self._rrpv[set_index][way] = 1  # not 0: different policy
 
-        stream = mixed_stream(800, 50)
-        geometry = CacheGeometry(8 * 4 * 64, 4)
-        assert not native_eligible(TweakedShip())
-        result = run_policy_on_stream(stream, geometry, TweakedShip())
-        assert result.backend == "model"
-        assert result.tier == REPLAY_SCALAR
+        assert self._replay(TweakedShip()) == ("model", "no-kernel")
 
     def test_bound_instance_lands_on_model(self):
-        stream = mixed_stream(800, 50)
-        geometry = CacheGeometry(8 * 4 * 64, 4)
         bound = ShipPolicy()
-        bound.bind(geometry)
-        assert not native_eligible(bound)
-        assert try_native_replay(stream, geometry, bound) is None
+        bound.bind(CacheGeometry(8 * 4 * 64, 4))
+        assert plan_replay(bound, (), (), True, True).reason == "bound"
 
     def test_observers_decline(self):
         class Observer:
             def residency_started(self, *args): pass
             def residency_ended(self, *args): pass
 
-        stream = mixed_stream(400, 30)
-        geometry = CacheGeometry(8 * 4 * 64, 4)
-        assert try_native_replay(
-            stream, geometry, "ship", observers=(Observer(),)
-        ) is None
+        assert self._replay("ship", observers=(Observer(),)) == (
+            "model", "observers")
 
     def test_no_fastpath_still_means_pure_model(self):
-        # The native hook sits behind the fastpath gate, so the
+        # The native backend sits behind the fastpath gate, so the
         # differential suite's fastpath=False reference stays the pure
         # scalar model.
-        stream = mixed_stream(400, 30)
-        geometry = CacheGeometry(8 * 4 * 64, 4)
-        assert try_fast_replay(
-            stream, geometry, "ship", fastpath=False
-        ) is None
-        result = run_policy_on_stream(
-            stream, geometry, "ship", seed=SEED, fastpath=False
-        )
-        assert result.backend == "model"
+        assert self._replay("ship", fastpath=False) == (
+            "model", "fastpath-off")
 
     def test_name_and_instance_agree(self):
         stream = mixed_stream(900, 55)
         geometry = CacheGeometry(8 * 4 * 64, 4)
-        by_name = try_native_replay(stream, geometry, "ship")
-        by_instance = try_native_replay(stream, geometry, ShipPolicy())
-        assert by_name is not None and by_instance is not None
+        by_name = run_policy_on_stream(stream, geometry, "ship")
+        by_instance = run_policy_on_stream(stream, geometry, ShipPolicy())
+        assert by_name.backend == by_instance.backend
         assert by_name == by_instance
 
     def test_provenance_survives_as_dict(self):

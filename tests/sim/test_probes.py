@@ -147,6 +147,50 @@ class TestTierEquivalence:
         assert report.tier == "stack"
 
 
+class TestReportedPlan:
+    @pytest.mark.parametrize("policy, probes, plan", [
+        ("lru", [], ("stack", "python", "")),
+        ("srrip", [], ("set", "numpy", "")),
+        ("drrip", ["sets"], ("dueling", "numpy", "")),
+        ("ship", ["sets"], ("scalar", "model", "observers")),
+        ("ship", ["shct"], ("scalar", "model", "probe")),
+        ("lru", ["sets"], ("scalar", "model", "fastpath-off")),
+    ])
+    def test_report_and_span_carry_the_plan(
+        self, small_geometry, record_spans, policy, probes, plan
+    ):
+        stream = mixed_stream(n=3000)
+        fastpath = plan[2] != "fastpath-off"
+        reports = []
+        spans = record_spans(lambda: reports.append(run_probed_replay(
+            stream, small_geometry, policy, probes, fastpath=fastpath,
+        )))
+        report = reports[0]
+        assert (report.tier, report.result.backend, report.reason) == plan
+        assert report.result.reason == report.reason
+        # One span per probed replay, carrying the same plan.
+        assert [(s["stage"], s["tier"], s["backend"], s["reason"])
+                for s in spans] == [("inspect_replay", *plan)]
+
+    def test_probe_free_ship_replay_takes_the_compact_kernel(
+        self, stream, small_geometry, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_SIM_NO_NATIVE", raising=False)
+        report = run_probed_replay(stream, small_geometry, "ship", [])
+        assert report.result.backend == "compact"
+        assert report.result == run_policy_on_stream(
+            stream, small_geometry, "ship")
+
+    def test_version_1_report_still_renders(self, stream, small_geometry):
+        from repro.characterization.report import render_probe_report
+
+        payload = run_probed_replay(
+            stream, small_geometry, "lru", ["sets"]).as_dict()
+        del payload["reason"], payload["result"]["reason"]
+        payload["format_version"] = 1
+        assert "reason -" in render_probe_report(payload)
+
+
 class TestObservationOnly:
     @pytest.mark.parametrize("policy", ["lru", "srrip", "random", "dip"])
     def test_probed_replay_matches_unprobed_counts(

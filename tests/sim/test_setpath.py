@@ -4,15 +4,15 @@ The big differential matrix (every policy, real streams, PSEL
 reconstruction) lives in ``tests/test_differential.py``; this file
 pins the engine's own contracts:
 
-* tier resolution — double eligibility (declared tier *and* an
-  exact-type kernel), bound-instance demotion, undeclared subclasses;
+* tier resolution — the planner's exact-type kernel table, bound-instance
+  demotion, undeclared subclasses (the full pin is ``tests/sim/test_plan.py``);
 * the stream partition — a stable per-set grouping of positions;
 * observer exactness — the assembled walk replays the scalar model's
   callback sequence verbatim, argument for argument, for every kernel
   family (and under hypothesis-driven adversarial streams);
 * the walk's degenerate-distance contract;
-* dispatch — :func:`try_fast_replay` takes eligible tiers, declines
-  scalar-tier policies, and honours the gate.
+* dispatch — :func:`run_policy_on_stream` takes eligible tiers, records
+  why scalar-tier replays declined, and honours the gate.
 """
 
 import pytest
@@ -21,20 +21,18 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.llc import ResidencyObserver
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
-from repro.policies.base import ReplacementPolicy
 from repro.policies.lru import LruPolicy
 from repro.policies.opt import BeladyOptPolicy, compute_next_use
-from repro.policies.registry import POLICY_NAMES, make_policy
+from repro.policies.registry import make_policy
 from repro.policies.rrip import SrripPolicy
 from repro.sim.engine import LlcOnlySimulator
 from repro.sim.fastpath import FASTPATH_ENV
+from repro.sim.multipass import run_policy_on_stream
+from repro.sim.plan import plan_replay
 from repro.sim.setpath import (
     partition_stream,
     reconstruct_setpath_replay,
     replay_setpath,
-    replay_tier_table,
-    setpath_tier_of,
-    try_fast_replay,
 )
 from tests.conftest import make_stream
 from tests.strategies import replay_stream_lists
@@ -81,47 +79,32 @@ def mixed_stream(n=4000, spread=160):
 accesses_strategy = replay_stream_lists()
 
 
-class TestTierResolution:
-    def test_table_covers_every_registered_policy(self):
-        table = replay_tier_table()
-        for name in POLICY_NAMES:
-            assert name in table
-        assert all(
-            tier in ("stack", "set", "dueling", "scalar")
-            for tier in table.values()
-        )
+def planned_tier(policy, stream=()):
+    return plan_replay(policy, (), stream, True, True).tier
 
+
+class TestTierResolution:
     def test_name_class_and_instance_agree(self):
-        assert setpath_tier_of("srrip") == "set"
-        assert setpath_tier_of(SrripPolicy) == "set"
-        assert setpath_tier_of(SrripPolicy()) == "set"
-        assert setpath_tier_of("lru") == "stack"
-        assert setpath_tier_of("ship") == "scalar"
-        assert setpath_tier_of("nope") == "scalar"
+        stream = mixed_stream(n=200)
+        geometry = CacheGeometry(8 * 4 * 64, 4)
+        assert planned_tier(SrripPolicy()) == "set"
+        assert planned_tier(LruPolicy()) == "stack"
+        for name in ("srrip", "lru", "dip"):
+            assert (run_policy_on_stream(stream, geometry, name).tier
+                    == planned_tier(make_policy(name)))
 
     def test_bound_instance_demotes_to_scalar(self):
         policy = SrripPolicy()
         policy.bind(CacheGeometry(4 * 2 * 64, 2))
-        assert setpath_tier_of(policy) == "scalar"
+        assert planned_tier(policy) == "scalar"
 
     def test_undeclared_subclass_demotes_to_scalar(self):
-        # Declarations never inherit: a subclass may override hooks the
-        # kernels do not model, and the kernel table is exact-type keyed.
+        # The kernel table is exact-type keyed: a subclass may override
+        # hooks the kernels do not model.
         class TweakedSrrip(SrripPolicy):
             name = "tweaked-srrip"
 
-        assert setpath_tier_of(TweakedSrrip) == "scalar"
-        assert setpath_tier_of(TweakedSrrip()) == "scalar"
-
-    def test_declared_tier_without_kernel_demotes_to_scalar(self):
-        # Even an explicit declaration is not enough without an
-        # exact-type kernel in the family table.
-        class Declared(ReplacementPolicy):
-            name = "declared"
-            REPLAY_TIER = "set"
-
-        assert Declared.replay_tier() == "set"
-        assert setpath_tier_of(Declared) == "scalar"
+        assert planned_tier(TweakedSrrip()) == "scalar"
 
 
 class TestPartition:
@@ -241,72 +224,58 @@ class TestWalkContract:
 
 
 class TestDispatch:
-    def test_gate_disables_every_tier(self):
+    @staticmethod
+    def _replay(policy, **kwargs):
         stream = mixed_stream(n=500)
         geometry = CacheGeometry(8 * 4 * 64, 4)
+        return run_policy_on_stream(stream, geometry, policy, **kwargs)
+
+    def test_gate_disables_every_tier(self):
         for policy in ("lru", "srrip", "drrip"):
-            assert try_fast_replay(
-                stream, geometry, policy, fastpath=False
-            ) is None
+            result = self._replay(policy, fastpath=False)
+            assert (result.backend, result.reason) == ("model", "fastpath-off")
 
     def test_env_escape_hatch(self, monkeypatch):
-        stream = mixed_stream(n=500)
-        geometry = CacheGeometry(8 * 4 * 64, 4)
         monkeypatch.setenv(FASTPATH_ENV, "1")
-        assert try_fast_replay(stream, geometry, "srrip") is None
-        assert try_fast_replay(stream, geometry, "srrip", fastpath=True) is not None
+        assert self._replay("srrip").reason == "fastpath-off"
+        assert self._replay("srrip", fastpath=True).tier == "set"
         monkeypatch.delenv(FASTPATH_ENV)
-        assert try_fast_replay(stream, geometry, "srrip") is not None
+        assert self._replay("srrip").tier == "set"
 
     def test_scalar_tier_takes_native_backend(self, monkeypatch):
         # SHiP resolves to the scalar tier but is covered by the native
-        # scalar backend: dispatch returns a scalar-tier result whose
-        # backend records the native kernel, not the object model.
+        # scalar backend: the result is scalar-tier and its backend
+        # records the native kernel, not the object model.
         monkeypatch.delenv("REPRO_SIM_NO_NATIVE", raising=False)
-        stream = mixed_stream(n=500)
-        geometry = CacheGeometry(8 * 4 * 64, 4)
-        result = try_fast_replay(stream, geometry, "ship")
-        assert result is not None
-        assert result.tier == "scalar"
-        assert result.backend == "compact"
+        result = self._replay("ship")
+        assert (result.tier, result.backend) == ("scalar", "compact")
 
     def test_scalar_tier_declines_without_native(self):
-        stream = mixed_stream(n=500)
-        geometry = CacheGeometry(8 * 4 * 64, 4)
-        assert try_fast_replay(stream, geometry, "ship", native=False) is None
+        result = self._replay("ship", native=False)
+        assert (result.backend, result.reason) == ("model", "native-off")
 
     def test_uncovered_scalar_policies_decline(self):
         # Observer-carrying SHiP replays need the scalar model's residency
         # callbacks; bound instances carry state no offline kernel
         # reconstructs. Both fall through to the model.
-        stream = mixed_stream(n=500)
-        geometry = CacheGeometry(8 * 4 * 64, 4)
-
         class Observer:
             def residency_started(self, *a): pass
             def residency_ended(self, *a): pass
 
-        assert try_fast_replay(
-            stream, geometry, "ship", observers=(Observer(),)
-        ) is None
+        assert self._replay("ship", observers=(Observer(),)).reason == (
+            "observers")
         bound = make_policy("ship", seed=1)
-        bound.bind(geometry)
-        assert try_fast_replay(stream, geometry, bound) is None
+        bound.bind(CacheGeometry(8 * 4 * 64, 4))
+        assert plan_replay(bound, (), (), True, True).reason == "bound"
 
     def test_tiers_are_recorded_on_results(self):
-        stream = mixed_stream(n=500)
-        geometry = CacheGeometry(8 * 4 * 64, 4)
-        assert try_fast_replay(stream, geometry, "lru").tier == "stack"
-        assert try_fast_replay(stream, geometry, "srrip").tier == "set"
-        assert try_fast_replay(stream, geometry, "dip").tier == "dueling"
+        assert self._replay("lru").tier == "stack"
+        assert self._replay("srrip").tier == "set"
+        assert self._replay("dip").tier == "dueling"
 
     def test_unbound_instance_passes_through(self):
-        stream = mixed_stream(n=500)
-        geometry = CacheGeometry(8 * 4 * 64, 4)
-        result = try_fast_replay(stream, geometry, LruPolicy())
-        assert result is not None and result.tier == "stack"
-        result = try_fast_replay(stream, geometry, SrripPolicy())
-        assert result is not None and result.tier == "set"
+        assert self._replay(LruPolicy()).tier == "stack"
+        assert self._replay(SrripPolicy()).tier == "set"
 
     def test_replay_twice_is_deterministic(self):
         # Per-set RNG streams are pure functions of (seed, set): two

@@ -250,6 +250,23 @@ class TestInspection:
         }
         assert stages["trace_gen"].count == 1
 
+    def test_summarize_replays_counts_tier_backend_reason(self):
+        events = [
+            {"kind": "span", "stage": "replay", "tier": "scalar",
+             "backend": "model", "reason": "observers"},
+            {"kind": "span", "stage": "replay", "tier": "scalar",
+             "backend": "model", "reason": "observers"},
+            {"kind": "span", "stage": "replay_grid", "tier": "grid",
+             "backend": "numpy"},
+            {"kind": "span", "stage": "inspect_replay", "tier": "stack"},
+            {"kind": "span", "stage": "trace_gen"},
+        ]
+        assert telemetry.summarize_replays(events) == {
+            ("scalar", "model", "observers"): 2,
+            ("grid", "numpy", ""): 1,
+            ("stack", "", ""): 1,  # logged before backend and reason
+        }
+
     def test_resolve_runs_root_precedence(self, tmp_path, monkeypatch):
         explicit = telemetry.resolve_runs_root(
             tmp_path / "explicit", cache_dir=tmp_path / "cache"

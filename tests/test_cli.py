@@ -1,6 +1,7 @@
 """Tests for the repro-sim command-line interface."""
 
 import os
+import re
 
 import pytest
 
@@ -239,6 +240,32 @@ class TestNoNativeCli:
             "error: unrecognized arguments: --kernel-jobs 2"
         )
         assert "Traceback" not in err
+
+
+class TestReplaysTable:
+    """``runs show`` counts a run's replays by tier, backend and reason."""
+
+    @pytest.mark.parametrize("args, reason", [
+        (["oracle", "--base", "ship"], "observers"),
+        (["oracle", "--base", "drrip"], "no-kernel"),
+        (["compare", "--policies", "ship", "--no-native"], "native-off"),
+        (["compare", "--no-fastpath"], "fastpath-off"),
+    ])
+    def test_runs_show_reports_why_a_replay_declined(
+        self, args, reason, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv(NO_NATIVE_ENV, raising=False)
+        cache = str(tmp_path / "cache")
+        assert main([*args, "--accesses", "3000", "--workloads", "water",
+                     "--cache-dir", cache]) == 0
+        root = telemetry.resolve_runs_root(cache_dir=cache)
+        [run] = telemetry.list_runs(root)
+        capsys.readouterr()
+        assert main(["runs", "show", run.run_id, "--cache-dir", cache]) == 0
+        out = capsys.readouterr().out
+        replays = out[out.index("\nReplays\n"):]
+        assert re.search(rf"\| scalar +\| +model \| +{reason} \| +\d+ \|",
+                         replays)
 
 
 class TestNewPredictorsInCli:

@@ -2,12 +2,13 @@
 
 Fast tiers vs scalar, promising *bit-identical* results: the accelerated
 replays against the scalar ``LlcOnlySimulator`` model, checked for
-**every registered policy** plus OPT. Each policy declares a replay tier
-(``stack`` for plain LRU's stack-distance walk, ``set``/``dueling`` for
-the set-partitioned kernels, ``scalar`` for SHiP and wrapped policies);
-eligible tiers must match the scalar model exactly *and* record the tier
-that ran, while scalar-tier policies must be rejected by the dispatch
-(taking a fast tier for a policy it does not model would be the bug).
+**every registered policy** plus OPT. The replay planner gives each
+policy a tier (``stack`` for plain LRU's stack-distance walk,
+``set``/``dueling`` for the set-partitioned kernels, ``scalar`` for SHiP
+and wrapped policies; ``tests/sim/test_plan.py`` pins the table); fast
+tiers must match the scalar model exactly *and* record the tier that ran,
+while scalar-tier policies must never take a fast tier (taking one for a
+policy it does not model would be the bug).
 
 The set-dueling tier additionally pins its PSEL reconstruction: the
 two-phase replay rebuilds the PSEL time-series from leader misses alone,
@@ -26,13 +27,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.policies.registry import POLICY_NAMES, make_policy
 from repro.sim.experiment import ExperimentContext
-from repro.sim.fastpath import fastpath_eligible, replay_lru_fastpath
+from repro.sim.fastpath import replay_lru_fastpath
 from repro.sim.multipass import run_opt, run_policy_on_stream
-from repro.sim.setpath import (
-    reconstruct_psel_series,
-    replay_tier_table,
-    setpath_tier_of,
-)
+from repro.sim.setpath import reconstruct_psel_series
 from tests.conftest import make_stream
 
 
@@ -98,24 +95,6 @@ class TestFastTiersVsScalar:
         assert fast == scalar
         assert fast.tier == "set"
         assert scalar.tier == "scalar"
-
-    def test_replay_tier_table_is_total_and_pinned(self):
-        table = replay_tier_table()
-        assert table == dict(EXPECTED_TIERS, opt="set")
-        assert set(POLICY_NAMES) <= set(table)
-
-    def test_stack_gate_is_exactly_lru_by_name(self):
-        assert fastpath_eligible("lru")
-        for policy in sorted(POLICY_NAMES):
-            if policy != "lru":
-                assert not fastpath_eligible(policy)
-        # Bound instances may carry pre-seeded state: every tier demotes
-        # them to scalar.
-        from repro.common.config import CacheGeometry
-
-        bound = make_policy("srrip")
-        bound.bind(CacheGeometry(4 * 2 * 64, 2))
-        assert setpath_tier_of(bound) == "scalar"
 
     def test_fastpath_replay_matches_scalar_directly(self, stream, geometry):
         fast = replay_lru_fastpath(stream, geometry)
