@@ -126,9 +126,10 @@ class SharedLlc:
         Attaching shadows :meth:`access` with an instance attribute bound
         to :meth:`_probed_access`, so an un-probed LLC executes the exact
         class method — the disabled-probe path carries zero extra branches
-        or lookups on the hot loop (the CI benchmark-smoke job enforces the
-        <2% bound). The bus sees every access *after* the cache model has
-        fully processed it and must never mutate cache or policy state.
+        or lookups on the hot loop (``tests/sim/test_probes.py`` pins that
+        no unprobed replay attaches a bus). The bus sees every access
+        *after* the cache model has fully processed it and must never
+        mutate cache or policy state.
         """
         self._probe_bus = bus
         self.access = self._probed_access

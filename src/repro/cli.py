@@ -13,7 +13,6 @@ Subcommands mirror the paper's studies:
 * ``replay``       — replay a recorded stream under chosen policies
 * ``inspect``      — microarchitectural probe report per workload
 * ``fuzz``         — scenario fuzzing: mine policy inversions at scale
-* ``bench``        — timed warm-sweep cells -> BENCH_<rev>.json trajectory
 * ``cache``        — inspect or clear the persistent stream cache
 * ``list``         — available workloads, policies, profiles
 
@@ -181,17 +180,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-telemetry", dest="telemetry", action="store_false",
         help="disable run telemetry (outputs are byte-identical)",
     )
-    _add_db_argument(parser)
     _add_fastpath_argument(parser)
-
-
-def _add_db_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--db", nargs="?", const="auto", default=None, metavar="PATH",
-        help="mirror this run live into the experiment store (bare --db "
-             "uses expdb.sqlite3 inside the runs root; also enabled by "
-             "$REPRO_SIM_DB; JSONL files remain the source of truth)",
-    )
 
 
 def _add_fastpath_argument(parser: argparse.ArgumentParser) -> None:
@@ -303,7 +292,6 @@ def _telemetry_run(args, command: str, context=None):
         argv=getattr(args, "_argv", None) or sys.argv[1:],
     )
     run.update_manifest(**telemetry.describe_environment(context))
-    _attach_db_sink(args, run)
     with telemetry.activate(run):
         try:
             yield run
@@ -317,26 +305,6 @@ def _telemetry_run(args, command: str, context=None):
     status = "completed_with_failures" if cells.get("failed") else "completed"
     run.finish(status=status)
     print(f"telemetry: run {run.run_id} -> {run.run_dir}", file=sys.stderr)
-
-
-def _attach_db_sink(args, run) -> None:
-    """Mirror the run into the experiment store when --db/REPRO_SIM_DB asks.
-
-    A database problem must never take down the run itself — the JSONL
-    files are the source of truth and remain ingestable post hoc — so any
-    failure here degrades to a one-line warning.
-    """
-    from repro.sim.expdb import LiveDbWriter, resolve_db_path
-
-    try:
-        db_path = resolve_db_path(getattr(args, "db", None),
-                                  _runs_root(args))
-        if db_path is None:
-            return
-        run.attach_sink(LiveDbWriter(db_path, run))
-    except Exception as error:  # noqa: BLE001 - observability is optional
-        print(f"warning: experiment store disabled for this run: "
-              f"{type(error).__name__}: {error}", file=sys.stderr)
 
 
 def _report_failures(failures) -> None:
@@ -907,122 +875,6 @@ def cmd_fuzz(args) -> int:
     return handler(args)
 
 
-def cmd_bench(args) -> int:
-    from repro.sim.bench import GOLDEN_CELL, run_bench
-
-    repeats = args.repeats
-    if args.quick:
-        args.accesses = min(args.accesses, 60_000)
-        repeats = min(repeats, 2)
-    context = _context(args)
-    with _telemetry_run(args, "bench", context):
-        payload, path = run_bench(
-            context, workload=args.workload, repeats=repeats,
-            out_dir=args.out_dir,
-        )
-    rows = [
-        [name, cell["min_sec"], cell["mean_sec"],
-         round(cell["accesses_per_sec"])]
-        for name, cell in payload["cells"].items()
-    ]
-    print(render_table(
-        ["cell", "min_sec", "mean_sec", "acc_per_sec"], rows,
-        title=(
-            f"Bench {payload['rev']} ({args.profile}, {args.workload}, "
-            f"{payload['target_accesses']} accesses, min of {repeats})"
-        ),
-    ))
-    overhead = payload["disabled_probe_overhead"]
-    print(f"disabled-probe overhead on {GOLDEN_CELL}: {overhead:+.4%}")
-    speedups = payload.get("setpath_speedups") or {}
-    if speedups:
-        rendered = ", ".join(
-            f"{name} {value:.2f}x" for name, value in speedups.items()
-        )
-        print(f"set-partitioned speedup vs scalar twin: {rendered}")
-    grid_speedups = payload.get("gridpath_speedups") or {}
-    if grid_speedups:
-        rendered = ", ".join(
-            f"{name} {value:.2f}x" for name, value in grid_speedups.items()
-        )
-        print(f"grid-replay speedup vs per-cell twin: {rendered}")
-    native_speedups = payload.get("nativepath_speedups") or {}
-    if native_speedups:
-        rendered = ", ".join(
-            f"{name} {value:.2f}x" for name, value in native_speedups.items()
-        )
-        print(f"native scalar-backend speedup vs model twin: {rendered}")
-    vs = payload.get("vs_previous")
-    if vs:
-        print(f"golden throughput vs {vs['rev']}: "
-              f"{vs['golden_speedup']:.3f}x")
-    print(f"wrote {path}")
-    _ingest_bench_result(args, path)
-    failed = False
-    if args.max_overhead is not None and overhead > args.max_overhead:
-        print(
-            f"error: disabled-probe overhead {overhead:.4%} exceeds the "
-            f"{args.max_overhead:.2%} bound",
-            file=sys.stderr,
-        )
-        failed = True
-    if args.min_setpath_speedup is not None:
-        for name, value in speedups.items():
-            if value < args.min_setpath_speedup:
-                print(
-                    f"error: {name} is only {value:.2f}x its scalar twin "
-                    f"(bound {args.min_setpath_speedup:.2f}x) — the "
-                    f"set-partitioned tier may have silently fallen back",
-                    file=sys.stderr,
-                )
-                failed = True
-    if args.min_gridpath_speedup is not None:
-        for name, value in grid_speedups.items():
-            if value < args.min_gridpath_speedup:
-                print(
-                    f"error: {name} is only {value:.2f}x its per-cell twin "
-                    f"(bound {args.min_gridpath_speedup:.2f}x) — the grid "
-                    f"replay may have degenerated to independent replays",
-                    file=sys.stderr,
-                )
-                failed = True
-    if args.min_nativepath_speedup is not None:
-        for name, value in native_speedups.items():
-            if value < args.min_nativepath_speedup:
-                print(
-                    f"error: {name} is only {value:.2f}x its model twin "
-                    f"(bound {args.min_nativepath_speedup:.2f}x) — the "
-                    f"native scalar backend may have silently fallen back",
-                    file=sys.stderr,
-                )
-                failed = True
-    return 1 if failed else 0
-
-
-def _ingest_bench_result(args, path) -> None:
-    """Index a freshly written BENCH_<rev>.json when --db/REPRO_SIM_DB is on.
-
-    Keeps the experiment store's bench trajectory current without a
-    manual ``db ingest``; when the store is off this is a no-op, and like
-    the live sink a database problem only costs a warning.
-    """
-    from repro.sim.expdb import connect, ingest_bench_file, resolve_db_path
-
-    try:
-        db_path = resolve_db_path(getattr(args, "db", None),
-                                  _runs_root(args))
-        if db_path is None:
-            return
-        conn = connect(db_path)
-        try:
-            ingest_bench_file(conn, path)
-        finally:
-            conn.close()
-    except Exception as error:  # noqa: BLE001 - observability is optional
-        print(f"warning: bench result not indexed: "
-              f"{type(error).__name__}: {error}", file=sys.stderr)
-
-
 def _warn_corrupt(path, detail) -> None:
     """One-line stderr warning for a corrupt telemetry file (no traceback)."""
     print(f"warning: {path}: {detail}", file=sys.stderr)
@@ -1057,12 +909,10 @@ def _event_summaries(root, runs):
     capped per run however large the event log grew — a 1000-run root
     must list in interactive time, not O(n·events).
     """
-    from repro.sim.expdb import DB_FILENAME, connect, resolve_db_path
+    from repro.sim.expdb import DB_FILENAME, connect
 
     summaries = {}
-    db_path = resolve_db_path(None, root)
-    if db_path is None:
-        db_path = root / DB_FILENAME
+    db_path = root / DB_FILENAME
     if db_path.is_file():
         try:
             conn = connect(db_path, create=False)
@@ -1339,7 +1189,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default=True, help="record a telemetry run (default)")
     tg.add_argument("--no-telemetry", dest="telemetry",
                     action="store_false", help="disable run telemetry")
-    _add_db_argument(fp)
     _add_jobs_argument(fp)
     _add_fastpath_argument(fp)
 
@@ -1360,44 +1209,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the full-fidelity record as JSON")
     fp.add_argument("--no-probes", action="store_true",
                     help="skip probe evidence (faster)")
-
-    p = subparsers.add_parser(
-        "bench",
-        help="timed warm-sweep cells -> BENCH_<rev>.json trajectory",
-    )
-    _add_common_arguments(p)
-    p.add_argument("--workload", default="streamcluster",
-                   help="bench workload (default: streamcluster)")
-    p.add_argument("--repeats", type=_positive_int, default=3,
-                   help="timing repeats per cell; minimum is reported")
-    p.add_argument("--quick", action="store_true",
-                   help="CI-sized run: caps accesses at 60k and repeats at 2")
-    p.add_argument("--out-dir", default="benchmarks/results", metavar="DIR",
-                   help="directory receiving BENCH_<rev>.json "
-                        "(default: benchmarks/results)")
-    p.add_argument(
-        "--max-overhead", type=_positive_float, default=None, metavar="FRAC",
-        help="fail (exit 1) when the disabled-probe overhead on the golden "
-             "warm-replay cell exceeds this fraction (CI uses 0.02)",
-    )
-    p.add_argument(
-        "--min-setpath-speedup", type=_positive_float, default=None,
-        metavar="X",
-        help="fail (exit 1) when any set-partitioned cell is less than X "
-             "times faster than its forced-scalar twin (CI uses 2.0)",
-    )
-    p.add_argument(
-        "--min-gridpath-speedup", type=_positive_float, default=None,
-        metavar="X",
-        help="fail (exit 1) when the grid-replay cell is less than X "
-             "times faster than its independent per-cell twin (CI uses 2.0)",
-    )
-    p.add_argument(
-        "--min-nativepath-speedup", type=_positive_float, default=None,
-        metavar="X",
-        help="fail (exit 1) when the native SHiP cell is less than X "
-             "times faster than its forced-model twin (CI uses 2.0)",
-    )
 
     p = subparsers.add_parser("cache",
                               help="inspect or clear the persistent stream cache")
@@ -1439,7 +1250,6 @@ _COMMANDS = {
     "replay": cmd_replay,
     "inspect": cmd_inspect,
     "fuzz": cmd_fuzz,
-    "bench": cmd_bench,
     "cache": cmd_cache,
     "runs": cmd_runs,
 }

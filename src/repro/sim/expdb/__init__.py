@@ -3,10 +3,9 @@
 The JSONL artifacts (``manifest.json`` + ``events.jsonl``) written by
 :mod:`repro.sim.telemetry` stay the durable source of truth; this package
 maintains a rebuildable SQLite index over them — ingested post hoc
-(:func:`ingest_runs_root`), mirrored live (:class:`LiveDbWriter` behind
-``--db``/``REPRO_SIM_DB``), and queried through ``repro-sim db``
-(experiments/runs/show/export/replay/regressions/tail). Delete the
-database file and re-ingest to recover from any corruption.
+(:func:`ingest_runs_root`, ``repro-sim db ingest``) and queried through
+``repro-sim db`` (experiments/runs/show/export/replay/regressions/tail).
+Delete the database file and re-ingest to recover from any corruption.
 """
 
 from repro.sim.expdb.ingest import (
@@ -15,16 +14,10 @@ from repro.sim.expdb.ingest import (
     UNCHANGED,
     UPDATED,
     export_manifest,
-    ingest_bench_dir,
-    ingest_bench_file,
     ingest_run_dir,
     ingest_runs_root,
 )
-from repro.sim.expdb.live import LiveDbWriter
 from repro.sim.expdb.query import (
-    GOLDEN_METRIC,
-    bench_regressions,
-    bench_revisions,
     get_run,
     list_experiments,
     query_runs,
@@ -33,40 +26,30 @@ from repro.sim.expdb.query import (
     run_regressions,
 )
 from repro.sim.expdb.schema import (
-    DB_ENV,
     DB_FILENAME,
     SCHEMA_VERSION,
     connect,
     ensure_schema,
-    resolve_db_path,
     schema_version,
 )
 from repro.sim.expdb.tail import tail_run
 
 __all__ = [
-    "DB_ENV",
     "DB_FILENAME",
-    "GOLDEN_METRIC",
     "INGESTED",
-    "LiveDbWriter",
     "SCHEMA_VERSION",
     "SKIPPED",
     "UNCHANGED",
     "UPDATED",
-    "bench_regressions",
-    "bench_revisions",
     "connect",
     "ensure_schema",
     "export_manifest",
     "get_run",
-    "ingest_bench_dir",
-    "ingest_bench_file",
     "ingest_run_dir",
     "ingest_runs_root",
     "list_experiments",
     "query_runs",
     "reconstruct_invocation",
-    "resolve_db_path",
     "run_detail",
     "run_regressions",
     "schema_version",

@@ -4,15 +4,15 @@ Subcommands (all accept ``--json`` for machine output on stdout, with
 human warnings on stderr — the JSON-to-stdout discipline the rest of the
 tooling follows):
 
-* ``ingest``      — index a runs root + bench results directory.
+* ``ingest``      — index a runs root.
 * ``experiments`` — one row per (command, machine, llc) grouping.
 * ``runs``        — filtered run listing (workload/policy/status/date).
 * ``show``        — manifest, stage spans, failed cells of one run.
 * ``export``      — the stored manifest, byte-identical to the source.
 * ``replay``      — reconstruct (optionally re-execute) a run's exact
   engine invocation from its stored argv.
-* ``regressions`` — compare a metric across bench revisions or runs;
-  exits nonzero on a regression or a recorded-delta mismatch.
+* ``regressions`` — compare a manifest metric across successive runs
+  of one experiment; exits nonzero on a regression.
 * ``tail``        — follow a live campaign's event stream.
 """
 
@@ -27,10 +27,8 @@ from repro.common.errors import ConfigError
 from repro.sim import telemetry
 from repro.sim.expdb import ingest as ingest_mod
 from repro.sim.expdb import query
-from repro.sim.expdb.schema import DB_FILENAME, connect, resolve_db_path
+from repro.sim.expdb.schema import DB_FILENAME, connect
 from repro.sim.expdb.tail import DEFAULT_POLL_SECONDS, tail_run
-
-DEFAULT_BENCH_DIR = "benchmarks/results"
 
 
 def _warn(message: str) -> None:
@@ -46,12 +44,9 @@ def _runs_root(args) -> Path:
 
 
 def _db_path(args) -> Path:
-    path = resolve_db_path(getattr(args, "db", None), _runs_root(args))
-    if path is None:
-        # No explicit spec and no env: the default path next to the runs
-        # root — `repro-sim db` always has a concrete target.
-        path = _runs_root(args) / DB_FILENAME
-    return path
+    if args.db:
+        return Path(args.db).expanduser()
+    return _runs_root(args) / DB_FILENAME
 
 
 def _connect(args, create: bool):
@@ -72,21 +67,15 @@ def cmd_ingest(args) -> int:
         run_counts = ingest_mod.ingest_runs_root(
             conn, _runs_root(args), on_warning=_warn
         )
-        bench_dir = Path(args.bench_dir)
-        bench_counts = ingest_mod.ingest_bench_dir(
-            conn, bench_dir, on_warning=_warn
-        )
     finally:
         conn.close()
-    payload = {"db": str(_db_path(args)), "runs": run_counts,
-               "bench": bench_counts}
+    payload = {"db": str(_db_path(args)), "runs": run_counts}
 
     def human():
         rows = [["database", payload["db"]]]
-        for scope, counts in (("runs", run_counts), ("bench", bench_counts)):
-            for status, count in counts.items():
-                if count:
-                    rows.append([f"{scope} {status}", count])
+        for status, count in run_counts.items():
+            if count:
+                rows.append([f"runs {status}", count])
         print(render_table(["metric", "value"], rows,
                            title="Experiment-store ingest"))
 
@@ -217,35 +206,19 @@ def cmd_replay(args) -> int:
 def cmd_regressions(args) -> int:
     conn = _connect(args, create=False)
     try:
-        if args.on == "bench":
-            report = query.bench_regressions(
-                conn, metric=args.metric or query.GOLDEN_METRIC,
-                tolerance=args.tolerance, direction=args.direction,
-            )
-        else:
-            report = query.run_regressions(
-                conn, metric=args.metric or "duration_s",
-                command=args.run_command, tolerance=args.tolerance,
-                direction=args.direction,
-            )
+        report = query.run_regressions(
+            conn, metric=args.metric, command=args.run_command,
+            tolerance=args.tolerance, direction=args.direction,
+        )
     finally:
         conn.close()
 
     def human():
-        rows = []
-        for c in report["comparisons"]:
-            baseline = c.get("baseline_rev", c.get("baseline_run"))
-            rows.append([
-                c.get("rev", c.get("run")),
-                baseline or "-",
-                _r(c.get("value")),
-                _r(c.get("ratio")),
-                "REGRESSED" if c["regressed"] else "ok",
-                _verdict(c),
-            ])
+        rows = [[c["run"], c["baseline_run"], _r(c["value"]),
+                 _r(c["ratio"]), "REGRESSED" if c["regressed"] else "ok"]
+                for c in report["comparisons"]]
         print(render_table(
-            ["subject", "baseline", "value", "ratio", "verdict",
-             "recorded_delta"],
+            ["run", "baseline", "value", "ratio", "verdict"],
             rows,
             title=(f"Regressions on {report['metric']} "
                    f"({report['direction']} is better, "
@@ -254,20 +227,9 @@ def cmd_regressions(args) -> int:
         if report["regressions"]:
             print(f"error: {report['regressions']} regression(s) beyond "
                   f"tolerance", file=sys.stderr)
-        if report["recorded_mismatches"]:
-            print(f"error: {report['recorded_mismatches']} recorded "
-                  f"delta(s) do not reproduce from stored baselines",
-                  file=sys.stderr)
 
     _emit(args, report, human)
     return 0 if report["ok"] else 1
-
-
-def _verdict(comparison) -> str:
-    matches = comparison.get("recorded_matches")
-    if matches is None:
-        return "-"
-    return "reproduced" if matches else "MISMATCH"
 
 
 def cmd_tail(args) -> int:
@@ -302,8 +264,8 @@ def _r(value, digits: int = 4):
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--db", default=None, metavar="PATH",
-        help=f"experiment database path (default: $REPRO_SIM_DB or "
-             f"{DB_FILENAME} inside the runs root)",
+        help=f"experiment database path (default: {DB_FILENAME} "
+             f"inside the runs root)",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -323,17 +285,12 @@ def add_db_parser(subparsers) -> None:
     """Register the ``db`` command group on the repro-sim parser."""
     p = subparsers.add_parser(
         "db",
-        help="queryable experiment store (SQLite index over runs + bench)",
+        help="queryable experiment store (SQLite index over runs)",
     )
     actions = p.add_subparsers(dest="db_action", required=True)
 
-    sp = actions.add_parser(
-        "ingest", help="index a runs root and the bench trajectory"
-    )
+    sp = actions.add_parser("ingest", help="index a runs root")
     _add_store_arguments(sp)
-    sp.add_argument("--bench-dir", default=DEFAULT_BENCH_DIR, metavar="DIR",
-                    help=f"BENCH_*.json directory (default: "
-                         f"{DEFAULT_BENCH_DIR})")
 
     sp = actions.add_parser("experiments",
                             help="list experiment groupings")
@@ -377,16 +334,12 @@ def add_db_parser(subparsers) -> None:
 
     sp = actions.add_parser(
         "regressions",
-        help="compare a metric across bench revisions or runs "
+        help="compare a metric across runs of one experiment "
              "(exit 1 on regression)",
     )
     _add_store_arguments(sp)
-    sp.add_argument("--on", choices=("bench", "runs"), default="bench",
-                    help="comparison axis (default: bench trajectory)")
-    sp.add_argument("--metric", default=None,
-                    help="bench: cell:<name>[:<field>] or a payload key "
-                         f"(default {query.GOLDEN_METRIC}); runs: a "
-                         "numeric manifest field (default duration_s)")
+    sp.add_argument("--metric", default="duration_s",
+                    help="a numeric manifest field (default: duration_s)")
     sp.add_argument("--tolerance", type=float, default=0.05, metavar="FRAC",
                     help="allowed fractional drift (default: 0.05)")
     sp.add_argument("--direction", choices=("auto", "higher", "lower"),
@@ -394,7 +347,7 @@ def add_db_parser(subparsers) -> None:
                     help="whether higher or lower values are better "
                          "(default: inferred from the metric name)")
     sp.add_argument("--command", dest="run_command", default=None,
-                    help="runs mode: restrict to one subcommand")
+                    help="restrict to one subcommand")
 
     sp = actions.add_parser(
         "tail", help="follow a live campaign's event stream"

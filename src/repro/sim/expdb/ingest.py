@@ -1,4 +1,4 @@
-"""Lossless, idempotent ingest of runs roots and bench trajectories.
+"""Lossless, idempotent ingest of telemetry runs roots.
 
 Design contract (DESIGN.md decision 13): the files on disk are the
 source of truth and this module only *indexes* them —
@@ -11,8 +11,8 @@ source of truth and this module only *indexes* them —
 * **idempotent** — each run carries a digest of its manifest text plus
   the event-log byte count; re-ingesting an unchanged run is a no-op and
   a changed run (a live campaign appending events, a re-sealed manifest)
-  is atomically replaced inside one transaction. ``BENCH_<rev>.json``
-  files are keyed by filename and digest the same way.
+  is atomically replaced inside one transaction. Re-running the ingest
+  mid-campaign therefore updates exactly the runs that changed.
 * **tolerant** — a truncated event log, a torn final line, or a missing
   manifest never raises: damage is skipped, counted, and surfaced via
   ``on_warning`` one line at a time.
@@ -274,87 +274,6 @@ def export_manifest(conn, run_id: str) -> str:
     if row is None:
         raise ConfigError(f"no run {run_id!r} in the experiment database")
     return row["manifest_json"]
-
-
-# ----------------------------------------------------------------------
-# Bench trajectory
-# ----------------------------------------------------------------------
-
-def ingest_bench_file(conn, path: Union[str, Path], on_warning=None) -> str:
-    """Index one ``BENCH_<rev>.json``; same idempotency contract as runs."""
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as error:
-        if on_warning is not None:
-            on_warning(f"{path}: unreadable ({error}); skipped")
-        return SKIPPED
-    try:
-        payload = json.loads(raw)
-    except ValueError:
-        payload = None
-    if not isinstance(payload, dict) or \
-            not isinstance(payload.get("cells"), dict):
-        if on_warning is not None:
-            on_warning(f"{path}: not a bench payload; skipped")
-        return SKIPPED
-
-    digest = _digest(raw)
-    name = path.name
-    existing = conn.execute(
-        "SELECT digest FROM bench_files WHERE file = ?", (name,)
-    ).fetchone()
-    if existing is not None and existing["digest"] == digest:
-        return UNCHANGED
-
-    with conn:
-        conn.execute("DELETE FROM bench_files WHERE file = ?", (name,))
-        conn.execute(
-            "INSERT INTO bench_files (file, rev, recorded_at, machine,"
-            " llc, workload, target_accesses, format_version, golden_cell,"
-            " payload, digest, ingested_at)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                name, str(payload.get("rev", "unknown")),
-                payload.get("recorded_at"), payload.get("machine"),
-                payload.get("llc"), payload.get("workload"),
-                _as_int(payload.get("target_accesses")),
-                _as_int(payload.get("format_version")),
-                payload.get("golden_cell"), raw, digest, _now(),
-            ),
-        )
-        sample_rows = []
-        for cell, timing in payload["cells"].items():
-            if not isinstance(timing, dict):
-                continue
-            sample_rows.append((
-                name, cell, _as_int(timing.get("repeats")),
-                _as_float(timing.get("min_sec")),
-                _as_float(timing.get("mean_sec")),
-                _as_float(timing.get("max_sec")),
-                _as_int(timing.get("accesses")),
-                _as_float(timing.get("accesses_per_sec")),
-            ))
-        conn.executemany(
-            "INSERT INTO bench_samples (file, cell, repeats, min_sec,"
-            " mean_sec, max_sec, accesses, accesses_per_sec)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            sample_rows,
-        )
-    return UPDATED if existing is not None else INGESTED
-
-
-def ingest_bench_dir(
-    conn, bench_dir: Union[str, Path], on_warning=None
-) -> Dict[str, int]:
-    """Index every ``BENCH_*.json`` under ``bench_dir``."""
-    bench_dir = Path(bench_dir)
-    counts = {INGESTED: 0, UPDATED: 0, UNCHANGED: 0, SKIPPED: 0}
-    if not bench_dir.is_dir():
-        return counts
-    for path in sorted(bench_dir.glob("BENCH_*.json")):
-        counts[ingest_bench_file(conn, path, on_warning=on_warning)] += 1
-    return counts
 
 
 def _as_float(value) -> Optional[float]:

@@ -1,15 +1,11 @@
 """Read-side queries: experiments, runs, replay reconstruction,
-and cross-run/cross-revision regression analytics.
+and cross-run regression analytics.
 
 Everything here works on the SQLite index built by
 :mod:`repro.sim.expdb.ingest`; nothing re-reads runs roots, which is what
 makes ``repro-sim db runs`` on a thousand-run root cheap. Regression
-detection compares a metric across the bench trajectory (consecutive
-``BENCH_<rev>.json`` revisions) or across runs of one experiment, using
-the same :func:`repro.common.stats.ratio` arithmetic ``repro-sim bench``
-used when it recorded its own ``vs_previous`` deltas — so the recorded
-trajectory is *reproduced exactly*, not merely approximated, and any
-mismatch is itself reported as corruption.
+detection compares a numeric manifest metric across successive runs of
+one experiment.
 """
 
 import json
@@ -18,9 +14,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.stats import ratio
-
-GOLDEN_METRIC = "cell:warm_replay_lru_scalar:accesses_per_sec"
-"""Default bench metric: golden-cell throughput (higher is better)."""
 
 _LOWER_IS_BETTER_HINTS = ("overhead", "_sec", "wall", "duration")
 _HIGHER_IS_BETTER_HINTS = ("per_sec", "speedup", "throughput", "rate")
@@ -167,167 +160,6 @@ def reconstruct_invocation(conn, run_id: str) -> Tuple[str, List[str]]:
 # Regression analytics
 # ----------------------------------------------------------------------
 
-def parse_metric(metric: str) -> Dict:
-    """``cell:<name>[:<field>]`` or a top-level bench payload key."""
-    if metric.startswith("cell:"):
-        parts = metric.split(":")
-        if len(parts) == 2:
-            name, field = parts[1], "accesses_per_sec"
-        elif len(parts) == 3:
-            name, field = parts[1], parts[2]
-        else:
-            raise ConfigError(
-                f"bad metric {metric!r}; expected cell:<name>[:<field>]"
-            )
-        if not name or not field:
-            raise ConfigError(
-                f"bad metric {metric!r}; empty cell or field name"
-            )
-        return {"kind": "cell", "cell": name, "field": field}
-    return {"kind": "payload", "field": metric}
-
-
-def metric_direction(metric: str, direction: str = "auto") -> str:
-    """Resolve ``auto`` to higher-/lower-is-better from the field name."""
-    if direction != "auto":
-        return direction
-    field = parse_metric(metric)["field"]
-    # Rates beat the cost hints: accesses_per_sec contains "_sec" but is
-    # a throughput, and throughputs regress downward.
-    if any(hint in field for hint in _HIGHER_IS_BETTER_HINTS):
-        return "higher"
-    if any(hint in field for hint in _LOWER_IS_BETTER_HINTS):
-        return "lower"
-    return "higher"
-
-
-def bench_revisions(conn) -> List[Dict]:
-    """Every ingested bench file, trajectory order (recorded_at, file)."""
-    rows = conn.execute(
-        "SELECT file, rev, recorded_at, machine, llc, workload,"
-        " golden_cell, payload FROM bench_files"
-        " ORDER BY recorded_at, file"
-    ).fetchall()
-    out = []
-    for row in rows:
-        entry = dict(row)
-        try:
-            entry["payload"] = json.loads(entry["payload"])
-        except ValueError:
-            entry["payload"] = {}
-        out.append(entry)
-    return out
-
-
-def _metric_value(payload: Dict, spec: Dict) -> Optional[float]:
-    if spec["kind"] == "cell":
-        cell = payload.get("cells", {}).get(spec["cell"])
-        value = cell.get(spec["field"]) if isinstance(cell, dict) else None
-    else:
-        value = payload.get(spec["field"])
-    return float(value) if isinstance(value, (int, float)) else None
-
-
-def bench_regressions(
-    conn,
-    metric: str = GOLDEN_METRIC,
-    tolerance: float = 0.05,
-    direction: str = "auto",
-) -> Dict:
-    """Compare ``metric`` across consecutive bench revisions.
-
-    Each consecutive pair yields a ``ratio = after / before``; with a
-    higher-is-better metric a ratio below ``1 - tolerance`` is a
-    regression (above ``1 + tolerance`` for lower-is-better). When the
-    metric is the golden-cell throughput, every file's *recorded*
-    ``vs_previous.golden_speedup`` is additionally recomputed against the
-    baseline revision it names — using the identical
-    :func:`~repro.common.stats.ratio` arithmetic — and any mismatch is
-    flagged (``recorded_matches=False``): the store must reproduce the
-    committed trajectory deltas exactly or admit the file changed.
-    """
-    if tolerance < 0:
-        raise ConfigError(f"tolerance must be >= 0, got {tolerance}")
-    spec = parse_metric(metric)
-    resolved = metric_direction(metric, direction)
-    revisions = bench_revisions(conn)
-    by_rev: Dict[str, Dict] = {}
-    for entry in revisions:
-        by_rev.setdefault(entry["rev"], entry)  # first file of a rev wins
-
-    comparisons = []
-    previous = None
-    for entry in revisions:
-        value = _metric_value(entry["payload"], spec)
-        record = {
-            "file": entry["file"],
-            "rev": entry["rev"],
-            "recorded_at": entry["recorded_at"],
-            "value": value,
-            "baseline_rev": None,
-            "baseline_value": None,
-            "ratio": None,
-            "regressed": False,
-        }
-        if previous is not None and value is not None and \
-                previous["value"] is not None:
-            record["baseline_rev"] = previous["rev"]
-            record["baseline_value"] = previous["value"]
-            record["ratio"] = ratio(value, previous["value"])
-            if resolved == "higher":
-                record["regressed"] = record["ratio"] < 1.0 - tolerance
-            else:
-                record["regressed"] = record["ratio"] > 1.0 + tolerance
-        vs = entry["payload"].get("vs_previous")
-        if _is_golden_metric(spec, entry["payload"]) and \
-                isinstance(vs, dict):
-            record.update(_check_recorded_delta(entry, vs, spec, by_rev))
-        comparisons.append(record)
-        if value is not None:
-            previous = {"rev": entry["rev"], "value": value}
-
-    regressed = [c for c in comparisons if c["regressed"]]
-    mismatched = [c for c in comparisons
-                  if c.get("recorded_matches") is False]
-    return {
-        "metric": metric,
-        "direction": resolved,
-        "tolerance": tolerance,
-        "comparisons": comparisons,
-        "regressions": len(regressed),
-        "recorded_mismatches": len(mismatched),
-        "ok": not regressed and not mismatched,
-    }
-
-
-def _is_golden_metric(spec: Dict, payload: Dict) -> bool:
-    return (spec["kind"] == "cell"
-            and spec["field"] == "accesses_per_sec"
-            and spec["cell"] == payload.get("golden_cell"))
-
-
-def _check_recorded_delta(entry, vs, spec, by_rev) -> Dict:
-    """Recompute a file's recorded golden_speedup from stored baselines."""
-    out = {
-        "recorded_baseline_rev": vs.get("rev"),
-        "recorded_speedup": vs.get("golden_speedup"),
-        "recomputed_speedup": None,
-        "recorded_matches": None,
-    }
-    baseline = by_rev.get(vs.get("rev"))
-    recorded = vs.get("golden_speedup")
-    if baseline is None or not isinstance(recorded, (int, float)):
-        return out
-    now = _metric_value(entry["payload"], spec)
-    then = _metric_value(baseline["payload"], spec)
-    if now is None or then is None:
-        return out
-    recomputed = ratio(now, then)
-    out["recomputed_speedup"] = recomputed
-    out["recorded_matches"] = recomputed == recorded
-    return out
-
-
 def run_regressions(
     conn,
     metric: str = "duration_s",
@@ -397,7 +229,6 @@ def run_regressions(
         "tolerance": tolerance,
         "comparisons": comparisons,
         "regressions": len(regressed),
-        "recorded_mismatches": 0,
         "ok": not regressed,
     }
 

@@ -1,7 +1,6 @@
 """SQLite schema and connection discipline for the experiment store.
 
-One database file indexes everything the telemetry layer and the bench
-trajectory write to disk:
+One database file indexes everything the telemetry layer writes to disk:
 
 * ``experiments``     — one row per (command, machine, llc) grouping.
 * ``runs``            — one row per telemetry run directory, carrying the
@@ -10,40 +9,31 @@ trajectory write to disk:
 * ``spans``           — stage spans extracted from ``events.jsonl``.
 * ``events``          — every event line, raw, in file order.
 * ``probe_summaries`` — ``inspect_<workload>.json`` probe payloads.
-* ``bench_files`` / ``bench_samples`` — the ``BENCH_<rev>.json``
-  trajectory, one row per file and one per timed cell.
 
-Connections run in WAL mode so a live campaign's writer and any number of
-``repro-sim db`` readers coexist without blocking each other; writes are
-wrapped in short transactions, and ``busy_timeout`` absorbs the residual
+Connections run in WAL mode so an ingest and any number of ``repro-sim
+db`` readers coexist without blocking each other; writes are wrapped in
+short transactions, and ``busy_timeout`` absorbs the residual
 writer-vs-writer window. The database is a **rebuildable index** — the
 JSONL/JSON files stay the durable source of truth (DESIGN.md decision
 13), so a corrupted or stale database is repaired by deleting it and
 re-running ``repro-sim db ingest``.
 """
 
-import os
 import sqlite3
 from pathlib import Path
 from typing import Optional, Union
-
-from repro.common.envflag import FALSE_WORDS
 
 SCHEMA_VERSION = 1
 """Bumped when the table layout changes incompatibly.
 
 A reader that finds a *newer* version warns and proceeds best-effort
 (columns it knows keep their meaning); it never tracebacks — the fix for
-a truly incompatible file is a delete + re-ingest, not a crash.
+a truly incompatible file is a delete + re-ingest, not a crash. Tables
+an older file holds that this layout no longer creates are never read.
 """
-
-DB_ENV = "REPRO_SIM_DB"
-"""Environment toggle: a path, or a truthy word for the default path."""
 
 DB_FILENAME = "expdb.sqlite3"
 """Default database file, created inside the runs root it indexes."""
-
-_AUTO_WORDS = frozenset({"auto", "1", "true", "yes", "on"})
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -121,60 +111,7 @@ CREATE TABLE IF NOT EXISTS probe_summaries (
     payload  TEXT NOT NULL
 );
 CREATE INDEX IF NOT EXISTS probes_by_run ON probe_summaries (run_id);
-CREATE TABLE IF NOT EXISTS bench_files (
-    file            TEXT PRIMARY KEY,
-    rev             TEXT NOT NULL,
-    recorded_at     TEXT,
-    machine         TEXT,
-    llc             TEXT,
-    workload        TEXT,
-    target_accesses INTEGER,
-    format_version  INTEGER,
-    golden_cell     TEXT,
-    payload         TEXT NOT NULL,
-    digest          TEXT NOT NULL,
-    ingested_at     TEXT
-);
-CREATE TABLE IF NOT EXISTS bench_samples (
-    file             TEXT NOT NULL REFERENCES bench_files(file)
-                     ON DELETE CASCADE,
-    cell             TEXT NOT NULL,
-    repeats          INTEGER,
-    min_sec          REAL,
-    mean_sec         REAL,
-    max_sec          REAL,
-    accesses         INTEGER,
-    accesses_per_sec REAL,
-    PRIMARY KEY (file, cell)
-);
 """
-
-
-def resolve_db_path(
-    spec: Optional[Union[str, Path]] = None,
-    runs_root: Optional[Union[str, Path]] = None,
-) -> Optional[Path]:
-    """Map a ``--db``/:data:`DB_ENV` spec to a database path (or None).
-
-    ``spec=None`` consults the environment; a falsy word
-    (:data:`~repro.common.envflag.FALSE_WORDS`) disables, a truthy word
-    selects the default path inside ``runs_root`` (the runs root the
-    invocation already resolved), and anything else is a literal path.
-    """
-    if spec is None:
-        spec = os.environ.get(DB_ENV)
-        if spec is None or not spec.strip():
-            return None
-    spec = str(spec).strip()
-    if spec.lower() in FALSE_WORDS:
-        return None
-    if spec.lower() in _AUTO_WORDS:
-        from repro.sim.telemetry import resolve_runs_root
-
-        root = Path(runs_root) if runs_root is not None \
-            else resolve_runs_root()
-        return root / DB_FILENAME
-    return Path(spec).expanduser()
 
 
 def connect(
@@ -182,7 +119,7 @@ def connect(
 ) -> sqlite3.Connection:
     """Open (and, with ``create``, initialise) the experiment store.
 
-    WAL + busy_timeout make one live writer and many readers safe;
+    WAL + busy_timeout make one writer and many readers safe;
     ``check_same_thread=False`` lets the tail follower poll from helper
     threads. A database written by a newer schema triggers one
     ``on_warning(message)`` call and is then read best-effort.

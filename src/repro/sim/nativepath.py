@@ -65,7 +65,8 @@ BACKEND_COMPACT = "compact"
 
 BACKEND_NUMBA = "numba"
 """Label of the retired numba-compiled kernels. No replay produces it any
-more; it stays because historic run records and BENCH files carry it."""
+more; it stays because historic run records carry it and the end-to-end
+benchmark (``bench/passes.py``) still counts it as a native backend."""
 
 
 def native_enabled(flag: Optional[bool] = None) -> bool:

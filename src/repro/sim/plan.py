@@ -13,12 +13,15 @@ the ``fastpath``/``native`` gates once and
 Whenever a faster engine declines, the plan says why, as one token of
 :data:`REASONS`; the token is stamped on the result, the ``replay``
 telemetry span and probe reports, and ``repro-sim runs show`` counts
-replays by tier, backend and reason.
+replays by tier, backend and reason. An oracle annotation built for
+another stream is not a decline but a caller error: the planner raises
+:class:`~repro.common.errors.SimulationError` before any engine runs.
 """
 
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
+from repro.common.errors import SimulationError
 from repro.policies.base import (
     REPLAY_DUELING,
     REPLAY_SCALAR,
@@ -39,17 +42,17 @@ from repro.sim.nativepath import (
 )
 
 REASONS = (
-    "fastpath-off", "bound", "no-kernel", "hint-source", "misaligned",
-    "observers", "native-off", "probe",
+    "fastpath-off", "bound", "no-kernel", "hint-source", "observers",
+    "native-off", "probe",
 )
 """Why a faster engine declined a replay. ``bound``: the policy (or an
 oracle wrapper's base) is bound to a geometry and may carry state no
 kernel reconstructs; ``no-kernel``: no kernel for this exact class or
 oracle base; ``hint-source``: the oracle's hints are not an exact
-:class:`repro.oracle.annotate.AnnotationHintSource`; ``misaligned``: the
-annotation was built for another stream; ``observers``: residency
-observers need the model's callbacks; ``probe``: an attached probe has
-``fastpath_safe`` False; ``fastpath-off``/``native-off``: a gate."""
+:class:`repro.oracle.annotate.AnnotationHintSource`; ``observers``:
+residency observers need the model's callbacks; ``probe``: an attached
+probe has ``fastpath_safe`` False; ``fastpath-off``/``native-off``: a
+gate."""
 
 FAMILY_RECENCY = "recency"
 FAMILY_RRIP = "rrip"
@@ -92,12 +95,31 @@ def _model(reason: str) -> ReplayPlan:
     return ReplayPlan(REPLAY_SCALAR, BACKEND_MODEL, reason)
 
 
-def _compact_decline(policy, stream) -> str:
-    """Why no compact kernel covers ``policy`` on ``stream``, or ``""``."""
-    if type(policy) is ShipPolicy:
-        return ""
+def _check_annotation(policy, stream) -> None:
+    """Refuse an oracle annotation built for a stream other than ``stream``.
+
+    The annotation holds one budget per access plus one, read by access
+    ordinal. Too short fails mid-replay; too long replays hints meant for
+    other accesses without a word, on any engine.
+    """
     # Imported lazily: repro.oracle imports the replay runner at module
     # import, so a top-level import here would be circular.
+    from repro.oracle.annotate import AnnotationHintSource
+
+    source = getattr(policy, "hint_source", None)
+    if type(source) is AnnotationHintSource and \
+            len(source.budgets) != len(stream) + 1:
+        raise SimulationError(
+            f"misaligned oracle annotation: {len(source.budgets)} budgets "
+            f"for a {len(stream)}-access stream (expected "
+            f"{len(stream) + 1})"
+        )
+
+
+def _compact_decline(policy) -> str:
+    """Why no compact kernel covers ``policy``, or ``""``."""
+    if type(policy) is ShipPolicy:
+        return ""
     from repro.oracle.annotate import AnnotationHintSource
     from repro.oracle.wrapper import SharingAwareWrapper
 
@@ -108,11 +130,8 @@ def _compact_decline(policy, stream) -> str:
         return "no-kernel"
     if base.geometry is not None:
         return "bound"
-    source = policy.hint_source
-    if type(source) is not AnnotationHintSource:
+    if type(policy.hint_source) is not AnnotationHintSource:
         return "hint-source"
-    if len(source.budgets) != len(stream) + 1:
-        return "misaligned"
     return ""
 
 
@@ -124,11 +143,13 @@ def plan_replay(policy, observers: Sequence, stream, fastpath: bool,
     instance or an unsafe probe take the object model; an exact class of
     :data:`REPLAY_KERNELS` takes its tier; an exact unbound
     :class:`ShipPolicy`, or an exact unbound oracle wrapper over an exact
-    unbound LRU/SRRIP/SHiP base with an exact annotation hint source
-    aligned with ``stream``, takes the ``compact`` backend unless
-    observers are attached or ``native`` is off; anything else takes the
-    model.
+    unbound LRU/SRRIP/SHiP base with an exact annotation hint source,
+    takes the ``compact`` backend unless observers are attached or
+    ``native`` is off; anything else takes the model. An annotation hint
+    source not aligned with ``stream`` raises
+    :class:`~repro.common.errors.SimulationError` whatever the gates.
     """
+    _check_annotation(policy, stream)
     if not fastpath:
         return _model("fastpath-off")
     if policy.geometry is not None:
@@ -138,7 +159,7 @@ def plan_replay(policy, observers: Sequence, stream, fastpath: bool,
     kernel = REPLAY_KERNELS.get(type(policy))
     if kernel is not None:
         return ReplayPlan(kernel[0], _FAST_BACKENDS[kernel[0]])
-    reason = _compact_decline(policy, stream)
+    reason = _compact_decline(policy)
     if not reason and observers:
         reason = "observers"
     if not reason and not native:

@@ -8,8 +8,10 @@ is built around three cost rules:
    the exact same bytecode as before this module existed: per-access probe
    dispatch is installed by *shadowing* :meth:`SharedLlc.access` with an
    instance attribute (:meth:`SharedLlc.attach_probe_bus`), so the
-   disabled path carries no extra branch, lookup, or indirection. The CI
-   benchmark-smoke job enforces a <2% bound on the golden warm-replay cell.
+   disabled path carries no extra branch, lookup, or indirection.
+   ``tests/sim/test_probes.py`` pins it structurally: an unprobed LLC has
+   no instance-level ``access``, and a probed replay attaches a bus only
+   when some probe wants per-access events.
 2. **Fastpath-compatible or scalar-only — provably.** Every probe declares
    ``fastpath_safe``. Safe probes produce **bit-identical** summaries
    whether the replay ran through the scalar :class:`SharedLlc` model or

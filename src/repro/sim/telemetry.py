@@ -115,11 +115,11 @@ class RunTelemetry:
         """Mirror events and manifest rewrites into ``sink`` (best effort).
 
         A sink implements ``on_event(record)``, ``on_manifest(text,
-        manifest)`` and ``close()``; the live experiment-store writer
-        (:class:`repro.sim.expdb.live.LiveDbWriter`) is the one shipped.
-        The JSONL files stay the durable source of truth: a sink is fed
-        *after* the file write, and a sink that raises is detached with a
-        one-line warning instead of failing the run.
+        manifest)`` and ``close()``; the end-to-end benchmark's span
+        tracer (``bench/spans.py``) attaches through this hook. The JSONL
+        files stay the durable source of truth: a sink is fed *after* the
+        file write, and a sink that raises is detached with a one-line
+        warning instead of failing the run.
         """
         self._sinks.append(sink)
 

@@ -7,9 +7,10 @@ oracle kernel must reproduce the scalar object model bit for bit —
 hit/miss counts *and* the wrapper's study counters (``protected_fills``,
 ``exemptions_applied``, ``releases``) — across every protection mode and
 release policy. Anything the replay planner cannot prove safe (bound
-instances, undeclared subclasses, closure hint sources, misaligned
-annotations, observers) must land on the object model, recorded as
-``backend == "model"`` with the planner's decline reason.
+instances, undeclared subclasses, closure hint sources, observers) must
+land on the object model, recorded as ``backend == "model"`` with the
+planner's decline reason. An annotation built for another stream is
+refused outright.
 """
 
 import gc
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.common.config import CacheGeometry
+from repro.common.errors import SimulationError
 from repro.oracle.annotate import (
     AnnotationHintSource,
     build_stream_annotation,
@@ -269,11 +271,14 @@ class TestOracleFallbackChain:
         )
         assert self._replay(wrapper) == ("model", "hint-source")
 
-    def test_misaligned_annotation_declines(self):
-        # An annotation built for a different stream length cannot be
-        # laid down as a per-access hint column.
+    def test_misaligned_annotation_raises(self):
+        # An annotation built for a different stream is a caller error on
+        # every engine, not a fallback to the model.
         wrapper = make_wrapper("lru", self._budgets(shared_stream(200, 30)))
-        assert self._replay(wrapper) == ("model", "misaligned")
+        for gates in ({}, {"native": False}, {"fastpath": False}):
+            with pytest.raises(SimulationError,
+                               match="201 budgets for a 400-access stream"):
+                self._replay(wrapper, **gates)
 
     def test_observers_decline(self):
         class Observer:

@@ -1,4 +1,4 @@
-"""Experiment-store suite: schema, ingest, queries, live sink, tail, CLI.
+"""Experiment-store suite: schema, ingest, queries, tail, CLI.
 
 The load-bearing contracts:
 
@@ -8,16 +8,12 @@ The load-bearing contracts:
 * **tolerant** — SIGKILL-torn event logs and garbage lines are dropped,
   never fatal (hypothesis drives the damage via
   :func:`tests.strategies.event_log_corruptions`);
-* **live == post-hoc** — a run mirrored by :class:`LiveDbWriter` ends in
-  the same database state a later ``db ingest`` would produce;
-* **exact trajectory** — ``db regressions`` recomputes every committed
-  ``BENCH_<rev>.json`` ``vs_previous.golden_speedup`` bit-for-bit from
-  the stored baselines, and exits nonzero on a planted regression.
+* **regressions** — ``db regressions`` compares successive runs of one
+  experiment and exits nonzero on a planted slowdown.
 """
 
 import io
 import json
-import sqlite3
 from pathlib import Path
 
 import pytest
@@ -32,31 +28,24 @@ from repro.sim.expdb import (
     SKIPPED,
     UNCHANGED,
     UPDATED,
-    LiveDbWriter,
-    bench_regressions,
     connect,
     export_manifest,
     get_run,
-    ingest_bench_dir,
-    ingest_bench_file,
     ingest_run_dir,
     ingest_runs_root,
     list_experiments,
     query_runs,
     reconstruct_invocation,
-    resolve_db_path,
     run_detail,
     run_regressions,
 )
-from repro.sim.expdb.schema import DB_ENV, DB_FILENAME, SCHEMA_VERSION
+from repro.sim.expdb.schema import SCHEMA_VERSION
 from repro.sim.expdb.tail import tail_run
 from tests.strategies import (
     event_log_corruptions,
     run_manifests,
     telemetry_events,
 )
-
-BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 FAST = ["--accesses", "3000", "--workloads", "swaptions"]
 
@@ -89,8 +78,7 @@ class TestSchema:
         tables = {row[0] for row in db.execute(
             "SELECT name FROM sqlite_master WHERE type='table'")}
         assert {"meta", "experiments", "runs", "cells", "spans", "events",
-                "probe_summaries", "bench_files",
-                "bench_samples"} <= tables
+                "probe_summaries"} <= tables
 
     def test_connect_without_create_requires_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no experiment database"):
@@ -108,20 +96,6 @@ class TestSchema:
         conn.close()
         assert len(warnings) == 1
         assert "newer than this reader" in warnings[0]
-
-    def test_resolve_db_path_spec_semantics(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(DB_ENV, raising=False)
-        assert resolve_db_path(None, tmp_path) is None
-        assert resolve_db_path("off", tmp_path) is None
-        assert resolve_db_path("0", tmp_path) is None
-        assert resolve_db_path("auto", tmp_path) == tmp_path / DB_FILENAME
-        literal = tmp_path / "elsewhere.sqlite3"
-        assert resolve_db_path(str(literal), tmp_path) == literal
-        monkeypatch.setenv(DB_ENV, "auto")
-        assert resolve_db_path(None, tmp_path) == tmp_path / DB_FILENAME
-        monkeypatch.setenv(DB_ENV, "off")
-        assert resolve_db_path(None, tmp_path) is None
-
 
 class TestIngest:
     @given(manifest=run_manifests(), events=telemetry_events())
@@ -342,150 +316,6 @@ class TestQueries:
                                tolerance=5.0)["ok"]
 
 
-class TestBenchTrajectory:
-    def test_committed_trajectory_reproduces_exactly(self, db):
-        """Acceptance gate: recorded deltas reproduce bit-for-bit."""
-        counts = ingest_bench_dir(db, BENCH_DIR)
-        assert counts[INGESTED] >= 4
-        report = bench_regressions(db, tolerance=1e9)
-        assert report["direction"] == "higher"
-        assert report["recorded_mismatches"] == 0
-        checked = [c for c in report["comparisons"]
-                   if c.get("recorded_matches") is not None]
-        assert checked, "no vs_previous deltas were verified"
-        for comparison in checked:
-            assert comparison["recorded_matches"] is True
-            assert comparison["recomputed_speedup"] == \
-                comparison["recorded_speedup"]
-
-    def test_committed_trajectory_contains_known_regression(self, db):
-        """The c3f2b59 golden-throughput drop is real and detected."""
-        ingest_bench_dir(db, BENCH_DIR)
-        report = bench_regressions(db, tolerance=0.10)
-        assert not report["ok"]
-        regressed = [c for c in report["comparisons"] if c["regressed"]]
-        assert any(c["rev"].startswith("c3f2b59") for c in regressed)
-
-    def test_tampered_file_reports_recorded_mismatch(self, tmp_path, db):
-        source = json.loads(
-            sorted(BENCH_DIR.glob("BENCH_*.json"))[0].read_text())
-        base = dict(source, rev="aaa", recorded_at="2026-01-01T00:00:00Z")
-        base.pop("vs_previous", None)
-        after = json.loads(json.dumps(base))
-        after.update(rev="bbb", recorded_at="2026-01-02T00:00:00Z",
-                     vs_previous={"rev": "aaa", "golden_speedup": 2.0})
-        for payload in (base, after):
-            path = tmp_path / f"BENCH_{payload['rev']}.json"
-            path.write_text(json.dumps(payload), encoding="utf-8")
-        ingest_bench_dir(db, tmp_path)
-        report = bench_regressions(db, tolerance=1e9)
-        assert report["recorded_mismatches"] == 1
-        assert not report["ok"]
-
-    def test_bench_ingest_idempotent_and_updatable(self, tmp_path, db):
-        path = tmp_path / "BENCH_x.json"
-        payload = {"rev": "x", "recorded_at": "2026-01-01T00:00:00Z",
-                   "golden_cell": "g",
-                   "cells": {"g": {"min_sec": 1.0, "mean_sec": 1.0,
-                                   "max_sec": 1.0, "accesses": 10,
-                                   "accesses_per_sec": 10.0,
-                                   "repeats": 3}}}
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert ingest_bench_file(db, path) == INGESTED
-        assert ingest_bench_file(db, path) == UNCHANGED
-        payload["cells"]["g"]["accesses_per_sec"] = 20.0
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert ingest_bench_file(db, path) == UPDATED
-        row = db.execute("SELECT accesses_per_sec FROM bench_samples"
-                         " WHERE file = 'BENCH_x.json'").fetchone()
-        assert row[0] == 20.0
-
-    def test_non_bench_json_is_skipped(self, tmp_path, db):
-        path = tmp_path / "BENCH_junk.json"
-        path.write_text("[1, 2]", encoding="utf-8")
-        assert ingest_bench_file(db, path) == SKIPPED
-
-
-class TestLiveWriter:
-    def test_live_writer_matches_posthoc_ingest(self, tmp_path):
-        root = tmp_path / "runs"
-        run = telemetry.create_run(root, command="test",
-                                   argv=["compare", "--x"])
-        live_db = tmp_path / "live.sqlite3"
-        run.attach_sink(LiveDbWriter(live_db, run))
-        with telemetry.activate(run):
-            with telemetry.span("stage_a"):
-                pass
-            telemetry.emit("cell_done", cell_kind="compare",
-                           workload="w", duration_s=0.1)
-        run.update_manifest(workloads=["w"], policies=["lru"])
-        run.finish(status="completed")
-
-        posthoc_db = tmp_path / "posthoc.sqlite3"
-        conn = connect(posthoc_db)
-        ingest_runs_root(conn, root)
-        conn.close()
-
-        live = sqlite3.connect(str(live_db))
-        posthoc = sqlite3.connect(str(posthoc_db))
-        try:
-            for sql in (
-                "SELECT run_id, status, command, manifest_json,"
-                " manifest_digest, events_bytes, events_count,"
-                " events_malformed, last_event_kind FROM runs",
-                "SELECT run_id, seq, kind, payload FROM events"
-                " ORDER BY seq",
-                "SELECT run_id, seq, stage, duration_s FROM spans"
-                " ORDER BY seq",
-            ):
-                assert live.execute(sql).fetchall() == \
-                    posthoc.execute(sql).fetchall()
-        finally:
-            live.close()
-            posthoc.close()
-
-    def test_close_reconciles_worker_appended_events(self, tmp_path):
-        """Events the live sink never saw (worker JSONL appends) land."""
-        root = tmp_path / "runs"
-        run = telemetry.create_run(root, command="test")
-        writer = LiveDbWriter(tmp_path / "db.sqlite3", run)
-        run.attach_sink(writer)
-        with open(run.run_dir / telemetry.EVENTS_NAME, "a",
-                  encoding="utf-8") as handle:
-            handle.write(json.dumps({"t": 1.0, "pid": 999,
-                                     "role": "worker",
-                                     "kind": "cell_done"}) + "\n")
-        run.finish(status="completed")
-        conn = sqlite3.connect(str(tmp_path / "db.sqlite3"))
-        try:
-            kinds = [row[0] for row in conn.execute(
-                "SELECT kind FROM events WHERE run_id = ? ORDER BY seq",
-                (run.run_id,))]
-        finally:
-            conn.close()
-        assert "cell_done" in kinds
-        assert kinds[-1] == "run_finished"
-
-    def test_raising_sink_is_detached_not_fatal(self, tmp_path, capsys):
-        run = telemetry.create_run(tmp_path, command="test")
-
-        class Exploding:
-            def on_event(self, record):
-                raise RuntimeError("sink died")
-
-            def close(self):
-                pass
-
-        run.attach_sink(Exploding())
-        run.event("one")
-        run.event("two")
-        run.finish(status="completed")
-        err = capsys.readouterr().err
-        assert err.count("telemetry sink") == 1
-        assert telemetry.read_events(run.run_dir)[-1]["kind"] == \
-            "run_finished"
-
-
 class TestTail:
     def _write_events(self, run_dir, events):
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -568,12 +398,11 @@ class TestTail:
 
 class TestCli:
     def _ingested(self, tmp_path, capsys):
-        """A cache dir with one real run + the committed bench files."""
+        """A cache dir with one real run, ingested."""
         cache = str(tmp_path / "cache")
         assert main(["compare", *FAST, "--policies", "lru",
                      "--cache-dir", cache]) == 0
-        assert main(["db", "ingest", "--cache-dir", cache,
-                     "--bench-dir", str(BENCH_DIR)]) == 0
+        assert main(["db", "ingest", "--cache-dir", cache]) == 0
         capsys.readouterr()
         return cache
 
@@ -619,46 +448,36 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["runs"] == []
 
     def test_db_regressions_gate_through_cli(self, capsys, tmp_path):
-        cache = self._ingested(tmp_path, capsys)
-        # The committed trajectory carries a real >10% golden-cell drop.
-        assert main(["db", "regressions", "--cache-dir", cache,
-                     "--tolerance", "0.10", "--json"]) == 1
+        # Two runs of one experiment; the second is planted 3x slower.
+        root = tmp_path / "runs"
+        for run_id, started, duration in (
+            ("r1", "2026-08-01T00:00:00Z", 1.0),
+            ("r2", "2026-08-02T00:00:00Z", 3.0),
+        ):
+            make_run_dir(root, run_id, {
+                "command": "compare", "status": "completed",
+                "machine": "m", "llc": "l", "started": started,
+                "duration_s": duration,
+            })
+        db_path = tmp_path / "elsewhere.sqlite3"
+        store = ["--runs-root", str(root), "--db", str(db_path)]
+        assert main(["db", "ingest", *store]) == 0
+        assert db_path.is_file()
+        capsys.readouterr()
+        assert main(["db", "regressions", *store, "--tolerance", "0.5",
+                     "--json"]) == 1
         report = json.loads(capsys.readouterr().out)
-        assert report["regressions"] >= 1
-        assert report["recorded_mismatches"] == 0
-        assert main(["db", "regressions", "--cache-dir", cache,
-                     "--tolerance", "0.40"]) == 0
+        assert report["metric"] == "duration_s"
+        assert report["regressions"] == 1
+        assert report["comparisons"][0]["run"] == "r2"
+        assert main(["db", "regressions", *store, "--tolerance", "5"]) == 0
+        assert "r2" in capsys.readouterr().out
 
     def test_db_query_without_database_is_an_error(self, capsys,
                                                    tmp_path):
         assert main(["db", "runs", "--cache-dir",
                      str(tmp_path / "empty")]) == 2
         assert "no experiment database" in capsys.readouterr().err
-
-    def test_live_db_flag_mirrors_run(self, capsys, tmp_path):
-        cache = str(tmp_path / "cache")
-        assert main(["compare", *FAST, "--policies", "lru",
-                     "--cache-dir", cache, "--db"]) == 0
-        capsys.readouterr()
-        db_path = telemetry.resolve_runs_root(cache_dir=cache) / \
-            DB_FILENAME
-        assert db_path.is_file()
-        assert main(["db", "runs", "--cache-dir", cache, "--json"]) == 0
-        runs = json.loads(capsys.readouterr().out)["runs"]
-        assert len(runs) == 1
-        assert runs[0]["status"] == "completed"
-        assert runs[0]["last_event_kind"] == "run_finished"
-
-    def test_live_db_env_toggle(self, capsys, tmp_path, monkeypatch):
-        cache = str(tmp_path / "cache")
-        target = tmp_path / "env.sqlite3"
-        monkeypatch.setenv(DB_ENV, str(target))
-        assert main(["compare", *FAST, "--policies", "lru",
-                     "--cache-dir", cache]) == 0
-        capsys.readouterr()
-        assert target.is_file()
-        assert main(["db", "runs", "--db", str(target), "--json"]) == 0
-        assert len(json.loads(capsys.readouterr().out)["runs"]) == 1
 
     def test_runs_list_shows_event_summaries(self, capsys, tmp_path):
         cache = self._ingested(tmp_path, capsys)

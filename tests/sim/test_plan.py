@@ -3,15 +3,19 @@
 One table says which engine serves each replay of the benchmark's mix —
 every registered policy, OPT, SHiP with the oracle base pass's residency
 log, and the sharing oracle over each base — plus one row per remaining
-decline reason. A replay that silently fell back to the object model
-would change its row, so this is the deterministic "no silent fallback"
-check. ``plan_replay`` takes resolved gates, so the rows hold whatever
+decline reason and per refused replay. Each row is checked twice: as the
+planner's decision, and as the tier, backend and reason the executor
+stamps on the result after it actually ran the replay. A replay that
+silently fell back to the object model would change its row, so this is
+the deterministic "no silent fallback" check. Every row passes its gates
+explicitly, so the rows hold whatever
 ``REPRO_SIM_NO_NATIVE``/``REPRO_SIM_NO_FASTPATH`` say.
 """
 
 import pytest
 
 from repro.common.config import CacheGeometry
+from repro.common.errors import SimulationError
 from repro.oracle.annotate import build_stream_annotation, oracle_hint_source
 from repro.oracle.residency import FillSharingLog
 from repro.oracle.wrapper import SharingAwareWrapper
@@ -20,9 +24,10 @@ from repro.policies.opt import BeladyOptPolicy, compute_next_use
 from repro.policies.registry import POLICY_NAMES, make_policy
 from repro.policies.rrip import SrripPolicy
 from repro.sim.fastpath import FASTPATH_ENV
+from repro.sim.multipass import run_policy_on_stream
 from repro.sim.nativepath import NO_NATIVE_ENV
 from repro.sim.plan import REASONS, REPLAY_KERNELS, ReplayPlan, plan_replay
-from repro.sim.probes import make_probe
+from repro.sim.probes import Probe, make_probe, run_probed_replay
 from tests.conftest import make_stream
 
 GEOMETRY = CacheGeometry(16 * 4 * 64, 4)
@@ -60,6 +65,11 @@ def model(reason):
     return ("scalar", "model", reason)
 
 
+MISALIGNED = "misaligned oracle annotation"
+"""The expected plan of a row the planner refuses: its SimulationError
+message starts with this text."""
+
+
 def row(policy, plan, observers=tuple, fastpath=True, native=True):
     """A policy factory, its expected plan, and the planner's other inputs."""
     return policy, plan, observers, fastpath, native
@@ -87,24 +97,66 @@ ROWS = {
                                     lambda llc, c, b, pc: 0, "both"),
         model("hint-source")),
     "oracle misaligned": row(lambda: oracle("lru", BUDGETS[:100]),
-                             model("misaligned")),
+                             MISALIGNED),
+    "oracle misaligned long": row(
+        lambda: oracle("lru", BUDGETS + BUDGETS[:300]), MISALIGNED),
     "ship native off": row(lambda: make_policy("ship"), model("native-off"),
                            native=False),
-    "lru+rrpv probe": row(lambda: make_policy("lru"), model("probe"),
-                          observers=lambda: (make_probe("rrpv"),)),
+    # The rrpv probe binds only to RRIP policies; without it SRRIP would
+    # take the set tier.
+    "srrip+rrpv probe": row(lambda: make_policy("srrip"), model("probe"),
+                            observers=lambda: (make_probe("rrpv"),)),
 }
+
+
+EXECUTOR_REFUSES = {"bound srrip": "bound twice"}
+"""Rows the planner plans but the executor refuses: the object model will
+not bind a policy that is already bound."""
 
 
 @pytest.mark.parametrize("row", sorted(ROWS))
 def test_plan(row):
     policy, expected, observers, fastpath, native = ROWS[row]
+    if expected == MISALIGNED:
+        with pytest.raises(SimulationError, match=MISALIGNED):
+            plan_replay(policy(), observers(), STREAM, fastpath, native)
+        return
     plan = plan_replay(policy(), observers(), STREAM, fastpath, native)
     assert plan == ReplayPlan(*expected)
 
 
+def execute(row):
+    """Run one row's replay; return the (tier, backend, reason) it stamped."""
+    policy, __, observers, fastpath, native = ROWS[row]
+    policy, observers = policy(), observers()
+    if any(isinstance(o, Probe) for o in observers):
+        # A probe is not a residency observer: probed replays have their
+        # own runner.
+        report = run_probed_replay(STREAM, GEOMETRY, policy.name, observers,
+                                   fastpath=fastpath)
+        return report.tier, report.result.backend, report.reason
+    result = run_policy_on_stream(STREAM, GEOMETRY, policy,
+                                  observers=observers, fastpath=fastpath,
+                                  native=native)
+    return result.tier, result.backend, result.reason
+
+
+@pytest.mark.parametrize("row", sorted(ROWS))
+def test_executed_replay_matches_plan(row):
+    expected = ROWS[row][1]
+    refusal = MISALIGNED if expected == MISALIGNED \
+        else EXECUTOR_REFUSES.get(row)
+    if refusal is not None:
+        with pytest.raises(SimulationError, match=refusal):
+            execute(row)
+        return
+    assert execute(row) == expected
+
+
 def test_rows_cover_every_policy_tier_and_reason():
     assert set(POLICY_NAMES) <= set(ROWS)
-    planned = {expected for __, expected, *___ in ROWS.values()}
+    planned = {expected for __, expected, *___ in ROWS.values()
+               if expected != MISALIGNED}
     assert {tier for tier, __, ___ in planned} == set(REPLAY_TIERS)
     assert {reason for *__, reason in planned} == {"", *REASONS}
     assert {cls.name for cls in REPLAY_KERNELS} <= set(ROWS)

@@ -10,7 +10,8 @@ The load-bearing properties, per DESIGN.md decision 8:
 * **Observation only** — a probed replay returns exactly the hit/miss
   counts of the un-probed :func:`run_policy_on_stream` twin (same seed
   derivation), and an un-probed ``SharedLlc`` carries no instrumentation
-  at all (the hook is an instance-attribute shadow, absent by default).
+  at all (the hook is an instance-attribute shadow, absent by default);
+  a probed model replay installs it only for a per-access probe.
 * **The sharing probe IS the characterization** — its summary reproduces
   ``context.characterize()``'s breakdown field-for-field.
 """
@@ -22,6 +23,7 @@ import random
 
 import pytest
 
+from repro.cache.llc import SharedLlc
 from repro.common.config import CacheGeometry
 from repro.common.errors import ConfigError
 from repro.sim.engine import LlcOnlySimulator
@@ -212,6 +214,30 @@ class TestObservationOnly:
         assert "access" not in vars(simulator.llc)
         simulator.llc.attach_probe_bus(ProbeBus([CountingProbe()]))
         assert "access" in vars(simulator.llc)
+
+    @pytest.mark.parametrize("probes, attaches", [
+        ([], 0),
+        (["sets", "evictions", "sharing"], 0),
+        (["reuse"], 1),
+    ], ids=["none", "residency", "reuse"])
+    def test_model_replay_attaches_a_bus_only_for_access_probes(
+        self, stream, small_geometry, monkeypatch, probes, attaches
+    ):
+        # Residency probes ride the observer callbacks, so only a
+        # per-access probe may shadow the LLC's access method.
+        calls = []
+        original = SharedLlc.attach_probe_bus
+
+        def attach(llc, bus):
+            calls.append(bus)
+            original(llc, bus)
+
+        monkeypatch.setattr(SharedLlc, "attach_probe_bus", attach)
+        report = run_probed_replay(
+            stream, small_geometry, "lru", probes, fastpath=False
+        )
+        assert (report.tier, report.result.backend) == ("scalar", "model")
+        assert len(calls) == attaches
 
     def test_scalar_report_carries_policy_state(
         self, stream, small_geometry

@@ -70,6 +70,23 @@ class TestRunLifecycle:
         roles = {e["role"] for e in telemetry.read_events(run.run_dir)}
         assert roles == {"main", "worker"}
 
+    def test_raising_sink_is_detached_not_fatal(self, run, capsys):
+        class Exploding:
+            def on_event(self, record):
+                raise RuntimeError("sink died")
+
+            def close(self):
+                pass
+
+        run.attach_sink(Exploding())
+        run.event("one")
+        run.event("two")
+        run.finish(status="completed")
+        err = capsys.readouterr().err
+        assert err.count("telemetry sink") == 1
+        assert telemetry.read_events(run.run_dir)[-1]["kind"] == \
+            "run_finished"
+
     def test_event_survives_deleted_run_dir(self, run, tmp_path):
         import shutil
 
