@@ -7,8 +7,8 @@ the whole residency ("never" release) or releasing at the first cross-core
 hit ("first-share").
 
 The variant axis is protection-only — it never touches the base replay,
-the fill-sharing log, the horizon derivation, or the stream annotation —
-so the whole grid runs per stream as one
+the horizon derivation, or the stream annotation — so the whole grid
+runs per stream as one
 :func:`repro.oracle.runner.run_oracle_variants` call: one base pass, one
 annotation, one wrapped replay per variant.
 """

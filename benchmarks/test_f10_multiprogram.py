@@ -11,7 +11,7 @@ multi-threaded workloads specifically.
 
 from benchmarks.conftest import BENCH_SEED, GEOMETRY_8MB, emit, once
 from repro.analysis.aggregate import amean
-from repro.oracle.runner import run_oracle_study
+from repro.oracle.runner import run_oracle_study, shared_fill_fraction
 from repro.sim.multipass import record_llc_stream
 from repro.workloads.multiprogram import MultiprogramMix
 
@@ -40,14 +40,16 @@ def test_f10_multiprogram_vs_multithreaded(benchmark, context):
             study = run_oracle_study(stream, GEOMETRY_8MB)
             rows.append([
                 mix.name, "multiprogram", study.base.miss_ratio,
-                study.shared_fill_fraction, study.miss_reduction,
+                shared_fill_fraction(stream, GEOMETRY_8MB),
+                study.miss_reduction,
             ])
         for name in MULTITHREADED_REFERENCE:
             stream = context.artifacts(name).stream
             study = run_oracle_study(stream, GEOMETRY_8MB)
             rows.append([
                 name, "multithreaded", study.base.miss_ratio,
-                study.shared_fill_fraction, study.miss_reduction,
+                shared_fill_fraction(stream, GEOMETRY_8MB),
+                study.miss_reduction,
             ])
         return rows
 

@@ -7,11 +7,16 @@ paper's 6% -> 10% pair are two points on this curve; the sweep shows the
 trend — gains grow while capacity approaches the shared working sets, then
 collapse once everything fits and there are no misses left to save.
 
-The recorded streams depend only on the private levels, so one recording
-serves every LLC size — and the whole capacity grid of one stream runs as
-a single :func:`repro.oracle.runner.run_oracle_study_grid` call, sharing
-every geometry-invariant pass (stream annotations whose effective horizon
-window coincides are computed once per stream).
+One recording, under LRU at 4MB, serves every LLC size. Under the
+inclusive LLC that is exact only at 4MB: LLC victims back-invalidate
+private copies, so each size would change the stream. Measured against
+the online hierarchy (200K accesses, seed 42), LRU replay stays within
+0.09% at 8MB and 16MB, but at the 2MB point, where the LLC is only as
+large as the eight private L2s together, it undercounts misses by 2.9%
+on average and by 44% on swaptions. The whole capacity grid of one stream
+runs as a single :func:`repro.oracle.runner.run_oracle_study_grid` call,
+sharing every geometry-invariant pass (stream annotations whose effective
+horizon window coincides are computed once per stream).
 """
 
 from benchmarks.conftest import emit, once

@@ -399,13 +399,13 @@ def cmd_oracle(args) -> int:
     studies, failures = split_failures(studies)
     _report_failures(failures)
     rows = []
-    for name, study in studies.items():
+    for name, (study, shared_fills) in studies.items():
         rows.append([
             name,
             study.base.miss_ratio,
             study.oracle.miss_ratio,
             study.miss_reduction,
-            study.shared_fill_fraction,
+            shared_fills,
         ])
     append_summary_rows(rows, numeric_columns=[1, 2, 3, 4])
     print(render_table(
@@ -560,7 +560,7 @@ def cmd_phases(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    from repro.oracle.runner import run_oracle_study
+    from repro.oracle.runner import run_oracle_study, shared_fill_fraction
     from repro.sim.multipass import record_llc_stream
     from repro.workloads.multiprogram import MultiprogramMix
 
@@ -575,8 +575,11 @@ def cmd_mix(args) -> int:
         )
         stream, stats = record_llc_stream(trace, context.machine)
         study = run_oracle_study(
-            stream, context.geometry, base=args.base,
+            stream, context.geometry, base=args.base, seed=args.seed,
             fastpath=context.fastpath,
+        )
+        shared_fills = shared_fill_fraction(
+            stream, context.geometry, args.base, args.seed, context.fastpath,
         )
     print(render_table(
         ["metric", "value"],
@@ -586,7 +589,7 @@ def cmd_mix(args) -> int:
             [f"{args.base} miss ratio", study.base.miss_ratio],
             ["oracle miss ratio", study.oracle.miss_ratio],
             ["oracle miss reduction", study.miss_reduction],
-            ["shared fill fraction", study.shared_fill_fraction],
+            ["shared fill fraction", shared_fills],
         ],
         title=f"Multi-programmed oracle study ({args.profile})",
     ))

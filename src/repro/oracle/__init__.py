@@ -11,13 +11,7 @@ wrapped and plain policy quantifies the headroom sharing-awareness offers —
 the paper's headline 6%/10% average LRU miss reductions at 4MB/8MB.
 """
 
-from repro.oracle.residency import FillSharingLog
-from repro.oracle.annotate import (
-    AnnotationHintSource,
-    build_sharing_annotation,
-    build_stream_annotation,
-    oracle_hint_source,
-)
+from repro.oracle.annotate import AnnotationHintSource, build_stream_annotation
 from repro.oracle.wrapper import (
     PROTECTION_MODES,
     RELEASE_POLICIES,
@@ -33,11 +27,8 @@ from repro.oracle.runner import (
 )
 
 __all__ = [
-    "FillSharingLog",
     "AnnotationHintSource",
-    "build_sharing_annotation",
     "build_stream_annotation",
-    "oracle_hint_source",
     "PROTECTION_MODES",
     "RELEASE_POLICIES",
     "SharingAwareWrapper",

@@ -1,40 +1,23 @@
-"""Building and consuming fill-time sharing annotations.
+"""Building and consuming the oracle's fill-time sharing annotation.
 
-Two annotation flavours:
-
-* :func:`build_stream_annotation` — **policy-free** (the oracle proper).
-  For every stream position it counts the future accesses to that block by
-  *other* cores within a retention horizon. A fill's positive budget means
-  "this block will be shared during a residency of achievable length";
-  the wrapper protects the block until those cross-core uses have been
-  served. Because every position is annotated, fills occurring at
-  positions that were hits under some other policy still find their
-  budget — annotation and replay align by stream ordinal regardless of
-  policy.
-* :func:`build_sharing_annotation` — **policy-conditioned** ground truth:
-  replays a concrete policy and logs each residency's realised cross-core
-  uses at its fill ordinal. This is the per-residency truth the
-  characterization and predictor studies consume; it is *not* useful as an
-  oracle hint for the same policy (its budgets are exhausted exactly at the
-  recorded eviction points, making the oracle a fixed point of the base).
+:func:`build_stream_annotation` is **policy-free**: for every stream
+position it counts the future accesses to that block by *other* cores
+within a retention horizon. A fill's positive budget means "this block
+will be shared during a residency of achievable length"; the wrapper
+protects the block until those cross-core uses have been served. Because
+every position is annotated, fills occurring at positions that were hits
+under some other policy still find their budget — annotation and replay
+align by stream ordinal regardless of policy.
+:class:`AnnotationHintSource` hands the budgets to the wrapper.
 """
 
 from array import array
-from typing import Union
 
 import numpy as np
 
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.errors import ConfigError, SimulationError
-from repro.common.rng import derive_seed
-from repro.oracle.residency import FillSharingLog
-from repro.policies.base import ReplacementPolicy
-from repro.policies.registry import make_policy
-from repro.sim.engine import LlcOnlySimulator
-
-DEFAULT_HORIZON_FACTOR = 8
-"""Retention horizon in units of LLC capacity (in blocks)."""
 
 BUDGET_CAP = 127
 """Budgets saturate here; protection beyond ~100 uses changes nothing."""
@@ -43,7 +26,7 @@ BUDGET_CAP = 127
 def build_stream_annotation(
     stream: LlcStream,
     geometry: CacheGeometry,
-    horizon_factor: int = DEFAULT_HORIZON_FACTOR,
+    horizon_factor: int,
     cap: int = BUDGET_CAP,
 ) -> array:
     """Annotate every stream position with its future cross-core uses.
@@ -110,27 +93,6 @@ def build_stream_annotation(
     return budgets
 
 
-def build_sharing_annotation(
-    stream: LlcStream,
-    geometry: CacheGeometry,
-    policy: Union[str, ReplacementPolicy] = "lru",
-    seed: int = 0,
-) -> array:
-    """Run ``policy`` over ``stream`` logging realised per-residency budgets.
-
-    Returns ``budgets`` with ``budgets[fill_ordinal]`` holding the
-    cross-core uses the residency starting at that fill served under this
-    policy (zero at ordinals that were hits). See the module docstring for
-    when to prefer this over :func:`build_stream_annotation`.
-    """
-    if isinstance(policy, str):
-        policy = make_policy(policy, seed=derive_seed(seed, "annotate", policy))
-    log = FillSharingLog(len(stream))
-    simulator = LlcOnlySimulator(geometry, policy, observers=(log,))
-    simulator.run(stream)
-    return log.budgets
-
-
 class AnnotationHintSource:
     """A wrapper hint source backed by a precomputed annotation array.
 
@@ -154,10 +116,3 @@ class AnnotationHintSource:
     def __call__(self, llc, block: int, pc: int, core: int) -> int:
         return self.budgets[llc.access_count]
 
-
-def oracle_hint_source(budgets: array):
-    """Adapt an annotation budget array into a wrapper hint source.
-
-    Returns an :class:`AnnotationHintSource`.
-    """
-    return AnnotationHintSource(budgets)

@@ -7,15 +7,15 @@ from typing import List, Optional, Sequence, Tuple
 from weakref import ref
 
 from repro.cache.stream import LlcStream
+from repro.characterization.report import characterize_stream
 from repro.common.config import CacheGeometry
 from repro.common.errors import ConfigError
 from repro.common.rng import derive_seed
 from repro.oracle.annotate import (
     BUDGET_CAP,
+    AnnotationHintSource,
     build_stream_annotation,
-    oracle_hint_source,
 )
-from repro.oracle.residency import FillSharingLog
 from repro.oracle.wrapper import SharingAwareWrapper
 from repro.policies.registry import make_policy
 from repro.sim.multipass import run_policy_on_stream
@@ -149,7 +149,6 @@ class OracleStudyResult:
 
     base: LlcSimResult
     oracle: LlcSimResult
-    shared_fill_fraction: float
     protected_fills: int
     exemptions: int
     horizon_factor: int = 0
@@ -176,11 +175,12 @@ def run_oracle_study(
     """Measure the sharing oracle's gain over ``base`` on ``stream``.
 
     Three steps: (1) replay the plain base policy for the baseline miss
-    count (also logging its realised residencies, reported as
-    ``shared_fill_fraction``); (2) build the policy-free future-sharing
-    annotation of the stream; (3) replay the oracle-wrapped base consuming
-    that annotation. Both replays see the identical stream, so the miss
-    delta is attributable to sharing-aware protection alone.
+    count; (2) build the policy-free future-sharing annotation of the
+    stream; (3) replay the oracle-wrapped base consuming that annotation.
+    Both replays see the identical stream, so the miss delta is
+    attributable to sharing-aware protection alone. The base pass's
+    shared-fill fraction is :func:`shared_fill_fraction`, for the callers
+    that report it.
 
     Args:
         stream: recorded LLC demand stream.
@@ -213,6 +213,11 @@ def run_oracle_study(
     )[0]
 
 
+def _base_seed(seed: int, base: str) -> int:
+    """The seed of every base-policy instance one study builds."""
+    return derive_seed(seed, "oracle-base", base)
+
+
 def _base_pass(
     stream: LlcStream,
     geometry: CacheGeometry,
@@ -221,31 +226,48 @@ def _base_pass(
     horizon_factor: Optional[int],
     seed: int,
     fastpath: Optional[bool],
-) -> Tuple[LlcSimResult, float, int]:
+) -> Tuple[LlcSimResult, int]:
     """The variant-independent prefix of an oracle study.
 
-    Replays the plain base once (logging realised fill sharing) and derives
-    the retention horizon from its miss ratio. Nothing here depends on the
-    protection mode or release policy, which is what lets a whole A1
-    variant grid share one base pass.
+    Replays the plain base once, with no observer, so it runs on the
+    base's planned engine, and derives the retention horizon from its miss
+    ratio. Nothing here depends on the protection mode or release policy,
+    which is what lets a whole A1 variant grid share one base pass.
     """
-    base_log = FillSharingLog(len(stream))
     # An instance (not the name) keeps the "oracle-base" seed derivation.
     base_result = run_policy_on_stream(
-        stream, geometry,
-        make_policy(base, seed=derive_seed(seed, "oracle-base", base)),
-        observers=(base_log,), fastpath=fastpath,
+        stream, geometry, make_policy(base, seed=_base_seed(seed, base)),
+        fastpath=fastpath,
     )
-    shared_fill_fraction = (
-        base_log.shared_fills / base_log.total_fills if base_log.total_fills else 0.0
-    )
-
     if horizon_factor is None:
         miss_ratio = max(base_result.miss_ratio, 1e-3)
         horizon_factor = max(
             1, min(int(horizon_turnovers / miss_ratio), MAX_HORIZON_FACTOR)
         )
-    return base_result, shared_fill_fraction, horizon_factor
+    return base_result, horizon_factor
+
+
+def shared_fill_fraction(
+    stream: LlcStream,
+    geometry: CacheGeometry,
+    base: str = "lru",
+    seed: int = 0,
+    fastpath: Optional[bool] = None,
+) -> float:
+    """Fraction of the oracle base pass's residencies that were shared.
+
+    A shared residency is one two or more cores touched (DESIGN decision
+    7). The characterization replay is seeded exactly like the base pass
+    of :func:`run_oracle_study` with the same ``base`` and ``seed``, so it
+    sees the same residencies. It is a replay of its own because its
+    observer costs a per-residency callback replay and keeps SHiP off the
+    compact kernel; only the reports that print the fraction pay for it.
+    """
+    report = characterize_stream(
+        stream, geometry, policy_name=base, seed=_base_seed(seed, base),
+        track_phases=False, fastpath=fastpath,
+    )
+    return report.breakdown.shared_residency_fraction
 
 
 def run_oracle_variants(
@@ -263,23 +285,22 @@ def run_oracle_variants(
     """One oracle study per ``(mode, release)`` variant, sharing every
     variant-independent pass.
 
-    The base replay, the measured fill-sharing fraction, the horizon
-    derivation, and the stream annotation do not depend on the protection
-    variant — only the wrapped oracle replay does. A whole A1-style
-    ablation therefore costs one base pass, one annotation, and one
-    wrapped replay per variant, with every cell bit-identical to an
-    independent :func:`run_oracle_study` call. Results align positionally
-    with ``variants``. The wrapped replay goes through the replay planner,
-    so annotation-backed wrappers over {LRU, SRRIP, SHiP} take the native
-    oracle kernels unless gated off (``fastpath=False``,
-    ``native=False``, or their environment toggles); the wrapper's study
-    counters are identical either way.
+    The plain base replay, the horizon derivation, and the stream
+    annotation do not depend on the protection variant — only the wrapped
+    oracle replay does. A whole A1-style ablation therefore costs one base
+    pass, one annotation, and one wrapped replay per variant, with every
+    cell bit-identical to an independent :func:`run_oracle_study` call.
+    Results align positionally with ``variants``. The wrapped replay goes
+    through the replay planner, so annotation-backed wrappers over {LRU,
+    SRRIP, SHiP} take the native oracle kernels unless gated off
+    (``fastpath=False``, ``native=False``, or their environment toggles);
+    the wrapper's study counters are identical either way.
     """
     if horizon_turnovers <= 0:
         raise ConfigError(
             f"horizon_turnovers must be positive, got {horizon_turnovers}"
         )
-    base_result, shared_fill_fraction, horizon_factor = _base_pass(
+    base_result, horizon_factor = _base_pass(
         stream, geometry, base, horizon_turnovers, horizon_factor, seed,
         fastpath,
     )
@@ -287,8 +308,8 @@ def run_oracle_variants(
     studies = []
     for mode, release in variants:
         wrapper = SharingAwareWrapper(
-            make_policy(base, seed=derive_seed(seed, "oracle-base", base)),
-            oracle_hint_source(budgets), mode, release=release,
+            make_policy(base, seed=_base_seed(seed, base)),
+            AnnotationHintSource(budgets), mode, release=release,
         )
         oracle_result = run_policy_on_stream(
             stream, geometry, wrapper, fastpath=fastpath, native=native,
@@ -296,7 +317,6 @@ def run_oracle_variants(
         studies.append(OracleStudyResult(
             base=base_result,
             oracle=oracle_result,
-            shared_fill_fraction=shared_fill_fraction,
             protected_fills=wrapper.protected_fills,
             exemptions=wrapper.exemptions_applied,
             horizon_factor=horizon_factor,
@@ -319,9 +339,9 @@ def run_oracle_study_grid(
 ) -> List[OracleStudyResult]:
     """One oracle study per geometry over a single stream — the F7 grid.
 
-    The per-cell passes that genuinely depend on the geometry (the
-    observer-carrying base replay, the wrapped oracle replay) run per cell;
-    everything geometry-invariant is shared through the per-stream memos —
+    The per-cell passes that genuinely depend on the geometry (the plain
+    base replay, the wrapped oracle replay) run per cell; everything
+    geometry-invariant is shared through the per-stream memos —
     annotations whose effective window coincides
     (:func:`stream_annotation`) are computed once, and capacity cells that
     pull OPT comparisons share the stream's next-use column

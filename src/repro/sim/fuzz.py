@@ -297,7 +297,7 @@ def run_fuzz_scenario(config: FuzzConfig, scenario: Dict) -> Dict:
     the full-fidelity pass re-verifies exactly that), then the sharing
     oracle measures its gain over ``config.base`` on the same substream.
     """
-    from repro.oracle.runner import run_oracle_study
+    from repro.oracle.runner import run_oracle_study, shared_fill_fraction
     from repro.sim.multipass import run_policy_on_stream
 
     with telemetry.span("fuzz_scenario", scenario=scenario["id"],
@@ -332,7 +332,9 @@ def run_fuzz_scenario(config: FuzzConfig, scenario: Dict) -> Dict:
             fastpath=config.fastpath,
         )
         record["oracle_gain"] = study.miss_reduction
-        record["shared_fill_fraction"] = study.shared_fill_fraction
+        record["shared_fill_fraction"] = shared_fill_fraction(
+            sub, small, config.base, config.seed, config.fastpath,
+        )
         info["oracle_gain"] = record["oracle_gain"]
     return record
 
@@ -409,7 +411,7 @@ def replay_scenario_full(
     * probe evidence (``probe_report``) and the full oracle study attach to
       the base policy's full replay.
     """
-    from repro.oracle.runner import run_oracle_study
+    from repro.oracle.runner import run_oracle_study, shared_fill_fraction
     from repro.policies.registry import make_policy
     from repro.sim.multipass import run_policy_on_stream
     from repro.sim.probes import run_probed_replay
@@ -480,7 +482,9 @@ def replay_scenario_full(
         fastpath=config.fastpath,
     )
     record["oracle_gain_full"] = study.miss_reduction
-    record["shared_fill_fraction_full"] = study.shared_fill_fraction
+    record["shared_fill_fraction_full"] = shared_fill_fraction(
+        stream, machine.llc, config.base, config.seed, config.fastpath,
+    )
     if probes:
         report = run_probed_replay(
             stream, machine.llc, config.base, probes=list(probes),

@@ -216,10 +216,16 @@ def execute_cell(context, cell: ExperimentCell):
             cell.workload, list(policies), include_opt=include_opt
         )
     if cell.kind == "oracle":
+        from repro.oracle.runner import shared_fill_fraction
+
         base, mode, release, turnovers = cell.params
-        return context.oracle_study(
+        study = context.oracle_study(
             cell.workload, base=base, mode=mode, release=release,
             horizon_turnovers=turnovers,
+        )
+        return study, shared_fill_fraction(
+            artifacts.stream, context.geometry, base, context.seed,
+            context.fastpath,
         )
     if cell.kind == "sweep":
         from repro.oracle.runner import run_oracle_study
@@ -603,7 +609,12 @@ def oracle_many(
     jobs: Optional[int] = 1,
     **run_kwargs,
 ) -> Dict[str, object]:
-    """Oracle studies for many workloads, keyed by workload."""
+    """Oracle studies for many workloads, keyed by workload.
+
+    Each value is a ``(study, shared fill fraction)`` pair: the fraction
+    (:func:`repro.oracle.runner.shared_fill_fraction`) is computed in the
+    same cell, over the same stream.
+    """
     workloads = list(workloads)
     cells = [
         ExperimentCell("oracle", name, (base, mode, release, turnovers))

@@ -5,11 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import CacheGeometry
 from repro.common.errors import ConfigError
-from repro.oracle.annotate import (
-    build_sharing_annotation,
-    build_stream_annotation,
-    oracle_hint_source,
-)
+from repro.oracle.annotate import AnnotationHintSource, build_stream_annotation
 from tests.conftest import make_stream
 
 
@@ -54,7 +50,8 @@ class TestStreamAnnotation:
 
     def test_private_stream_gets_zero(self):
         accesses = [(0, 0, b % 3, False) for b in range(20)]
-        budgets = build_stream_annotation(make_stream(accesses), GEOMETRY)
+        budgets = build_stream_annotation(make_stream(accesses), GEOMETRY,
+                                          horizon_factor=8)
         assert max(budgets) == 0
 
     def test_horizon_cuts_far_sharing(self):
@@ -70,7 +67,8 @@ class TestStreamAnnotation:
 
     def test_cap_saturates(self):
         accesses = [(0, 0, 5, False)] + [(1, 0, 5, False)] * 20
-        budgets = build_stream_annotation(make_stream(accesses), GEOMETRY, cap=3)
+        budgets = build_stream_annotation(make_stream(accesses), GEOMETRY,
+                                          horizon_factor=8, cap=3)
         assert budgets[1] == 3
 
     def test_rejects_bad_parameters(self):
@@ -78,7 +76,8 @@ class TestStreamAnnotation:
         with pytest.raises(ConfigError):
             build_stream_annotation(stream, GEOMETRY, horizon_factor=0)
         with pytest.raises(ConfigError):
-            build_stream_annotation(stream, GEOMETRY, cap=0)
+            build_stream_annotation(stream, GEOMETRY, horizon_factor=8,
+                                    cap=0)
 
     @settings(max_examples=50)
     @given(stream_entries, st.integers(min_value=1, max_value=5))
@@ -135,32 +134,6 @@ class TestStreamAnnotationVectorized:
         self.both(accesses, horizon_factor=2)
 
 
-class TestPolicyAnnotation:
-    def test_budget_recorded_at_fill_ordinal(self):
-        accesses = [
-            (0, 0, 5, False),   # ordinal 1: fill
-            (1, 0, 5, False),   # ordinal 2: cross-core hit
-            (1, 0, 5, False),   # ordinal 3: another (same core 1)
-            (0, 0, 5, True),    # ordinal 4: filler again
-        ]
-        budgets = build_sharing_annotation(make_stream(accesses), GEOMETRY)
-        assert budgets[1] == 2   # two hits by cores != fill core
-        assert budgets[2] == 0   # ordinal 2 was a hit, not a fill
-
-    def test_private_residencies_zero(self):
-        accesses = [(0, 0, b, False) for b in (1, 2, 1, 2)]
-        budgets = build_sharing_annotation(make_stream(accesses), GEOMETRY)
-        assert max(budgets) == 0
-
-    def test_accepts_policy_instance(self):
-        from repro.policies.lru import LruPolicy
-
-        budgets = build_sharing_annotation(
-            make_stream([(0, 0, 1, False)]), GEOMETRY, policy=LruPolicy()
-        )
-        assert len(budgets) == 2
-
-
 class TestHintSource:
     def test_reads_by_access_ordinal(self):
         from array import array
@@ -170,5 +143,5 @@ class TestHintSource:
         class FakeLlc:
             access_count = 2
 
-        hint = oracle_hint_source(budgets)
+        hint = AnnotationHintSource(budgets)
         assert hint(FakeLlc(), 0, 0, 0) == 7

@@ -20,11 +20,7 @@ from hypothesis import given, settings
 
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
-from repro.oracle.annotate import (
-    AnnotationHintSource,
-    build_stream_annotation,
-    oracle_hint_source,
-)
+from repro.oracle.annotate import AnnotationHintSource, build_stream_annotation
 from repro.oracle.runner import (
     ANNOTATION_MEMO_CAPACITY,
     annotation_memo_clear,
@@ -68,7 +64,7 @@ def shared_stream(n=2500, spread=130, cores=4):
 
 def make_wrapper(base, budgets, mode="both", release="budget"):
     return SharingAwareWrapper(
-        make_policy(base, seed=SEED), oracle_hint_source(budgets),
+        make_policy(base, seed=SEED), AnnotationHintSource(budgets),
         mode, release=release,
     )
 
@@ -254,7 +250,7 @@ class TestOracleFallbackChain:
             pass
 
         wrapper = TweakedWrapper(make_policy("lru", seed=SEED),
-                                 oracle_hint_source(self._budgets()), "both")
+                                 AnnotationHintSource(self._budgets()), "both")
         assert self._replay(wrapper, native=True) == ("model", "no-kernel")
 
     def test_subclassed_hint_source_declines(self):

@@ -4,8 +4,10 @@ import pytest
 
 from repro.common.config import CacheGeometry
 from repro.common.errors import ConfigError
-from repro.oracle.runner import run_oracle_study
+from repro.oracle.runner import run_oracle_study, shared_fill_fraction
 from repro.policies.registry import POLICY_NAMES
+from repro.sim.fastpath import FASTPATH_ENV
+from repro.sim.nativepath import NO_NATIVE_ENV
 from tests.conftest import make_stream
 
 GEOMETRY = CacheGeometry(2 * 4 * 64, 4)  # 2 sets x 4 ways = 8 blocks
@@ -37,22 +39,22 @@ class TestRunOracleStudy:
         assert study.miss_reduction > 0.1
 
     def test_private_stream_gets_no_gain_and_no_loss(self):
-        accesses = [(0, 0, b % 20, False) for b in range(500)]
-        study = run_oracle_study(make_stream(accesses), GEOMETRY)
+        stream = make_stream([(0, 0, b % 20, False) for b in range(500)])
+        study = run_oracle_study(stream, GEOMETRY)
         assert study.oracle.misses == study.base.misses
-        assert study.shared_fill_fraction == 0.0
+        assert shared_fill_fraction(stream, GEOMETRY) == 0.0
         assert study.protected_fills == 0
 
     def test_result_fields_consistent(self):
-        study = run_oracle_study(sharing_with_pollution_stream(), GEOMETRY,
-                                 horizon_factor=8)
+        stream = sharing_with_pollution_stream()
+        study = run_oracle_study(stream, GEOMETRY, horizon_factor=8)
         assert study.base.accesses == study.oracle.accesses
         # Under thrashing LRU no residency survives to its cross-core use,
         # so the realised sharing fraction is zero even though the stream
         # annotation (and hence protected_fills) sees the future sharing —
         # exactly the gap between realised and potential sharing the oracle
         # exploits.
-        assert 0 <= study.shared_fill_fraction <= 1
+        assert shared_fill_fraction(stream, GEOMETRY) == 0.0
         assert study.protected_fills > 0
         assert study.horizon_factor >= 1
 
@@ -103,3 +105,64 @@ class TestHorizonDerivation:
         accesses = [(0, 0, b, False) for b in range(500)]
         study = run_oracle_study(make_stream(accesses), GEOMETRY)
         assert study.horizon_factor == 1
+
+
+def shared_stream(n=3000):
+    """Four cores over 130 blocks with cross-core reuse at every range."""
+    return make_stream([
+        (i % 4, 0x400 + (i % 6) * 0x1C, (i * 5 + (i // 11) * 2) % 130,
+         i % 7 == 0)
+        for i in range(n)
+    ])
+
+
+SHARED_GEOMETRY = CacheGeometry(16 * 4 * 64, 4)
+
+
+class TestBasePass:
+    """The base pass is a plain replay on the base's own engine."""
+
+    @pytest.fixture(autouse=True)
+    def _auto_gates(self, monkeypatch):
+        monkeypatch.delenv(FASTPATH_ENV, raising=False)
+        monkeypatch.delenv(NO_NATIVE_ENV, raising=False)
+
+    @pytest.mark.parametrize("base, engine", [
+        ("lru", ("stack", "python")),
+        ("srrip", ("set", "numpy")),
+        ("drrip", ("dueling", "numpy")),
+        ("ship", ("scalar", "compact")),
+    ])
+    def test_base_replay_takes_its_planned_engine(self, record_spans, base,
+                                                   engine):
+        spans = record_spans(lambda: run_oracle_study(
+            shared_stream(), SHARED_GEOMETRY, base=base,
+        ))
+        [replay] = [s for s in spans
+                    if s["stage"] == "replay" and s["policy"] == base]
+        assert (replay["tier"], replay["backend"], replay["reason"]) \
+            == (*engine, "")
+
+
+class TestSharedFillFraction:
+    @pytest.mark.parametrize("base", ["lru", "dip", "srrip", "drrip", "ship"])
+    def test_same_on_every_engine(self, base):
+        stream = shared_stream()
+        fast = shared_fill_fraction(stream, SHARED_GEOMETRY, base, seed=7,
+                                    fastpath=True)
+        slow = shared_fill_fraction(stream, SHARED_GEOMETRY, base, seed=7,
+                                    fastpath=False)
+        assert fast == slow > 0
+
+    @pytest.mark.parametrize("base", ["dip", "drrip", "random"])
+    def test_replays_the_base_pass(self, record_spans, base):
+        # Seeded like the base pass, the fraction's replay of a stochastic
+        # base sees the base pass's residencies, so it counts its misses.
+        stream = shared_stream()
+        study = run_oracle_study(stream, SHARED_GEOMETRY, base=base, seed=7)
+        spans = record_spans(lambda: shared_fill_fraction(
+            stream, SHARED_GEOMETRY, base, seed=7,
+        ))
+        [replay] = [s for s in spans if s["stage"] == "replay"]
+        assert (replay["hits"], replay["misses"]) \
+            == (study.base.hits, study.base.misses)

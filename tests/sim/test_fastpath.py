@@ -18,7 +18,6 @@ from repro.cache.llc import ResidencyObserver
 from repro.characterization.hits import SharingClassifier
 from repro.characterization.phases import SharingPhaseTracker
 from repro.common.config import CacheGeometry
-from repro.oracle.residency import FillSharingLog
 from repro.policies.lru import LruPolicy
 from repro.predictors.harness import PredictorHarness
 from repro.predictors.registry import make_predictor
@@ -200,15 +199,6 @@ class TestRealObservers:
         replay_lru_fastpath(stream, small_geometry, observers=(fast_c,))
         assert fast_c.breakdown == slow_c.breakdown
 
-    def test_fill_sharing_log(self, small_geometry):
-        stream = self._stream()
-        slow_log = FillSharingLog(len(stream))
-        fast_log = FillSharingLog(len(stream))
-        scalar_replay(stream, small_geometry, observers=(slow_log,))
-        replay_lru_fastpath(stream, small_geometry, observers=(fast_log,))
-        assert fast_log.total_fills == slow_log.total_fills
-        assert fast_log.shared_fills == slow_log.shared_fills
-
     def test_predictor_harness_matrix(self, small_geometry):
         stream = self._stream()
         slow_h = PredictorHarness(make_predictor("hybrid"))
@@ -285,7 +275,6 @@ class TestPipelineEquivalence:
         slow = run_oracle_study(stream, small_geometry, fastpath=False)
         assert fast.base == slow.base
         assert fast.oracle == slow.oracle
-        assert fast.shared_fill_fraction == slow.shared_fill_fraction
         assert fast.horizon_factor == slow.horizon_factor
 
     def test_characterize_invariant(self, small_geometry):

@@ -343,7 +343,6 @@ class TestOracleGrid:
             ref = run_oracle_study(fresh, geometry, base="lru")
             assert study.base == ref.base
             assert study.oracle == ref.oracle
-            assert study.shared_fill_fraction == ref.shared_fill_fraction
             assert study.protected_fills == ref.protected_fills
             assert study.exemptions == ref.exemptions
             assert study.horizon_factor == ref.horizon_factor

@@ -1,23 +1,23 @@
 """The replay planner's decisions, pinned row by row.
 
 One table says which engine serves each replay of the benchmark's mix —
-every registered policy, OPT, SHiP with the oracle base pass's residency
-log, and the sharing oracle over each base — plus one row per remaining
-decline reason and per refused replay. Each row is checked twice: as the
-planner's decision, and as the tier, backend and reason the executor
-stamps on the result after it actually ran the replay. A replay that
-silently fell back to the object model would change its row, so this is
-the deterministic "no silent fallback" check. Every row passes its gates
-explicitly, so the rows hold whatever
-``REPRO_SIM_NO_NATIVE``/``REPRO_SIM_NO_FASTPATH`` say.
+every registered policy, OPT, SHiP with the sharing classifier that
+computes the oracle's shared-fill fraction, and the sharing oracle over
+each base — plus one row per remaining decline reason and per refused
+replay. Each row is checked twice: as the planner's decision, and as the
+tier, backend and reason the executor stamps on the result after it
+actually ran the replay. A replay that silently fell back to the object
+model would change its row, so this is the deterministic "no silent
+fallback" check. Every row passes its gates explicitly, so the rows hold
+whatever ``REPRO_SIM_NO_NATIVE``/``REPRO_SIM_NO_FASTPATH`` say.
 """
 
 import pytest
 
+from repro.characterization.hits import SharingClassifier
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
-from repro.oracle.annotate import build_stream_annotation, oracle_hint_source
-from repro.oracle.residency import FillSharingLog
+from repro.oracle.annotate import AnnotationHintSource, build_stream_annotation
 from repro.oracle.wrapper import SharingAwareWrapper
 from repro.policies.base import REPLAY_TIERS
 from repro.policies.opt import BeladyOptPolicy, compute_next_use
@@ -41,7 +41,7 @@ BUDGETS = build_stream_annotation(STREAM, GEOMETRY, horizon_factor=4)
 
 def oracle(base, budgets=BUDGETS):
     return SharingAwareWrapper(
-        make_policy(base), oracle_hint_source(budgets), "both",
+        make_policy(base), AnnotationHintSource(budgets), "both",
     )
 
 
@@ -84,7 +84,7 @@ ROWS = {
     "drrip": row(lambda: make_policy("drrip"), DUELING),
     "ship": row(lambda: make_policy("ship"), COMPACT),
     "ship+log": row(lambda: make_policy("ship"), model("observers"),
-                    observers=lambda: (FillSharingLog(len(STREAM)),)),
+                    observers=lambda: (SharingClassifier(),)),
     **{f"oracle({base})": row(lambda base=base: oracle(base), COMPACT)
        for base in ("lru", "srrip", "ship")},
     "oracle(drrip)": row(lambda: oracle("drrip"), model("no-kernel")),

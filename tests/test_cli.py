@@ -62,6 +62,29 @@ class TestCli:
         assert "mix(swaptions+water)" in out
         assert "oracle miss reduction" in out
 
+    def test_mix_oracle_uses_seed(self, capsys, monkeypatch):
+        import inspect
+
+        from repro.oracle import runner
+
+        seeds = []
+
+        def spy(func):
+            def call(*args, **kwargs):
+                bound = inspect.signature(func).bind(*args, **kwargs)
+                bound.apply_defaults()
+                seeds.append((func.__name__, bound.arguments["seed"]))
+                return func(*args, **kwargs)
+            return call
+
+        for name in ("run_oracle_study", "shared_fill_fraction"):
+            monkeypatch.setattr(runner, name, spy(getattr(runner, name)))
+        assert main(["mix", "--accesses", "3000", "--seed", "5",
+                     "--components", "swaptions", "water",
+                     "--base", "dip"]) == 0
+        assert seeds == [("run_oracle_study", 5),
+                         ("shared_fill_fraction", 5)]
+
     def test_record_and_replay(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["record", "--accesses", "3000",
