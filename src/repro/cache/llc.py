@@ -11,6 +11,7 @@ residency ends (eviction, or the final flush) all registered
 """
 
 from typing import List, Optional, Tuple
+from weakref import proxy
 
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
@@ -86,7 +87,9 @@ class SharedLlc:
         self.policy = policy
         self.observers: List[ResidencyObserver] = list(observers)
         policy.bind(geometry)
-        policy.attach(self)
+        # A proxy, not self: a policy <-> LLC cycle would leave every
+        # model replay's LLC to the cyclic collector.
+        policy.attach(proxy(self))
 
         num_sets = geometry.num_sets
         ways = geometry.ways

@@ -193,10 +193,10 @@ def _add_fastpath_argument(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-native", action="store_true",
-        help="disable the native scalar-tier backend (compact SHiP and "
-             "oracle-wrapper kernels); scalar-tier replays take the object "
-             "model instead (results are bit-identical, this only trades "
-             "speed)",
+        help="disable the native scalar-tier backend (the compact kernels "
+             "of SHiP and of the oracle wrapper over SHiP); those replays "
+             "take the object model instead (results are bit-identical, "
+             "this only trades speed)",
     )
 
 

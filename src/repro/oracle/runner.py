@@ -196,15 +196,14 @@ def run_oracle_study(
         cap: budget saturation value.
         seed: seed for stochastic base policies (both replays re-seed the
             base identically so only the oracle differs).
-        fastpath: three-state gate for the exact replay fast paths on the
-            base replay — stack-distance for plain LRU, set-partitioned
-            for other eligible bases (None = auto).
-        native: three-state gate for the native scalar backend on the
-            oracle-wrapped replay — annotation-backed wrappers over {LRU,
-            SRRIP, SHiP} lower onto the compiled/compact oracle kernels
-            (:func:`repro.sim.nativepath.replay_oracle_nativepath`, bit-
-            identical); ``False`` or ``REPRO_SIM_NO_NATIVE`` restores the
-            scalar object model.
+        fastpath: three-state gate for the exact replay fast paths on
+            both replays — stack-distance for plain LRU, set-partitioned
+            for other eligible bases and for the wrapper over LRU or
+            SRRIP (None = auto).
+        native: three-state gate for the compact kernel of the wrapper
+            over SHiP (:func:`repro.sim.nativepath.replay_oracle_nativepath`,
+            bit-identical); ``False`` or ``REPRO_SIM_NO_NATIVE`` restores
+            the scalar object model for it.
     """
     return run_oracle_variants(
         stream, geometry, [(mode, release)], base=base,
@@ -291,10 +290,11 @@ def run_oracle_variants(
     pass, one annotation, and one wrapped replay per variant, with every
     cell bit-identical to an independent :func:`run_oracle_study` call.
     Results align positionally with ``variants``. The wrapped replay goes
-    through the replay planner, so annotation-backed wrappers over {LRU,
-    SRRIP, SHiP} take the native oracle kernels unless gated off
-    (``fastpath=False``, ``native=False``, or their environment toggles);
-    the wrapper's study counters are identical either way.
+    through the replay planner, so annotation-backed wrappers take the
+    set tier's lockstep kernel over LRU or SRRIP and the compact kernel
+    over SHiP unless gated off (``fastpath=False``, for SHiP also
+    ``native=False``, or their environment toggles); the wrapper's study
+    counters are identical either way.
     """
     if horizon_turnovers <= 0:
         raise ConfigError(

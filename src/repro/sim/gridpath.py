@@ -29,7 +29,8 @@ carry the engine-assigned ``grid`` tier
 (:data:`repro.policies.base.REPLAY_GRID`), and every other cell is an
 independent :func:`repro.sim.multipass.run_policy_on_stream` replay with
 its own tier, backend and reason recorded — so scalar-tier policies
-(SHiP, oracle wrappers, bound instances) are never silently mis-replayed.
+(SHiP, the oracle wrapper over SHiP, bound instances) are never silently
+mis-replayed.
 Every grid cell is bit-identical to its per-cell replay
 (``tests/sim/test_gridpath.py`` pins the full matrix); DESIGN.md
 decision 10 has the exactness argument.
@@ -248,9 +249,8 @@ def replay_geometry_grid(
                 geometry = geometries[idx]
                 cell_start = perf_counter()
                 instance = instance_for(idx)
-                instance.bind(geometry)
                 hits = _run_partitioned(
-                    part, geometry, instance, None, profile=profile
+                    stream, part, geometry, instance, None, profile=profile
                 )
                 results[idx] = _grid_result(
                     stream, instance.name, hits, perf_counter() - cell_start,
@@ -339,9 +339,8 @@ def replay_param_grid(
                 continue
             instance = instances[idx]
             cell_start = perf_counter()
-            instance.bind(geometry)
             hits = _run_partitioned(
-                part, geometry, instance, None, profile=profile
+                stream, part, geometry, instance, None, profile=profile
             )
             results[idx] = _grid_result(
                 stream, instance.name, hits, perf_counter() - cell_start,

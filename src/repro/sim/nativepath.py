@@ -22,18 +22,22 @@ This module supplies that backend as two kernels:
   bookkeeping with list indexing.
 * **Oracle-tier kernel** (:func:`_oracle_count_compact`) — the same
   treatment for :class:`repro.oracle.wrapper.SharingAwareWrapper` over
-  {LRU, SRRIP, SHiP} when its hint source is an offline annotation
+  SHiP when its hint source is an offline annotation
   (:class:`repro.oracle.annotate.AnnotationHintSource`): hints are pure
   per-ordinal data, so they export as a column aligned with the
   stream and the whole protection protocol (victim exemption, synthetic
   promote-hits, budget releases) runs inside the kernel loop. The
-  wrapper's study counters are written back onto the instance.
+  wrapper's study counters are written back onto the instance. The same
+  wrapper over LRU or SRRIP keeps all its state per set, so it takes the
+  set tier's lockstep kernel instead, whatever the native gate says.
 
 Which replays take these kernels is decided by
 :func:`repro.sim.plan.plan_replay` (backend ``compact``); everything it
 declines — undeclared subclasses, bound instances, live predictor hint
 sources, observer-carrying replays, ``REPRO_SIM_NO_NATIVE`` — runs on the
-scalar model, with the decline reason stamped on the result.
+scalar model, with the decline reason stamped on the result. With
+``REPRO_SIM_NO_NATIVE`` set, only SHiP and SHiP-based oracle replays
+reach the model.
 """
 
 from time import perf_counter
@@ -45,14 +49,13 @@ from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.envflag import env_flag
 from repro.policies.base import REPLAY_SCALAR
-from repro.policies.lru import LruPolicy
-from repro.policies.rrip import SrripPolicy
 from repro.policies.ship import ShipPolicy
 from repro.sim.results import LlcSimResult
 
 NO_NATIVE_ENV = "REPRO_SIM_NO_NATIVE"
 """Set truthy (:func:`repro.common.envflag.env_flag` semantics) to disable
-the native scalar-tier backend; SHiP replays then take the scalar model.
+the native scalar-tier backend; SHiP and SHiP-based oracle replays then
+take the scalar model.
 ``=0``/``=false``/``=no`` count as unset, matching every other
 ``REPRO_SIM_*`` toggle.
 """
@@ -158,7 +161,7 @@ def _ship_count_compact(blocks, sigs, num_sets: int, ways: int, rmax: int,
 
 
 # ----------------------------------------------------------------------
-# Oracle-tier kernel: SharingAwareWrapper over {LRU, SRRIP, SHiP}
+# Oracle-tier kernel: SharingAwareWrapper over SHiP
 # ----------------------------------------------------------------------
 #
 # The wrapper's replay-relevant state is as flat as SHiP's: one budget and
@@ -167,76 +170,54 @@ def _ship_count_compact(blocks, sigs, num_sets: int, ways: int, rmax: int,
 # annotation (repro.oracle.annotate.AnnotationHintSource) — is pure data
 # keyed by the access ordinal, so the whole protection protocol lowers to
 # an int column aligned with the stream: hints[i] == budgets[i + 1].
-# The kernel below transcribes SharingAwareWrapper + base bit-exactly:
-# base.on_evict runs before the budget reset, the synthetic promote-hit of
-# insert-promote/both runs *after* the base fill (for SHiP that increments
-# the incoming signature's SHCT counter, exactly as the scalar model
-# does), and victim selection walks the base's preference order skipping
-# protected ways, with the "nothing protected in this set" short-circuit
-# kept O(1) by a per-set protected-way count.
-
-_FAMILY_ORACLE_LRU = 0
-_FAMILY_ORACLE_SRRIP = 1
-_FAMILY_ORACLE_SHIP = 2
-
-# Exact base-policy type -> family code; the planner reads the keys as the
-# bases this kernel covers. Subclasses (LIP, BRRIP, DRRIP, undeclared user
-# policies) are deliberately absent: they change fill or victim behaviour
-# and must take the object model.
-ORACLE_BASE_FAMILIES = {
-    LruPolicy: _FAMILY_ORACLE_LRU,
-    SrripPolicy: _FAMILY_ORACLE_SRRIP,
-    ShipPolicy: _FAMILY_ORACLE_SHIP,
-}
+# The kernel below transcribes SharingAwareWrapper + ShipPolicy
+# bit-exactly: base.on_evict runs before the budget reset, the synthetic
+# promote-hit of insert-promote/both runs *after* the base fill (it
+# increments the incoming signature's SHCT counter, exactly as the scalar
+# model does), and victim selection walks SHiP's descending-RRPV order
+# skipping protected ways, with the "nothing protected in this set"
+# short-circuit kept O(1) by a per-set protected-way count. Over LRU and
+# SRRIP, whose state is all per set, the wrapper takes the set tier's
+# lockstep kernel instead (repro.sim.setpath._count_lockstep).
 
 _ORACLE_MODES = {"victim-exempt": 0, "insert-promote": 1, "both": 2}
 _ORACLE_RELEASES = {"budget": 0, "first-share": 1, "never": 2}
 
 
 def _oracle_count_compact(blocks, cores, hints, sigs, num_sets: int,
-                          ways: int, family: int, mode: int, release: int,
-                          rmax: int, cmax: int, shct):
-    """Count-mode wrapped replay over flat per-set lists.
+                          ways: int, mode: int, release: int, rmax: int,
+                          cmax: int, shct):
+    """Count-mode SHiP-based oracle replay over flat per-set lists.
 
     Returns ``(hits, protected_fills, exemptions, releases)`` — the hit
     count plus the wrapper's three study counters, bit-exact against
     ``SharedLlc.access`` driving ``SharingAwareWrapper`` (the differential
-    suite pins every (family, mode, release) cell). ``sigs``/``shct`` are
-    only read by the SHiP family; ``rmax``/``cmax`` only by RRIP/SHiP.
+    suite pins every (mode, release) cell).
     """
     set_mask = num_sets - 1
     where: dict = {}  # block -> (set, way)
     get = where.get
     blk_rows = [[0] * ways for __ in range(num_sets)]
-    # LRU keeps recency stamps in meta, RRIP/SHiP keep RRPVs.
-    init_meta = 0 if family == _FAMILY_ORACLE_LRU else rmax
-    meta_rows = [[init_meta] * ways for __ in range(num_sets)]
+    rrpv_rows = [[rmax] * ways for __ in range(num_sets)]
     sig_rows = [[0] * ways for __ in range(num_sets)]
     out_rows = [[0] * ways for __ in range(num_sets)]
     budget_rows = [[0] * ways for __ in range(num_sets)]
     core_rows = [[0] * ways for __ in range(num_sets)]
     filled = [0] * num_sets
     protected = [0] * num_sets
-    clock = 0
     hits = protected_fills = exemptions = released = 0
     for i, block in enumerate(blocks):
         entry = get(block)
         if entry is not None:
             s, way = entry
             hits += 1
-            mrow = meta_rows[s]
-            if family == _FAMILY_ORACLE_LRU:
-                clock += 1
-                mrow[way] = clock
-            else:
-                mrow[way] = 0
-                if family == _FAMILY_ORACLE_SHIP:
-                    orow = out_rows[s]
-                    if not orow[way]:
-                        orow[way] = 1
-                        g2 = sig_rows[s][way]
-                        if shct[g2] < cmax:
-                            shct[g2] += 1
+            rrpv_rows[s][way] = 0
+            orow = out_rows[s]
+            if not orow[way]:
+                orow[way] = 1
+                g2 = sig_rows[s][way]
+                if shct[g2] < cmax:
+                    shct[g2] += 1
             if release != 2:
                 brow = budget_rows[s]
                 b = brow[way]
@@ -248,59 +229,35 @@ def _oracle_count_compact(blocks, cores, hints, sigs, num_sets: int,
                         released += 1
             continue
         s = block & set_mask
-        mrow = meta_rows[s]
+        rrow = rrpv_rows[s]
         brow = budget_rows[s]
         f = filled[s]
         if f < ways:
             way = f
             filled[s] = f + 1
         else:
-            exempt = mode != 1 and protected[s] > 0
-            if family == _FAMILY_ORACLE_LRU:
-                # first = the base's unconstrained pick (argmin stamp,
-                # lowest way on ties — list.index semantics).
-                first = 0
-                first_stamp = mrow[0]
-                for w in range(1, ways):
-                    if mrow[w] < first_stamp:
-                        first, first_stamp = w, mrow[w]
-                way = first
-                if exempt:
-                    best = -1
-                    best_stamp = 0
+            # SRRIP aging exactly as rank_victims/select_victim do
+            # (closed-form delta), then walk descending-RRPV order.
+            top = max(rrow)
+            if top != rmax:
+                delta = rmax - top
+                for w in range(ways):
+                    rrow[w] += delta
+            way = rrow.index(rmax)
+            if mode != 1 and protected[s] > 0:
+                best = -1
+                for v in range(rmax, -1, -1):
                     for w in range(ways):
-                        if brow[w] <= 0 and (best < 0 or mrow[w] < best_stamp):
-                            best, best_stamp = w, mrow[w]
-                    if best >= 0:
-                        way = best
-                        if way != first:
-                            exemptions += 1
-            else:
-                # SRRIP aging exactly as rank_victims/select_victim do
-                # (closed-form delta), then walk descending-RRPV order.
-                top = max(mrow)
-                if top != rmax:
-                    delta = rmax - top
-                    for w in range(ways):
-                        mrow[w] += delta
-                first = mrow.index(rmax)
-                way = first
-                if exempt:
-                    best = -1
-                    for v in range(rmax, -1, -1):
-                        for w in range(ways):
-                            if mrow[w] == v and brow[w] <= 0:
-                                best = w
-                                break
-                        if best >= 0:
+                        if rrow[w] == v and brow[w] <= 0:
+                            best = w
                             break
                     if best >= 0:
-                        way = best
-                        if way != first:
-                            exemptions += 1
-            victim = blk_rows[s][way]
-            del where[victim]
-            if family == _FAMILY_ORACLE_SHIP and not out_rows[s][way]:
+                        break
+                if best >= 0 and best != way:
+                    way = best
+                    exemptions += 1
+            del where[blk_rows[s][way]]
+            if not out_rows[s][way]:
                 g2 = sig_rows[s][way]
                 if shct[g2] > 0:
                     shct[g2] -= 1
@@ -309,16 +266,10 @@ def _oracle_count_compact(blocks, cores, hints, sigs, num_sets: int,
                 brow[way] = 0
         # Fill: base first, then the wrapper's protection bookkeeping and
         # (insert-promote/both) the synthetic promote-hit.
-        if family == _FAMILY_ORACLE_LRU:
-            clock += 1
-            mrow[way] = clock
-        elif family == _FAMILY_ORACLE_SRRIP:
-            mrow[way] = rmax - 1
-        else:
-            g = sigs[i]
-            sig_rows[s][way] = g
-            out_rows[s][way] = 0
-            mrow[way] = rmax if shct[g] == 0 else rmax - 1
+        g = sigs[i]
+        sig_rows[s][way] = g
+        out_rows[s][way] = 0
+        rrow[way] = rmax if shct[g] == 0 else rmax - 1
         h = hints[i]
         brow[way] = h
         core_rows[s][way] = cores[i]
@@ -326,16 +277,10 @@ def _oracle_count_compact(blocks, cores, hints, sigs, num_sets: int,
             protected[s] += 1
             protected_fills += 1
             if mode != 0:
-                if family == _FAMILY_ORACLE_LRU:
-                    clock += 1
-                    mrow[way] = clock
-                else:
-                    mrow[way] = 0
-                    if family == _FAMILY_ORACLE_SHIP:
-                        out_rows[s][way] = 1
-                        g = sig_rows[s][way]
-                        if shct[g] < cmax:
-                            shct[g] += 1
+                rrow[way] = 0
+                out_rows[s][way] = 1
+                if shct[g] < cmax:
+                    shct[g] += 1
         blk_rows[s][way] = block
         where[block] = (s, way)
     return hits, protected_fills, exemptions, released
@@ -347,7 +292,7 @@ def replay_oracle_nativepath(
     policy,
     profile=None,
 ) -> LlcSimResult:
-    """Replay ``stream`` under an unbound oracle wrapper, natively.
+    """Replay ``stream`` under an unbound SHiP-based oracle wrapper, natively.
 
     Classification twin of ``LlcOnlySimulator(geometry, policy).run``:
     same hit/miss counts *and* the wrapper's study counters
@@ -360,35 +305,21 @@ def replay_oracle_nativepath(
     ``i`` of ``stream``.
     """
     base = policy.base
-    family = ORACLE_BASE_FAMILIES[type(base)]
-    budgets = policy.hint_source.budgets
     n = len(stream.blocks)
     start = perf_counter()
-    mode = _ORACLE_MODES[policy.mode]
-    release = _ORACLE_RELEASES[policy.release]
-    if family == _FAMILY_ORACLE_SHIP:
-        rmax = base.rrpv_max
-        cmax = base.counter_max
-        sig_mask = base.shct_size - 1
-        shct = list(base._shct)  # never mutate the caller's instance
-    else:
-        rmax = base.rrpv_max if family == _FAMILY_ORACLE_SRRIP else 0
-        cmax = 0
-        sig_mask = 0
-        shct = [0]
+    shct = list(base._shct)  # never mutate the caller's instance
     prep_start = perf_counter()
     # budgets[i + 1] is access i's hint.
-    hints = budgets[1:]
-    sigs = (
-        _hash_pcs(stream.pcs, sig_mask)
-        if family == _FAMILY_ORACLE_SHIP else None
-    )
+    hints = policy.hint_source.budgets[1:]
+    sigs = _hash_pcs(stream.pcs, base.shct_size - 1)
     if profile is not None:
         profile["native_prepare"] = perf_counter() - prep_start
     kernel_start = perf_counter()
     hits, pf, ex, rel = _oracle_count_compact(
         stream.blocks, stream.cores, hints, sigs, geometry.num_sets,
-        geometry.ways, family, mode, release, rmax, cmax, shct,
+        geometry.ways, _ORACLE_MODES[policy.mode],
+        _ORACLE_RELEASES[policy.release], base.rrpv_max, base.counter_max,
+        shct,
     )
     if profile is not None:
         profile["native_kernel"] = perf_counter() - kernel_start

@@ -35,11 +35,7 @@ from repro.policies.opt import BeladyOptPolicy
 from repro.policies.random_policy import RandomPolicy
 from repro.policies.rrip import BrripPolicy, DrripPolicy, SrripPolicy
 from repro.policies.ship import ShipPolicy
-from repro.sim.nativepath import (
-    BACKEND_COMPACT,
-    BACKEND_MODEL,
-    ORACLE_BASE_FAMILIES,
-)
+from repro.sim.nativepath import BACKEND_COMPACT, BACKEND_MODEL
 
 REASONS = (
     "fastpath-off", "bound", "no-kernel", "hint-source", "observers",
@@ -78,8 +74,17 @@ kernels from the family column. Keyed by exact type on purpose: a
 subclass may change behaviour the kernels do not model, so it takes the
 object model until it gets a row of its own."""
 
-_FAST_BACKENDS = {REPLAY_STACK: "python", REPLAY_SET: "numpy",
-                  REPLAY_DUELING: "numpy"}
+ORACLE_BASES: Dict[type, str] = {
+    LruPolicy: REPLAY_SET,
+    SrripPolicy: REPLAY_SET,
+    ShipPolicy: REPLAY_SCALAR,
+}
+"""Exact base class -> the tier of an annotation-fed oracle wrapper over
+it: the lockstep set kernel, or, for SHiP's global SHCT, the scalar
+tier's compact kernel. Other bases (LIP, BRRIP, DRRIP, ...) have none."""
+
+_BACKENDS = {REPLAY_STACK: "python", REPLAY_SET: "numpy",
+             REPLAY_DUELING: "numpy", REPLAY_SCALAR: BACKEND_COMPACT}
 
 
 @dataclass(frozen=True)
@@ -116,23 +121,22 @@ def _check_annotation(policy, stream) -> None:
         )
 
 
-def _compact_decline(policy) -> str:
-    """Why no compact kernel covers ``policy``, or ``""``."""
+def _kernel_tier(policy) -> Tuple[str, str]:
+    """``(tier, decline reason)`` of a policy with no REPLAY_KERNELS row."""
     if type(policy) is ShipPolicy:
-        return ""
+        return REPLAY_SCALAR, ""
     from repro.oracle.annotate import AnnotationHintSource
     from repro.oracle.wrapper import SharingAwareWrapper
 
-    if type(policy) is not SharingAwareWrapper:
-        return "no-kernel"
-    base = policy.base
-    if type(base) not in ORACLE_BASE_FAMILIES:
-        return "no-kernel"
-    if base.geometry is not None:
-        return "bound"
+    if type(policy) is not SharingAwareWrapper or \
+            type(policy.base) not in ORACLE_BASES:
+        return REPLAY_SCALAR, "no-kernel"
+    tier = ORACLE_BASES[type(policy.base)]
+    if policy.base.geometry is not None:
+        return tier, "bound"
     if type(policy.hint_source) is not AnnotationHintSource:
-        return "hint-source"
-    return ""
+        return tier, "hint-source"
+    return tier, ""
 
 
 def plan_replay(policy, observers: Sequence, stream, fastpath: bool,
@@ -141,13 +145,14 @@ def plan_replay(policy, observers: Sequence, stream, fastpath: bool,
 
     ``fastpath``/``native`` are the resolved gates. Gates off, a bound
     instance or an unsafe probe take the object model; an exact class of
-    :data:`REPLAY_KERNELS` takes its tier; an exact unbound
-    :class:`ShipPolicy`, or an exact unbound oracle wrapper over an exact
-    unbound LRU/SRRIP/SHiP base with an exact annotation hint source,
-    takes the ``compact`` backend unless observers are attached or
-    ``native`` is off; anything else takes the model. An annotation hint
-    source not aligned with ``stream`` raises
-    :class:`~repro.common.errors.SimulationError` whatever the gates.
+    :data:`REPLAY_KERNELS` takes its tier. An exact unbound oracle
+    wrapper over an exact unbound base of :data:`ORACLE_BASES` with an
+    exact annotation hint source takes that row's tier, and an exact
+    unbound :class:`ShipPolicy` the scalar tier, unless observers are
+    attached; the scalar tier's ``compact`` backend also needs ``native``.
+    Anything else takes the model. An annotation hint source not aligned
+    with ``stream`` raises :class:`~repro.common.errors.SimulationError`
+    whatever the gates.
     """
     _check_annotation(policy, stream)
     if not fastpath:
@@ -158,12 +163,12 @@ def plan_replay(policy, observers: Sequence, stream, fastpath: bool,
         return _model("probe")
     kernel = REPLAY_KERNELS.get(type(policy))
     if kernel is not None:
-        return ReplayPlan(kernel[0], _FAST_BACKENDS[kernel[0]])
-    reason = _compact_decline(policy)
+        return ReplayPlan(kernel[0], _BACKENDS[kernel[0]])
+    tier, reason = _kernel_tier(policy)
     if not reason and observers:
         reason = "observers"
-    if not reason and not native:
+    if not reason and tier == REPLAY_SCALAR and not native:
         reason = "native-off"
     if reason:
         return _model(reason)
-    return ReplayPlan(REPLAY_SCALAR, BACKEND_COMPACT)
+    return ReplayPlan(tier, _BACKENDS[tier])

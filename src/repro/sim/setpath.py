@@ -20,9 +20,9 @@ replay therefore decomposes exactly:
    including RNG draw order: stochastic policies draw from per-set streams
    (:meth:`repro.policies.base.ReplacementPolicy.set_rng`), so a set's
    draw indices depend only on its own fill sequence. Count-mode SRRIP
-   goes one step further: it is deterministic, so all sets advance in
-   lockstep through one synchronous numpy kernel over a padded
-   set-by-position block matrix (:func:`_count_rrip_sync`).
+   and the sharing oracle over LRU or SRRIP go one step further: they are
+   deterministic, so all sets advance in lockstep through one numpy
+   kernel over a set-by-position block matrix (:func:`_count_lockstep`).
 3. **Two-phase dueling** (DIP/DRRIP) — sets couple only through the PSEL
    counter, and only leader sets write it. Replay leaders first (their
    behaviour is role-based, never PSEL-dependent), merge their miss
@@ -82,6 +82,9 @@ _MODE_LIP = 1
 _MODE_BIP = 2
 
 _RECENCY_MODES = {LruPolicy: _MODE_MRU, LipPolicy: _MODE_LIP, BipPolicy: _MODE_BIP}
+
+_NO_KEY = np.iinfo(np.int64).min
+"""A protected way's victim key while an exemption looks past it."""
 
 
 # ----------------------------------------------------------------------
@@ -170,70 +173,95 @@ def _count_rrip(seg, ways, rmax, rng, throttle) -> int:
     return hits
 
 
-def _count_rrip_sync(part: StreamPartition, ways: int, rmax: int) -> int:
-    """Synchronous vectorized SRRIP count kernel: all sets step together.
+def _count_lockstep(part: StreamPartition, ways: int, rmax: Optional[int],
+                    hints=None, cores=None, mode: str = "both",
+                    release: str = "never") -> Tuple[int, int, int, int]:
+    """Lockstep count kernel: every set advances one access per numpy step.
 
-    SRRIP is deterministic (no RNG draws), so its per-set recurrence can
-    run as one numpy computation over a padded ``(num_sets, longest_set)``
-    block matrix: step ``i`` processes every set's ``i``-th access at
-    once. State is a resident-block matrix and an RRPV matrix; hit
-    detection is an equality broadcast, the +1-until-saturated aging
-    rounds collapse to one per-row delta (same algebra as
-    :func:`_count_rrip`), and the victim is each row's first RRPV-max way.
-    Per-access Python overhead amortizes across all sets, which is where
-    the set tier's headroom over the per-set list kernels comes from.
+    Serves count-mode SRRIP (``hints`` None) and the sharing oracle
+    wrapper over LRU (``rmax`` None) or SRRIP, whose per-access budget
+    and core columns come in stream order, with the wrapper's ``mode``
+    and ``release``. Both are deterministic and keep all state per set
+    (decision 9), so step ``i`` processes every set's ``i``-th access at
+    once. Rows hold the sets longest first, so the sets still active at
+    step ``i`` are a prefix of the rows and no lane is ever padded.
 
-    Padding uses ``-1`` (block addresses are non-negative) and the
-    resident matrix also initializes to ``-1``; ``active`` masks padded
-    lanes out of hit detection so a padded ``-1`` can never "hit" a
-    still-cold way, and misses are masked the same way so padded lanes
-    never fill.
+    State is ``(sets, ways)`` matrices of resident blocks, victim keys,
+    budgets and fill cores. The key is the RRPV under SRRIP and minus
+    the step under LRU: a step stamps at most one way per set, so that
+    is LRU order, and the synthetic promote-hit right after a fill
+    changes nothing. Every miss takes its row's first largest key, after
+    SRRIP's closed-form aging (:func:`_count_rrip`), and an exemption the
+    first largest key among unprotected ways. A cold way's key is above
+    every live one (SRRIP ages only full sets, so no live way reaches
+    ``rmax`` before), which makes the lowest cold way the fill. Counters
+    follow the object model's decision order. Returns ``(hits,
+    protected_fills, exemptions, releases)``.
     """
     starts = np.asarray(part.starts, dtype=np.int64)
     lens = np.diff(starts)
-    if len(lens) == 0:
-        return 0
-    maxlen = int(lens.max())
-    num_sets = part.num_sets
-    seg = np.full((num_sets, maxlen), -1, dtype=np.int64)
-    col = np.arange(maxlen)
-    # Row-major boolean fill matches per-set order because blocks_np is
-    # grouped by set with each set's subsequence in stream order.
-    seg[col[None, :] < lens[:, None]] = part.blocks_np
-    blk = np.full((num_sets, ways), -1, dtype=np.int64)
-    rrpv = np.full((num_sets, ways), rmax, dtype=np.int64)
-    filled = np.zeros(num_sets, dtype=np.int64)
-    rows = np.arange(num_sets)
-    hits = 0
-    for i in range(maxlen):
-        b = seg[:, i]
-        active = b >= 0
-        match = blk == b[:, None]
-        is_hit = match.any(axis=1) & active
-        hit_rows = rows[is_hit]
-        if hit_rows.size:
-            hit_ways = match[is_hit].argmax(axis=1)
-            rrpv[hit_rows, hit_ways] = 0
-            hits += hit_rows.size
-        miss = active & ~is_hit
-        if not miss.any():
+    rank = np.empty(len(lens), dtype=np.int64)
+    rank[np.argsort(-lens, kind="stable")] = np.arange(len(lens))
+    step = np.arange(len(part.order_np)) - np.repeat(starts[:-1], lens)
+    off = np.concatenate(([0], np.cumsum(np.bincount(step))))
+    slot = off[step] + np.repeat(rank, lens)
+    blocks = np.empty_like(part.blocks_np)
+    blocks[slot] = part.blocks_np
+    pos = np.empty_like(part.order_np)
+    pos[slot] = part.order_np
+    if hints is not None:
+        hints, cores = hints[pos], cores[pos]
+    blk = np.full((len(lens), ways), -1, dtype=np.int64)
+    key = np.full_like(blk, 1 if rmax is None else rmax)
+    budget = np.zeros_like(blk)
+    fill_core = np.zeros_like(blk)
+    exempting = hints is not None and mode != "insert-promote"
+    hits = protected = exempted = released = 0
+    bounds = off.tolist()
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        b = blocks[lo:hi]
+        top = -i if rmax is None else 0
+        match = blk[:hi - lo] == b[:, None]
+        rows, hit_ways = np.nonzero(match)
+        hit = np.zeros(hi - lo, dtype=bool)
+        hit[rows] = True
+        if rows.size:
+            key[rows, hit_ways] = top
+            hits += rows.size
+            if hints is not None and release != "never":
+                left = budget[rows, hit_ways]
+                shared = (left > 0) & (cores[lo:hi][rows]
+                                       != fill_core[rows, hit_ways])
+                left = np.where(release == "budget", left[shared] - 1, 0)
+                budget[rows[shared], hit_ways[shared]] = left
+                released += np.count_nonzero(left == 0)
+        rows = np.flatnonzero(~hit)
+        if not rows.size:
             continue
-        miss_rows = rows[miss]
-        fill_count = filled[miss_rows]
-        cold = fill_count < ways
-        way = np.empty(miss_rows.size, dtype=np.int64)
-        way[cold] = fill_count[cold]
-        filled[miss_rows[cold]] += 1
-        full_rows = miss_rows[~cold]
-        if full_rows.size:
-            sub = rrpv[full_rows]
-            top = sub.max(axis=1)
-            sub += (rmax - top)[:, None]
-            way[~cold] = (sub == rmax).argmax(axis=1)
-            rrpv[full_rows] = sub
-        rrpv[miss_rows, way] = rmax - 1
-        blk[miss_rows, way] = b[miss_rows]
-    return hits
+        sub = key[rows]
+        if rmax is not None:
+            sub += (rmax - sub.max(axis=1))[:, None]
+            key[rows] = sub
+        first = way = sub.argmax(axis=1)
+        if exempting:
+            guard = budget[rows] > 0
+            if guard.any():
+                best = np.where(guard, _NO_KEY, sub).argmax(axis=1)
+                way = np.where(guard.all(axis=1), first, best)
+                exempted += np.count_nonzero(way != first)
+        blk[rows, way] = b[rows]
+        if hints is None:
+            key[rows, way] = rmax - 1
+            continue
+        hint = hints[lo:hi][rows]
+        budget[rows, way] = hint
+        fill_core[rows, way] = cores[lo:hi][rows]
+        hinted = hint > 0
+        protected += np.count_nonzero(hinted)
+        fill = -i if rmax is None else rmax - 1
+        key[rows, way] = np.where(hinted & (mode != "victim-exempt"), top,
+                                  fill)
+    return hits, int(protected), int(exempted), int(released)
 
 
 def _count_rrip_sync_stacked(
@@ -242,19 +270,20 @@ def _count_rrip_sync_stacked(
     """Stacked synchronous SRRIP kernel: every parameter variant at once.
 
     ``configs`` is a sequence of ``(rmax, insertion_rrpv)`` pairs — one per
-    grid variant. State generalizes :func:`_count_rrip_sync` by a leading
-    variant axis flattened into the row dimension: row ``v * num_sets + s``
-    is variant ``v``'s copy of set ``s``. Each step broadcasts the same
-    block column to every variant (``np.tile``); per-row ``rmax``/insertion
-    vectors (``np.repeat`` over the variant axis) parameterize the aging
-    and fill updates; per-variant hits come back from one ``bincount`` over
-    ``row // num_sets``. The per-step Python overhead — the reason a warm
+    grid variant. State generalizes :func:`_count_lockstep`'s SRRIP
+    recurrence, over ``-1``-padded rows in set order, by a leading
+    variant axis flattened into the row dimension: row
+    ``v * num_sets + s`` is variant ``v``'s copy of set ``s``. Each step
+    broadcasts the same block column to every variant (``np.tile``);
+    per-row ``rmax``/insertion vectors (``np.repeat`` over the variant
+    axis) parameterize the aging and fill updates; per-variant hits come
+    back from one ``bincount`` over ``row // num_sets``. The per-step Python overhead — the reason a warm
     parameter sweep used to cost one full replay per variant — is paid once
     for the whole grid.
 
     Exactness: variants never interact (disjoint row blocks), so each
     variant's rows step through exactly the recurrence its own
-    :func:`_count_rrip_sync` run would — the differential suite pins
+    :func:`_count_lockstep` run would — the differential suite pins
     bit-identity per variant.
 
     Two representation changes keep the stacked step from costing what
@@ -1007,10 +1036,10 @@ def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
             )
         grouped_next = _gather_next_use(next_use, part)
     if buf is None and cls is SrripPolicy:
-        # Count-mode SRRIP has a fully synchronous vectorized kernel (no
-        # RNG, no residency skeleton to record); BRRIP's per-set draws
-        # and walk mode stay on the per-set kernels.
-        return _count_rrip_sync(part, geometry.ways, policy.rrpv_max)
+        # Count-mode SRRIP steps every set in lockstep (no RNG, no
+        # residency skeleton to record); BRRIP's per-set draws and walk
+        # mode stay on the per-set kernels.
+        return _count_lockstep(part, geometry.ways, policy.rrpv_max)[0]
     ways = geometry.ways
     starts = part.starts
     blocks = part.blocks
@@ -1064,11 +1093,44 @@ def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
     return hits
 
 
-def _run_partitioned(part: StreamPartition, geometry: CacheGeometry,
-                     policy, buf: Optional[_WalkBuf], profile=None) -> int:
-    """Replay every set (count mode when ``buf`` is None); returns hits."""
+def _oracle_pass(stream: LlcStream, part: StreamPartition,
+                 geometry: CacheGeometry, policy) -> int:
+    """Count an annotation-fed oracle wrapper over LRU or SRRIP in lockstep.
+
+    The wrapper and its base stay unbound; the study counters are added
+    onto the wrapper, where the object model would have counted them.
+    """
+    # budgets[i + 1] is access i's hint.
+    hints = np.asarray(policy.hint_source.budgets, dtype=np.int64)[1:]
+    hits, fills, exempted, released = _count_lockstep(
+        part, geometry.ways, getattr(policy.base, "rrpv_max", None), hints,
+        stream.numpy_columns()[0], policy.mode, policy.release,
+    )
+    policy.protected_fills += fills
+    policy.exemptions_applied += exempted
+    policy.releases += released
+    return hits
+
+
+def _run_partitioned(stream: LlcStream, part: StreamPartition,
+                     geometry: CacheGeometry, policy,
+                     buf: Optional[_WalkBuf], profile=None) -> int:
+    """Bind ``policy`` and replay every set; returns hits.
+
+    Count mode when ``buf`` is None. An oracle wrapper, the one planned
+    policy without a :data:`REPLAY_KERNELS` row, has only the count-mode
+    lockstep kernel and is never bound.
+    """
     start = perf_counter()
-    if REPLAY_KERNELS[type(policy)][0] == REPLAY_DUELING:
+    kernel = REPLAY_KERNELS.get(type(policy))
+    if kernel is None:
+        if buf is not None:
+            raise SimulationError(
+                f"no set-tier walk kernel for {policy.name!r}"
+            )
+        hits = _oracle_pass(stream, part, geometry, policy)
+    elif kernel[0] == REPLAY_DUELING:
+        policy.bind(geometry)
         hits, a_fills, b_fills, followers = _leader_pass(
             part, geometry, policy, buf
         )
@@ -1079,6 +1141,7 @@ def _run_partitioned(part: StreamPartition, geometry: CacheGeometry,
             profile["psel_series"] = perf_counter() - psel_start
         hits += _follower_pass(part, geometry, policy, buf, lookup, followers)
     else:
+        policy.bind(geometry)
         hits = _plain_pass(part, geometry, policy, buf)
     if profile is not None:
         profile["set_kernels"] = perf_counter() - start
@@ -1201,9 +1264,8 @@ def reconstruct_setpath_replay(
     """
     _setpath_tier(policy, stream)
     part = partition_stream(stream.blocks, geometry.num_sets, profile=profile)
-    policy.bind(geometry)
     buf = _WalkBuf(len(stream.blocks))
-    _run_partitioned(part, geometry, policy, buf, profile=profile)
+    _run_partitioned(stream, part, geometry, policy, buf, profile=profile)
     return _assemble_walk(buf, stream, geometry, profile=profile)
 
 
@@ -1241,8 +1303,9 @@ def replay_setpath(
         part = partition_stream(
             stream.blocks, geometry.num_sets, profile=profile
         )
-        policy.bind(geometry)
-        hits = _run_partitioned(part, geometry, policy, None, profile=profile)
+        hits = _run_partitioned(
+            stream, part, geometry, policy, None, profile=profile
+        )
         misses = n - hits
     return LlcSimResult(
         policy=policy.name,

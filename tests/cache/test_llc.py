@@ -1,12 +1,17 @@
 """Tests for the shared LLC (repro.cache.llc)."""
 
+import gc
+
 import pytest
 
 from repro.cache.llc import NO_BLOCK, ResidencyObserver, SharedLlc
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
+from repro.oracle.runner import run_oracle_study
 from repro.policies.base import ReplacementPolicy
 from repro.policies.lru import LruPolicy
+from repro.sim.multipass import record_llc_stream
+from tests.conftest import make_trace
 
 
 class RecordingObserver(ResidencyObserver):
@@ -194,3 +199,27 @@ class TestObserverManagement:
         llc.access(0, 0, 0, False)  # no exception from residency_started
         with pytest.raises(NotImplementedError):
             llc.flush_residencies()
+
+
+class TestReferenceCounting:
+    def test_llc_models_leave_no_cyclic_garbage(self, tiny_machine):
+        # The policy's back-reference to its LLC must not form a cycle, so
+        # every recording and model replay frees its LLC by reference
+        # count instead of leaving it to the cyclic collector.
+        trace = make_trace([
+            (i % 2, 0x400 + (i % 6) * 0x1C, 64 * ((i * 5) % 90), i % 7 == 0)
+            for i in range(1500)
+        ])
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            stream, __ = record_llc_stream(trace, tiny_machine)
+            run_oracle_study(stream, tiny_machine.llc, fastpath=False)
+            gc.collect()
+            leaked = [o for o in gc.garbage if isinstance(o, SharedLlc)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []

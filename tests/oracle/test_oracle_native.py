@@ -1,16 +1,17 @@
-"""Differential tests for the native oracle-tier backend.
+"""Differential tests for the oracle wrapper's replay kernels.
 
-The oracle lowering extends the nativepath contract across a composition:
-a :class:`SharingAwareWrapper` over an exact-type {LRU, SRRIP, SHiP} base,
-fed by an :class:`AnnotationHintSource`, replayed through the compact
-oracle kernel must reproduce the scalar object model bit for bit —
-hit/miss counts *and* the wrapper's study counters (``protected_fills``,
-``exemptions_applied``, ``releases``) — across every protection mode and
-release policy. Anything the replay planner cannot prove safe (bound
-instances, undeclared subclasses, closure hint sources, observers) must
-land on the object model, recorded as ``backend == "model"`` with the
-planner's decline reason. An annotation built for another stream is
-refused outright.
+An annotation-fed :class:`SharingAwareWrapper` over an exact-type base
+replays on a kernel of its own: over LRU or SRRIP, whose state is all per
+set, the set tier's lockstep kernel (``set``/``numpy``, whatever the native
+gate says); over SHiP, whose SHCT is global, the scalar tier's compact
+kernel (``scalar``/``compact``). Either must reproduce the scalar object
+model bit for bit — hit/miss counts *and* the wrapper's study counters
+(``protected_fills``, ``exemptions_applied``, ``releases``) — across every
+protection mode and release policy. Anything the replay planner cannot
+prove safe (bound instances, undeclared subclasses, closure hint sources,
+observers) must land on the object model, recorded as
+``backend == "model"`` with the planner's decline reason. An annotation
+built for another stream is refused outright.
 """
 
 import gc
@@ -33,32 +34,45 @@ from repro.oracle.wrapper import (
     RELEASE_POLICIES,
     SharingAwareWrapper,
 )
-from repro.policies.base import REPLAY_SCALAR
 from repro.policies.registry import make_policy
+from repro.sim.fastpath import FASTPATH_ENV
+from repro.sim.gridpath import replay_geometry_grid
 from repro.sim.multipass import run_policy_on_stream
 from repro.sim.nativepath import NO_NATIVE_ENV, replay_oracle_nativepath
 from repro.sim.plan import plan_replay
+from repro.sim.setpath import reconstruct_setpath_replay
 from tests.conftest import make_stream
-from tests.strategies import SIGNATURE_PCS, replay_stream_lists
+from tests.strategies import SIGNATURE_PCS, geometries, replay_stream_lists
 
 SEED = 23
 BASES = ("lru", "srrip", "ship")
+ENGINES = {
+    "lru": ("set", "numpy"),
+    "srrip": ("set", "numpy"),
+    "ship": ("scalar", "compact"),
+}
+"""The tier and backend an annotation-fed wrapper over each base takes."""
 GEOMETRY = CacheGeometry(16 * 4 * 64, 4)
 
 
 @pytest.fixture(autouse=True)
-def _auto_native_gates(monkeypatch):
-    """Pin the native env gate to its unset-auto default."""
+def _auto_gates(monkeypatch):
+    """Pin the fastpath and native env gates to their unset-auto default."""
+    monkeypatch.delenv(FASTPATH_ENV, raising=False)
     monkeypatch.delenv(NO_NATIVE_ENV, raising=False)
 
 
-def shared_stream(n=2500, spread=130, cores=4):
-    """A deterministic multi-core stream with genuine cross-core reuse."""
+def shared_stream(n=2500, spread=130, cores=4, high=0):
+    """A deterministic multi-core stream with genuine cross-core reuse.
+
+    ``high`` sets block address bits above the low ones, so addresses can
+    exceed any set mask.
+    """
     accesses = []
     for i in range(n):
         block = (i * 5 + (i // 11) * 2) % spread
         pc = 0x400000 + ((i * 13) % 6) * 0x1C
-        accesses.append((i % cores, pc, block, i % 7 == 0))
+        accesses.append((i % cores, pc, block | high, i % 7 == 0))
     return make_stream(accesses)
 
 
@@ -70,11 +84,29 @@ def make_wrapper(base, budgets, mode="both", release="budget"):
 
 
 def counters(wrapper):
-    return (
+    values = (
         wrapper.protected_fills,
         wrapper.exemptions_applied,
         wrapper.releases,
     )
+    assert all(type(value) is int for value in values)
+    return values
+
+
+def assert_matches_model(stream, geometry, base, budgets, mode="both",
+                         release="budget"):
+    """Replay one wrapper on its planned kernel and on the model."""
+    fast_wrapper = make_wrapper(base, budgets, mode, release)
+    model_wrapper = make_wrapper(base, budgets, mode, release)
+    fast = run_policy_on_stream(stream, geometry, fast_wrapper, seed=SEED)
+    model = run_policy_on_stream(
+        stream, geometry, model_wrapper, seed=SEED, fastpath=False
+    )
+    assert (fast.tier, fast.backend) == ENGINES[base]
+    assert model.backend == "model"
+    assert fast == model, (base, mode, release)
+    assert counters(fast_wrapper) == counters(model_wrapper), base
+    return fast_wrapper
 
 
 class TestOracleBitIdentity:
@@ -84,19 +116,7 @@ class TestOracleBitIdentity:
     def test_matches_scalar_model(self, base, mode, release):
         stream = shared_stream()
         budgets = build_stream_annotation(stream, GEOMETRY, horizon_factor=4)
-        native_wrapper = make_wrapper(base, budgets, mode, release)
-        model_wrapper = make_wrapper(base, budgets, mode, release)
-        native = run_policy_on_stream(
-            stream, GEOMETRY, native_wrapper, seed=SEED, native=True
-        )
-        model = run_policy_on_stream(
-            stream, GEOMETRY, model_wrapper, seed=SEED, native=False
-        )
-        assert native == model, (base, mode, release)
-        assert counters(native_wrapper) == counters(model_wrapper)
-        assert native.tier == REPLAY_SCALAR
-        assert native.backend == "compact"
-        assert model.backend == "model"
+        assert_matches_model(stream, GEOMETRY, base, budgets, mode, release)
 
     def test_counters_are_exercised(self):
         # The identity above is vacuous if the stream never protects or
@@ -104,30 +124,40 @@ class TestOracleBitIdentity:
         # three counters (releases requires the budget release policy).
         stream = shared_stream()
         budgets = build_stream_annotation(stream, GEOMETRY, horizon_factor=4)
-        wrapper = make_wrapper("lru", budgets, "both", "budget")
-        run_policy_on_stream(stream, GEOMETRY, wrapper, seed=SEED, native=True)
-        assert wrapper.protected_fills > 0
-        assert wrapper.exemptions_applied > 0
-        assert wrapper.releases > 0
+        for base in BASES:
+            wrapper = assert_matches_model(stream, GEOMETRY, base, budgets)
+            assert wrapper.protected_fills > 0
+            assert wrapper.exemptions_applied > 0
+            assert wrapper.releases > 0
 
     def test_single_set_geometry(self):
         stream = shared_stream(800, 40)
         geometry = CacheGeometry(1 * 4 * 64, 4)
         budgets = build_stream_annotation(stream, geometry, horizon_factor=4)
-        native = run_policy_on_stream(
-            stream, geometry, make_wrapper("srrip", budgets), seed=SEED,
-            native=True,
-        )
-        model = run_policy_on_stream(
-            stream, geometry, make_wrapper("srrip", budgets), seed=SEED,
-            native=False,
-        )
-        assert native == model
-        assert native.backend == "compact"
+        for base in BASES:
+            assert_matches_model(stream, geometry, base, budgets)
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("geometry", [
+        CacheGeometry(256 * 4 * 64, 4),  # sets 130..255 never touched
+        CacheGeometry(16 * 1 * 64, 1),   # direct-mapped
+    ], ids=["untouched-sets", "one-way"])
+    def test_edge_geometries(self, base, geometry):
+        stream = shared_stream(800, 130)
+        budgets = build_stream_annotation(stream, geometry, horizon_factor=4)
+        for mode in PROTECTION_MODES:
+            assert_matches_model(stream, geometry, base, budgets, mode)
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_block_addresses_above_2_to_the_40(self, base):
+        stream = shared_stream(1500, 130, high=3 << 40)
+        assert min(stream.blocks) > 1 << 40
+        budgets = build_stream_annotation(stream, GEOMETRY, horizon_factor=4)
+        assert_matches_model(stream, GEOMETRY, base, budgets)
 
     def test_oversized_cap_replays_natively(self):
-        # The compact kernel reads budgets as plain ints, so budgets above
-        # 127 (cap 300) take it too. One hot block shared by every core in
+        # The kernels read budgets as plain ints, so budgets above 127
+        # (cap 300) take them too. One hot block shared by every core in
         # every other access drives the budgets to ~190.
         accesses = []
         for i in range(3000):
@@ -145,53 +175,46 @@ class TestOracleBitIdentity:
         )
         assert max(budgets) > 127
         for base in BASES:
-            native_wrapper = make_wrapper(base, budgets)
-            model_wrapper = make_wrapper(base, budgets)
-            native = run_policy_on_stream(
-                stream, GEOMETRY, native_wrapper, seed=SEED, native=True
-            )
-            model = run_policy_on_stream(
-                stream, GEOMETRY, model_wrapper, seed=SEED, native=False
-            )
-            assert native.backend == "compact", base
-            assert native == model, base
-            assert counters(native_wrapper) == counters(model_wrapper), base
+            released = {
+                release: assert_matches_model(
+                    stream, GEOMETRY, base, budgets, release=release
+                ).releases
+                for release in RELEASE_POLICIES
+            }
+            # Budgets above one tell "budget" from "first-share" apart
+            # (on the canonical stream every budget is 0 or 1).
+            assert released["budget"] != released["first-share"], base
 
     def test_empty_stream(self):
         stream = make_stream([])
         budgets = build_stream_annotation(stream, GEOMETRY, horizon_factor=4)
-        result = replay_oracle_nativepath(
-            stream, GEOMETRY, make_wrapper("lru", budgets)
-        )
-        assert (result.accesses, result.hits, result.misses) == (0, 0, 0)
+        for base in BASES:
+            wrapper = make_wrapper(base, budgets)
+            result = run_policy_on_stream(stream, GEOMETRY, wrapper)
+            assert (result.tier, result.backend) == ENGINES[base]
+            assert (result.accesses, result.hits, result.misses) == (0, 0, 0)
+            assert counters(wrapper) == (0, 0, 0)
 
     def test_base_instance_left_unbound(self):
         stream = shared_stream(900, 50)
         budgets = build_stream_annotation(stream, GEOMETRY, horizon_factor=4)
-        wrapper = make_wrapper("ship", budgets)
-        shct_before = list(wrapper.base._shct)
-        replay_oracle_nativepath(stream, GEOMETRY, wrapper)
-        assert wrapper.geometry is None
-        assert wrapper.base.geometry is None
-        assert wrapper.base._shct == shct_before
+        for base in BASES:
+            wrapper = make_wrapper(base, budgets)
+            state_before = dict(vars(wrapper.base))
+            result = run_policy_on_stream(stream, GEOMETRY, wrapper)
+            assert (result.tier, result.backend) == ENGINES[base]
+            assert wrapper.geometry is None
+            assert wrapper.base.geometry is None
+            assert vars(wrapper.base) == state_before
 
     @settings(max_examples=25, deadline=None)
-    @given(accesses=replay_stream_lists(pcs=SIGNATURE_PCS))
-    def test_hypothesis_streams(self, accesses):
+    @given(accesses=replay_stream_lists(pcs=SIGNATURE_PCS),
+           geometry=geometries())
+    def test_hypothesis_streams(self, accesses, geometry):
         stream = make_stream(accesses)
-        geometry = CacheGeometry(4 * 2 * 64, 2)
         budgets = build_stream_annotation(stream, geometry, horizon_factor=2)
         for base in BASES:
-            native_wrapper = make_wrapper(base, budgets)
-            model_wrapper = make_wrapper(base, budgets)
-            native = run_policy_on_stream(
-                stream, geometry, native_wrapper, seed=SEED, native=True
-            )
-            model = run_policy_on_stream(
-                stream, geometry, model_wrapper, seed=SEED, native=False
-            )
-            assert native == model, base
-            assert counters(native_wrapper) == counters(model_wrapper)
+            assert_matches_model(stream, geometry, base, budgets)
 
     @pytest.mark.parametrize("base", BASES)
     def test_study_native_toggle_is_invisible(self, base):
@@ -199,15 +222,39 @@ class TestOracleBitIdentity:
         native = run_oracle_study(
             stream, GEOMETRY, base=base, seed=SEED, native=True
         )
-        model = run_oracle_study(
+        gated = run_oracle_study(
             stream, GEOMETRY, base=base, seed=SEED, native=False
         )
-        assert native.oracle == model.oracle
-        assert native.base == model.base
-        assert native.protected_fills == model.protected_fills
-        assert native.exemptions == model.exemptions
-        assert native.oracle.backend == "compact"
-        assert model.oracle.backend == "model"
+        assert native.oracle == gated.oracle
+        assert native.base == gated.base
+        assert native.protected_fills == gated.protected_fills
+        assert native.exemptions == gated.exemptions
+        assert (native.oracle.tier, native.oracle.backend) == ENGINES[base]
+        # Only the compact kernel sits behind the native gate.
+        assert gated.oracle.backend == (
+            "model" if base == "ship" else "numpy"
+        )
+
+    @pytest.mark.parametrize("base", ["lru", "srrip"])
+    def test_geometry_grid_over_a_wrapper_factory(self, base):
+        stream = shared_stream()
+        budgets = build_stream_annotation(stream, GEOMETRY, horizon_factor=4)
+        grid = [CacheGeometry(sets * ways * 64, ways)
+                for sets, ways in ((16, 4), (16, 2), (8, 4), (64, 8))]
+        made = []
+
+        def factory():
+            made.append(make_wrapper(base, budgets))
+            return made[-1]
+
+        results = replay_geometry_grid(stream, grid, factory)
+        assert len(made) == len(grid)
+        for geometry, result, wrapper in zip(grid, results, made):
+            alone = make_wrapper(base, budgets)
+            cell = run_policy_on_stream(stream, geometry, alone, seed=SEED)
+            assert (result.tier, cell.tier) == ("grid", "set")
+            assert (result.hits, result.misses) == (cell.hits, cell.misses)
+            assert counters(wrapper) == counters(alone)
 
 
 class TestOracleFallbackChain:
@@ -229,7 +276,7 @@ class TestOracleFallbackChain:
     def test_spec_covers_supported_bases(self):
         for base in BASES:
             wrapper = make_wrapper(base, self._budgets())
-            assert self._replay(wrapper) == ("compact", "")
+            assert self._replay(wrapper) == (ENGINES[base][1], "")
 
     def test_unsupported_base_declines(self):
         wrapper = make_wrapper("drrip", self._budgets())
@@ -281,35 +328,47 @@ class TestOracleFallbackChain:
             def residency_started(self, *args): pass
             def residency_ended(self, *args): pass
 
+        for base in BASES:
+            wrapper = make_wrapper(base, self._budgets())
+            assert self._replay(wrapper, observers=(Observer(),)) == (
+                "model", "observers")
+
+    def test_set_tier_has_no_wrapper_walk(self):
+        # The lockstep kernel only counts; a residency walk, which
+        # observers need, is refused rather than silently left empty.
         wrapper = make_wrapper("lru", self._budgets())
-        assert self._replay(wrapper, observers=(Observer(),)) == (
-            "model", "observers")
+        with pytest.raises(SimulationError, match="no set-tier walk kernel"):
+            reconstruct_setpath_replay(self.STREAM, GEOMETRY, wrapper)
 
     def test_env_escape_hatch_lands_on_model(self, monkeypatch):
         stream = shared_stream(600, 40)
         budgets = self._budgets(stream)
         monkeypatch.setenv(NO_NATIVE_ENV, "1")
-        gated = run_policy_on_stream(
-            stream, GEOMETRY, make_wrapper("srrip", budgets), seed=SEED
-        )
-        assert (gated.backend, gated.reason) == ("model", "native-off")
+        gated = {base: run_policy_on_stream(
+            stream, GEOMETRY, make_wrapper(base, budgets), seed=SEED
+        ) for base in BASES}
+        assert (gated["ship"].backend, gated["ship"].reason) == (
+            "model", "native-off")
+        assert (gated["srrip"].backend, gated["srrip"].reason) == (
+            "numpy", "")
         monkeypatch.delenv(NO_NATIVE_ENV)
         auto = run_policy_on_stream(
-            stream, GEOMETRY, make_wrapper("srrip", budgets), seed=SEED
+            stream, GEOMETRY, make_wrapper("ship", budgets), seed=SEED
         )
         assert auto.backend == "compact"
-        assert gated == auto
+        assert gated["ship"] == auto
 
     def test_no_fastpath_still_means_pure_model(self):
-        wrapper = make_wrapper("lru", self._budgets())
-        assert self._replay(wrapper, fastpath=False) == (
-            "model", "fastpath-off")
+        for base in BASES:
+            wrapper = make_wrapper(base, self._budgets())
+            assert self._replay(wrapper, fastpath=False) == (
+                "model", "fastpath-off")
 
     def test_profile_records_native_stages(self):
         stream = shared_stream(600, 40)
         profile = {}
         replay_oracle_nativepath(
-            stream, GEOMETRY, make_wrapper("lru", self._budgets(stream)),
+            stream, GEOMETRY, make_wrapper("ship", self._budgets(stream)),
             profile=profile,
         )
         assert profile["native_prepare"] >= 0.0

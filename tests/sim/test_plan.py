@@ -85,8 +85,11 @@ ROWS = {
     "ship": row(lambda: make_policy("ship"), COMPACT),
     "ship+log": row(lambda: make_policy("ship"), model("observers"),
                     observers=lambda: (SharingClassifier(),)),
-    **{f"oracle({base})": row(lambda base=base: oracle(base), COMPACT)
-       for base in ("lru", "srrip", "ship")},
+    **{f"oracle({base})": row(lambda base=base: oracle(base), SET)
+       for base in ("lru", "srrip")},
+    # The lockstep kernel is not behind the native gate.
+    "oracle(lru) native off": row(lambda: oracle("lru"), SET, native=False),
+    "oracle(ship)": row(lambda: oracle("ship"), COMPACT),
     "oracle(drrip)": row(lambda: oracle("drrip"), model("no-kernel")),
     "lru fastpath off": row(lambda: make_policy("lru"),
                             model("fastpath-off"), fastpath=False),
