@@ -35,6 +35,7 @@ import argparse
 import json
 import math
 import os
+import shlex
 import sys
 from contextlib import contextmanager
 from typing import List, Optional
@@ -66,6 +67,7 @@ from repro.sim.parallel import (
     sweep_many,
 )
 from repro.sim.results import is_failure, split_failures
+from repro.sim.tail import tail_run
 from repro.workloads.registry import workload_names
 
 
@@ -903,43 +905,6 @@ def _render_probe_payloads(run_dir) -> None:
             _warn_corrupt(path, "truncated probe report; skipping")
 
 
-def _event_summaries(root, runs):
-    """Per-run event count + last kind for ``runs list``.
-
-    Exact counts come from the experiment store when one sits next to the
-    runs root (one SELECT for every run); runs the store does not know
-    fall back to :func:`telemetry.quick_event_summary`, whose cost is
-    capped per run however large the event log grew — a 1000-run root
-    must list in interactive time, not O(n·events).
-    """
-    from repro.sim.expdb import DB_FILENAME, connect
-
-    summaries = {}
-    db_path = root / DB_FILENAME
-    if db_path.is_file():
-        try:
-            conn = connect(db_path, create=False)
-            try:
-                for row in conn.execute(
-                    "SELECT run_id, events_count, last_event_kind"
-                    " FROM runs WHERE events_count IS NOT NULL"
-                ):
-                    summaries[row["run_id"]] = (
-                        row["events_count"], row["last_event_kind"], False
-                    )
-            finally:
-                conn.close()
-        except Exception:  # noqa: BLE001 - a broken index never blocks list
-            summaries = {}
-    for run in runs:
-        if run.run_id not in summaries:
-            quick = telemetry.quick_event_summary(run.path)
-            summaries[run.run_id] = (
-                quick["events"], quick["last_kind"], quick["approx"]
-            )
-    return summaries
-
-
 def cmd_runs(args) -> int:
     root = _runs_root(args)
     if args.action == "list":
@@ -955,14 +920,14 @@ def cmd_runs(args) -> int:
             root,
             on_error=lambda path, detail: _warn_corrupt(path, detail),
         )
-        summaries = _event_summaries(root, runs)
         for run in runs:
             manifest = run.manifest
             cells = manifest.get("cells")
             if not isinstance(cells, dict):
                 cells = {}
             workloads = manifest.get("workloads")
-            events, last_kind, approx = summaries[run.run_id]
+            summary = telemetry.quick_event_summary(run.path)
+            events = summary["events"]
             rows.append([
                 run.run_id,
                 manifest.get("command", "?"),
@@ -971,8 +936,8 @@ def cmd_runs(args) -> int:
                 len(workloads) if isinstance(workloads, list) else "?",
                 cells.get("completed", ""),
                 cells.get("failed", ""),
-                f"~{events}" if approx else events,
-                last_kind or "-",
+                f"~{events}" if summary["approx"] else events,
+                summary["last_kind"] or "-",
                 manifest.get("wall_sec", ""),
             ])
         print(render_table(
@@ -983,6 +948,11 @@ def cmd_runs(args) -> int:
             title=f"Telemetry runs ({root})",
         ))
         return 0
+
+    if args.action == "tail":
+        run = telemetry.load_run(args.run_id, root)
+        return tail_run(run.path, follow=not args.no_follow,
+                        timeout=args.timeout)
 
     # A killed run can leave a manifest temp file in the directory being
     # shown; sweep the orphan window here the way `runs list` does so a
@@ -995,9 +965,15 @@ def cmd_runs(args) -> int:
             file=sys.stderr,
         )
     run = telemetry.load_run(args.run_id, root)
-    skip = {"failures", "argv"}
-    rows = [[key, value] for key, value in run.manifest.items()
-            if key not in skip]
+    rows = []
+    for key, value in run.manifest.items():
+        if key == "argv":
+            # Library-API runs record no argv, so they get no row.
+            if isinstance(value, list):
+                rows.append(["command line",
+                             "repro-sim " + shlex.join(map(str, value))])
+        elif key != "failures":
+            rows.append([key, value])
     print(render_table(["field", "value"], rows,
                        title=f"Run {run.run_id} manifest"))
     events = telemetry.read_events(
@@ -1224,19 +1200,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser(
         "runs", help="inspect telemetry run manifests and event logs"
     )
-    p.add_argument("action", choices=("list", "show"),
+    p.add_argument("action", choices=("list", "show", "tail"),
                    help="list: one row per run; show: manifest + stage "
                         "spans + replays by tier/backend/reason + failed "
-                        "cells of one run")
+                        "cells of one run; tail: follow one run's events "
+                        "live")
     p.add_argument("run_id", nargs="?", default=None,
                    help="run id (unique prefixes accepted; required for "
-                        "'show')")
+                        "'show' and 'tail')")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="cache directory whose runs/ to inspect")
-
-    from repro.sim.expdb.cli import add_db_parser
-
-    add_db_parser(subparsers)
+    p.add_argument("--no-follow", action="store_true",
+                   help="tail: drain the existing log and exit")
+    p.add_argument("--timeout", type=float, default=None, metavar="SEC",
+                   help="tail: stop following after SEC seconds")
     return parser
 
 
@@ -1258,24 +1235,17 @@ _COMMANDS = {
 }
 
 
-def _cmd_db(args) -> int:
-    from repro.sim.expdb.cli import cmd_db
-
-    return cmd_db(args)
-
-
-_COMMANDS["db"] = _cmd_db
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     # The manifest must record the invocation actually parsed — which is
-    # `argv` when a caller (tests, `db replay --exec`) passed one — or
-    # `db replay` would reconstruct the host process's command line.
+    # `argv` when an in-process caller such as a test passed one — or
+    # `runs show` would print the host process's command line.
     args._argv = list(argv) if argv is not None else sys.argv[1:]
-    if args.command == "runs" and args.action == "show" and not args.run_id:
-        print("error: 'runs show' needs a run id", file=sys.stderr)
+    if (args.command == "runs" and args.action in ("show", "tail")
+            and not args.run_id):
+        print(f"error: 'runs {args.action}' needs a run id",
+              file=sys.stderr)
         return 2
     caller_no_native = os.environ.get(NO_NATIVE_ENV)
     try:

@@ -315,7 +315,7 @@ def _cell_failure(cell: ExperimentCell, error: BaseException,
 
 
 def _emit_cell_done(cell: ExperimentCell, duration: float) -> None:
-    """Per-cell completion event: the progress heartbeat `db tail` renders."""
+    """Per-cell completion event: the progress heartbeat `runs tail` renders."""
     telemetry.emit("cell_done", cell_kind=cell.kind, workload=cell.workload,
                    duration_s=round(duration, 6))
 

@@ -539,6 +539,23 @@ def load_run(
     return matches[0]
 
 
+def parse_event_line(raw: bytes) -> Optional[Dict]:
+    """One ``events.jsonl`` line as an event dict, or ``None``.
+
+    The one parser behind every reader of the log (:func:`read_events`,
+    :func:`quick_event_summary`, :mod:`repro.sim.tail`), so they agree on
+    what a damaged log holds. Invalid UTF-8 is replaced, not fatal: a
+    worker killed mid-write (or a disk hiccup) can leave arbitrary bytes,
+    and a line whose damage sits inside a string still parses. Blank,
+    malformed and non-object lines all yield ``None``.
+    """
+    try:
+        event = json.loads(raw.strip().decode("utf-8", errors="replace"))
+    except ValueError:
+        return None
+    return event if isinstance(event, dict) else None
+
+
 def read_events(
     run_dir: Union[str, Path], on_error=None, on_future=None
 ) -> List[Dict]:
@@ -564,22 +581,15 @@ def read_events(
     malformed = 0
     future_version = 0
     try:
-        # errors="replace": a worker killed mid-write (or a disk hiccup)
-        # can leave arbitrary bytes on the final line; the mojibake line
-        # then fails JSON parsing and is counted, instead of a
-        # UnicodeDecodeError taking down the whole read.
-        with open(path, "r", encoding="utf-8",
-                  errors="replace") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
+        # Binary mode: lines split on "\n" only, as the writer emits them
+        # (json.dumps escapes every control character, so a raw "\r" is
+        # damage inside one line, not a line break).
+        with open(path, "rb") as handle:
+            for raw in handle:
+                if not raw.strip():
                     continue
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    malformed += 1
-                    continue
-                if not isinstance(event, dict):
+                event = parse_event_line(raw)
+                if event is None:
                     malformed += 1
                     continue
                 version = event.get("schema_version", EVENT_SCHEMA_VERSION)
@@ -659,8 +669,8 @@ def quick_event_summary(
     ``tail_bytes`` slice (large logs: count extrapolated from the tail's
     mean line length, marked ``approx``), so listing a 1000-run root costs
     megabytes, not the gigabytes a full re-read of every ``events.jsonl``
-    would. The experiment store answers the same question exactly when a
-    database is present — this is the capped filesystem fallback.
+    would. The last event is the last line :func:`parse_event_line`
+    accepts.
 
     Returns ``{"events": int, "approx": bool, "last_kind": str|None,
     "last_t": float|None}``; a missing or unreadable log yields zero
@@ -699,14 +709,8 @@ def quick_event_summary(
     # Last complete line of the tail slice -> last event kind/time.
     complete = tail.rsplit(b"\n", 2)
     for chunk in reversed(complete):
-        line = chunk.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            continue
-        if isinstance(event, dict):
+        event = parse_event_line(chunk)
+        if event is not None:
             summary["last_kind"] = event.get("kind")
             try:
                 summary["last_t"] = float(event["t"])

@@ -8,6 +8,7 @@ byte-identical and write nothing.
 """
 
 import json
+import shlex
 
 import pytest
 
@@ -341,6 +342,75 @@ class TestCliTelemetry:
     def test_runs_show_without_id_is_an_error(self, capsys):
         assert main(["runs", "show"]) == 2
         assert "needs a run id" in capsys.readouterr().err
+
+    def test_runs_tail_without_id_is_an_error(self, capsys):
+        assert main(["runs", "tail", "--no-follow"]) == 2
+        assert "'runs tail' needs a run id" in capsys.readouterr().err
+
+    def test_runs_list_shows_event_summaries(self, capsys, tmp_path):
+        cache = str(tmp_path / "cache")
+        assert main(["compare", *FAST, "--policies", "lru",
+                     "--cache-dir", cache]) == 0
+        capsys.readouterr()
+        # A runs root upgraded from a release that kept a SQLite index of
+        # its runs still holds the database files; they list as nothing.
+        root = telemetry.resolve_runs_root(cache_dir=cache)
+        for name in ("expdb.sqlite3", "expdb.sqlite3-wal"):
+            (root / name).write_bytes(b"SQLite format 3\x00")
+        assert main(["runs", "list", "--cache-dir", cache]) == 0
+        out = capsys.readouterr().out
+        [row] = [line for line in out.splitlines()
+                 if line.startswith(f"| {runs_under(cache)[0].run_id}")]
+        events = telemetry.read_events(runs_under(cache)[0].path)
+        assert f"| {len(events)} | run_finished |" in " ".join(row.split())
+
+    def test_runs_show_sweeps_orphan_manifests(self, capsys, tmp_path):
+        import os
+
+        cache = str(tmp_path / "cache")
+        assert main(["compare", *FAST, "--policies", "lru",
+                     "--cache-dir", cache]) == 0
+        capsys.readouterr()
+        root = telemetry.resolve_runs_root(cache_dir=cache)
+        run_id = telemetry.list_runs(root)[0].run_id
+        orphan = root / run_id / f"tmp999-{telemetry.MANIFEST_NAME}"
+        orphan.write_text("{}", encoding="utf-8")
+        stale = telemetry._ORPHAN_GRACE_SEC + 60
+        os.utime(orphan, (orphan.stat().st_atime - stale,
+                          orphan.stat().st_mtime - stale))
+        assert main(["runs", "show", run_id, "--cache-dir", cache]) == 0
+        assert "swept 1 orphaned manifest" in capsys.readouterr().err
+        assert not orphan.exists()
+
+    def test_runs_show_prints_the_command_line(self, capsys, tmp_path):
+        cache = str(tmp_path / "cache")
+        argv = ["compare", *FAST, "--policies", "lru", "--cache-dir", cache]
+        assert main(argv) == 0
+        run_id = runs_under(cache)[0].run_id
+        library_run = telemetry.create_run(
+            telemetry.resolve_runs_root(cache_dir=cache), command="compare")
+        capsys.readouterr()
+        assert main(["runs", "show", run_id, "--cache-dir", cache]) == 0
+        out = capsys.readouterr().out
+        assert f"| repro-sim {shlex.join(argv)} |" in out
+        assert "argv" not in out
+        # A run created through the library API recorded no argv.
+        assert main(["runs", "show", library_run.run_id,
+                     "--cache-dir", cache]) == 0
+        assert "command line" not in capsys.readouterr().out
+
+    def test_runs_tail_drains_a_real_run(self, capsys, tmp_path):
+        cache = str(tmp_path / "cache")
+        assert main(["compare", *FAST, "--policies", "lru",
+                     "--cache-dir", cache]) == 0
+        capsys.readouterr()
+        run_id = runs_under(cache)[0].run_id
+        assert main(["runs", "tail", run_id[:10], "--no-follow",
+                     "--cache-dir", cache]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "run started: compare"
+        assert "cell 2/2 ok: (compare, water)" in "\n".join(lines)
+        assert lines[-1] == "run finished: completed"
 
     def test_no_telemetry_is_byte_identical_and_writes_nothing(
         self, capsys, tmp_path

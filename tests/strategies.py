@@ -177,50 +177,19 @@ def fuzz_scenarios(seed=42, scenarios=64, mix_fraction=0.25):
 
 
 # ----------------------------------------------------------------------
-# Telemetry run records (experiment-store ingest suites)
+# Telemetry event logs (event-log reader suites)
 # ----------------------------------------------------------------------
 
-RUN_COMMANDS = ("compare", "sweep", "oracle", "fuzz", "bench")
 RUN_STATUSES = ("completed", "completed_with_failures", "failed", "running")
-EVENT_KINDS = ("span", "cells_start", "cell_done", "cell_retry",
-               "cell_failed", "cells_done", "artifact")
+EVENT_KINDS = ("run_started", "span", "cells_start", "cell_done",
+               "cell_retry", "cell_failed", "cells_done", "artifact",
+               "run_finished")
 _NAME_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789_"
 
 
 def _names(min_size=1, max_size=16):
     return st.text(alphabet=_NAME_ALPHABET, min_size=min_size,
                    max_size=max_size)
-
-
-def run_manifests():
-    """Plausible-but-adversarial ``manifest.json`` payload dicts.
-
-    Shapes the ingest pipeline must take losslessly: optional keys
-    missing, lists empty, numeric fields absent. The caller supplies
-    ``run_id``/``started`` (they come from the directory layout).
-    """
-    return st.fixed_dictionaries(
-        {
-            "format_version": st.just(1),
-            "command": st.sampled_from(RUN_COMMANDS),
-            "status": st.sampled_from(RUN_STATUSES),
-        },
-        optional={
-            "machine": _names(),
-            "llc": _names(),
-            "seed": st.integers(0, 2**32 - 1),
-            "wall_sec": st.floats(0, 1e4, allow_nan=False),
-            "duration_s": st.floats(0, 1e4, allow_nan=False),
-            "workloads": st.lists(_names(), max_size=4),
-            "policies": st.lists(policy_names(), max_size=4),
-            "argv": st.lists(_names(min_size=1, max_size=12), max_size=6),
-            "cells": st.fixed_dictionaries({
-                "total": st.integers(0, 32),
-                "completed": st.integers(0, 32),
-                "failed": st.integers(0, 8),
-            }),
-        },
-    )
 
 
 def telemetry_events(min_size=0, max_size=24):
@@ -238,6 +207,7 @@ def telemetry_events(min_size=0, max_size=24):
             "workload": _names(),
             "duration_s": st.floats(0, 1e3, allow_nan=False),
             "wall_sec": st.floats(0, 1e3, allow_nan=False),
+            "status": st.sampled_from(RUN_STATUSES),
         },
     )
     return st.lists(base, min_size=min_size, max_size=max_size)
@@ -248,7 +218,7 @@ def event_log_corruptions():
 
     ``("truncate", frac)`` chops the file mid-line the way a SIGKILL
     does; the others append a line no JSON event parser should accept.
-    Readers and ingest must drop the damage and keep every intact event.
+    Readers must drop the damage and keep every intact event.
     """
     return st.one_of(
         st.tuples(st.just("truncate"), st.floats(0.1, 0.95)),
