@@ -197,9 +197,10 @@ def run_oracle_study(
         seed: seed for stochastic base policies (both replays re-seed the
             base identically so only the oracle differs).
         fastpath: three-state gate for the exact replay fast paths on
-            both replays — stack-distance for plain LRU, set-partitioned
-            for other eligible bases and for the wrapper over LRU or
-            SRRIP (None = auto).
+            both replays — stack-distance for plain LRU, the lockstep
+            set or dueling kernel for the other per-set bases and for the
+            wrapper over LRU, LIP, BIP, SRRIP, BRRIP, DIP or DRRIP
+            (None = auto).
         native: three-state gate for the compact kernel of the wrapper
             over SHiP (:func:`repro.sim.nativepath.replay_oracle_nativepath`,
             bit-identical); ``False`` or ``REPRO_SIM_NO_NATIVE`` restores
@@ -291,10 +292,11 @@ def run_oracle_variants(
     cell bit-identical to an independent :func:`run_oracle_study` call.
     Results align positionally with ``variants``. The wrapped replay goes
     through the replay planner, so annotation-backed wrappers take the
-    set tier's lockstep kernel over LRU or SRRIP and the compact kernel
-    over SHiP unless gated off (``fastpath=False``, for SHiP also
-    ``native=False``, or their environment toggles); the wrapper's study
-    counters are identical either way.
+    lockstep kernel over a recency or RRIP base (``dueling`` over DIP and
+    DRRIP) and the compact kernel over SHiP unless gated off
+    (``fastpath=False``, for SHiP also ``native=False``, or their
+    environment toggles); the wrapper's study counters are identical
+    either way.
     """
     if horizon_turnovers <= 0:
         raise ConfigError(

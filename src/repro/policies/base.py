@@ -71,15 +71,23 @@ class ReplacementPolicy(ABC):
         (DESIGN.md decision 9). Streams are keyed off the policy seed via
         :func:`derive_seed`, so a whole replay stays reproducible.
         """
+        rng = self._set_rngs.get(set_index)
+        if rng is None:
+            rng = DeterministicRng(self.set_seed(set_index))
+            self._set_rngs[set_index] = rng
+        return rng
+
+    def set_seed(self, set_index: int) -> int:
+        """The seed of :meth:`set_rng`'s stream for one set.
+
+        Replay kernels seed fresh streams with it, leaving the instance's
+        own streams untouched.
+        """
         if self._rng_seed is None:
             raise SimulationError(
                 f"policy {self.name} requested a set RNG without a seed"
             )
-        rng = self._set_rngs.get(set_index)
-        if rng is None:
-            rng = DeterministicRng(derive_seed(self._rng_seed, "set", set_index))
-            self._set_rngs[set_index] = rng
-        return rng
+        return derive_seed(self._rng_seed, "set", set_index)
 
     def bind(self, geometry: CacheGeometry) -> None:
         """Size the policy's metadata to ``geometry``.

@@ -38,6 +38,17 @@ class DuelingController:
         self._psel = self._psel_max // 2
         self._threshold = 1 << (psel_bits - 1)
 
+    @classmethod
+    def clamped(cls, num_sets: int, num_leaders_each: int,
+                psel_bits: int) -> "DuelingController":
+        """The controller a dueling policy builds at bind.
+
+        Clamps the leader count for small caches: at most half the sets
+        can lead (the paper-standard 32 assumes thousands of sets).
+        """
+        leaders = max(1, min(num_leaders_each, num_sets // 2))
+        return cls(num_sets, leaders, psel_bits)
+
     def role(self, set_index: int) -> int:
         """LEADER_A / LEADER_B / FOLLOWER for this set."""
         offset = set_index % self._window
@@ -144,10 +155,14 @@ class DipPolicy(LruPolicy):
 
     def bind(self, geometry) -> None:
         super().bind(geometry)
-        # Clamp the leader count for small caches: at most half the sets
-        # can lead (the paper-standard 32 assumes thousands of sets).
-        leaders = max(1, min(self._num_leaders_each, self.num_sets // 2))
-        self.duel = DuelingController(self.num_sets, leaders, self._psel_bits)
+        self.duel = self.new_duel(self.num_sets)
+
+    def new_duel(self, num_sets: int) -> DuelingController:
+        """A fresh controller, as :meth:`bind` builds it (replay kernels
+        read it from the unbound instance)."""
+        return DuelingController.clamped(
+            num_sets, self._num_leaders_each, self._psel_bits
+        )
 
     def on_fill(self, set_index, way, block, pc, core, is_write) -> None:
         self.duel.record_miss(set_index)

@@ -122,9 +122,14 @@ class DrripPolicy(SrripPolicy):
 
     def bind(self, geometry) -> None:
         super().bind(geometry)
-        # Clamp the leader count for small caches (see DipPolicy.bind).
-        leaders = max(1, min(self._num_leaders_each, self.num_sets // 2))
-        self.duel = DuelingController(self.num_sets, leaders, self._psel_bits)
+        self.duel = self.new_duel(self.num_sets)
+
+    def new_duel(self, num_sets: int) -> DuelingController:
+        """A fresh controller, as :meth:`bind` builds it (replay kernels
+        read it from the unbound instance)."""
+        return DuelingController.clamped(
+            num_sets, self._num_leaders_each, self._psel_bits
+        )
 
     def insertion_rrpv(self, set_index: int) -> int:
         if self.duel.use_policy_b(set_index):

@@ -16,12 +16,13 @@ the structure the exact fast paths already expose:
   layer (:func:`repro.oracle.runner.run_oracle_study_grid`) shares the
   stream's next-use/annotation work across all cells.
 * **Parameter grids** (fixed geometry, e.g. SRRIP ``rrpv_bits``): the
-  set-partitioned engine's synchronous SRRIP kernel generalizes to a
-  stacked variant axis (:func:`repro.sim.setpath._count_rrip_sync_stacked`)
-  — all variants step through one numpy recurrence. Stochastic variants
-  (BIP/BRRIP epsilons) and dueling variants (DIP/DRRIP) replay per-variant
-  over the *shared* partition: each variant instantiates its own per-set
-  RNG streams and PSEL series, so sharing the partition is exact.
+  lockstep kernel's SRRIP recurrence generalizes to a stacked variant
+  axis (:func:`repro.sim.setpath._count_rrip_sync_stacked`) — all
+  variants step through one numpy recurrence. Stochastic variants
+  (BIP/BRRIP epsilons) and dueling variants (DIP/DRRIP, and the oracle
+  over them) step the lockstep kernel per variant over the *shared*
+  partition: each variant draws its own per-set RNG sequences and
+  rebuilds its own PSEL series, so sharing the partition is exact.
 
 Which cells share a pass is the replay planner's call
 (:func:`repro.sim.plan.plan_replay`): results produced by a shared pass

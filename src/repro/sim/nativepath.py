@@ -13,13 +13,12 @@ This module supplies that backend as two kernels:
 
 * **SHiP kernel** (:func:`_ship_count_compact`) — a bit-exact
   transcription of ``SharedLlc.access`` + :class:`ShipPolicy` over flat
-  per-set lists (the layout :mod:`repro.sim.setpath`'s count kernels use),
-  with PC signatures pre-hashed in one vectorized pass. SHiP draws no RNG,
-  so the transcription is deterministic and bit-identical to the scalar
-  model (the differential suite pins it). It needs nothing beyond the
-  interpreter and is several times faster than the model because it
-  replaces per-access method dispatch, tuple unpacking, and residency
-  bookkeeping with list indexing.
+  per-set lists, with PC signatures pre-hashed in one vectorized pass.
+  SHiP draws no RNG, so the transcription is deterministic and
+  bit-identical to the scalar model (the differential suite pins it). It
+  needs nothing beyond the interpreter and is several times faster than
+  the model because it replaces per-access method dispatch, tuple
+  unpacking, and residency bookkeeping with list indexing.
 * **Oracle-tier kernel** (:func:`_oracle_count_compact`) — the same
   treatment for :class:`repro.oracle.wrapper.SharingAwareWrapper` over
   SHiP when its hint source is an offline annotation
@@ -28,8 +27,9 @@ This module supplies that backend as two kernels:
   stream and the whole protection protocol (victim exemption, synthetic
   promote-hits, budget releases) runs inside the kernel loop. The
   wrapper's study counters are written back onto the instance. The same
-  wrapper over LRU or SRRIP keeps all its state per set, so it takes the
-  set tier's lockstep kernel instead, whatever the native gate says.
+  wrapper over a recency or RRIP base (LRU, LIP, BIP, SRRIP, BRRIP, DIP,
+  DRRIP) keeps all its state per set, so it takes the lockstep kernel of
+  :mod:`repro.sim.setpath` instead, whatever the native gate says.
 
 Which replays take these kernels is decided by
 :func:`repro.sim.plan.plan_replay` (backend ``compact``); everything it
@@ -104,11 +104,12 @@ def _ship_count_compact(blocks, sigs, num_sets: int, ways: int, rmax: int,
 
     Bit-exact transcription of the scalar path: free fills take the
     lowest free way (fill order — no back-invalidation exists in LLC-only
-    replay), victim selection is SRRIP aging (the closed-form delta of
-    ``_count_rrip``), and the SHCT sees the eviction decrement *before*
-    the fill reads the incoming signature's counter — the same order
-    ``SharedLlc.access`` runs ``on_evict`` and ``on_fill`` in, which
-    matters when victim and filler share a signature.
+    replay), victim selection is SRRIP aging (one closed-form delta, as
+    in :func:`repro.sim.setpath._lockstep`), and the SHCT sees the
+    eviction decrement *before* the fill reads the incoming signature's
+    counter — the same order ``SharedLlc.access`` runs ``on_evict`` and
+    ``on_fill`` in, which matters when victim and filler share a
+    signature.
     """
     set_mask = num_sets - 1
     where: dict = {}  # block -> (rrpv row, sig row, outcome row, way)
@@ -176,9 +177,9 @@ def _ship_count_compact(blocks, sigs, num_sets: int, ways: int, rmax: int,
 # increments the incoming signature's SHCT counter, exactly as the scalar
 # model does), and victim selection walks SHiP's descending-RRPV order
 # skipping protected ways, with the "nothing protected in this set"
-# short-circuit kept O(1) by a per-set protected-way count. Over LRU and
-# SRRIP, whose state is all per set, the wrapper takes the set tier's
-# lockstep kernel instead (repro.sim.setpath._count_lockstep).
+# short-circuit kept O(1) by a per-set protected-way count. Over a recency
+# or RRIP base, whose state is all per set, the wrapper takes the lockstep
+# kernel instead (repro.sim.setpath._lockstep).
 
 _ORACLE_MODES = {"victim-exempt": 0, "insert-promote": 1, "both": 2}
 _ORACLE_RELEASES = {"budget": 0, "first-share": 1, "never": 2}

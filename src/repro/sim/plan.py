@@ -76,12 +76,18 @@ object model until it gets a row of its own."""
 
 ORACLE_BASES: Dict[type, str] = {
     LruPolicy: REPLAY_SET,
+    LipPolicy: REPLAY_SET,
+    BipPolicy: REPLAY_SET,
     SrripPolicy: REPLAY_SET,
+    BrripPolicy: REPLAY_SET,
+    DipPolicy: REPLAY_DUELING,
+    DrripPolicy: REPLAY_DUELING,
     ShipPolicy: REPLAY_SCALAR,
 }
 """Exact base class -> the tier of an annotation-fed oracle wrapper over
-it: the lockstep set kernel, or, for SHiP's global SHCT, the scalar
-tier's compact kernel. Other bases (LIP, BRRIP, DRRIP, ...) have none."""
+it: the lockstep kernel (``dueling`` over DIP and DRRIP), or, for SHiP's
+global SHCT, the scalar tier's compact kernel. NRU, Random and OPT bases
+have none."""
 
 _BACKENDS = {REPLAY_STACK: "python", REPLAY_SET: "numpy",
              REPLAY_DUELING: "numpy", REPLAY_SCALAR: BACKEND_COMPACT}

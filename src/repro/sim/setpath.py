@@ -13,31 +13,33 @@ replay therefore decomposes exactly:
 1. **Partition** — bucket the recorded stream by set index in one
    vectorized pass (stable ``argsort`` over ``block & (num_sets-1)``),
    keeping each access's global position.
-2. **Per-set kernels** — replay each set's subsequence under a compact
-   array-state kernel (RRPV list for SRRIP/BRRIP, ordered recency list for
-   the LRU/LIP/BIP family, reference bits for NRU, next-use values for
-   OPT). Kernels are bit-exact transcriptions of the scalar policies,
-   including RNG draw order: stochastic policies draw from per-set streams
-   (:meth:`repro.policies.base.ReplacementPolicy.set_rng`), so a set's
-   draw indices depend only on its own fill sequence. Count-mode SRRIP
-   and the sharing oracle over LRU or SRRIP go one step further: they are
-   deterministic, so all sets advance in lockstep through one numpy
-   kernel over a set-by-position block matrix (:func:`_count_lockstep`).
-3. **Two-phase dueling** (DIP/DRRIP) — sets couple only through the PSEL
-   counter, and only leader sets write it. Replay leaders first (their
-   behaviour is role-based, never PSEL-dependent), merge their miss
-   positions into the exact PSEL time-series, then replay followers
-   reading the reconstructed winner flag at each fill position.
+2. **Lockstep kernel** — every set advances one access per numpy step
+   over a set-by-way state matrix (:func:`_lockstep`), with one victim
+   key per policy family: recency stamps for LRU/LIP/BIP, RRPVs with
+   closed-form aging for SRRIP/BRRIP, NRU reference bits, next-use
+   values for OPT, a drawn way for Random. Stochastic policies draw from
+   per-set streams (:meth:`repro.policies.base.ReplacementPolicy.set_rng`),
+   so a set's draws depend only on its own fills; the kernel pre-draws
+   each set's sequence from a fresh stream seeded the same way
+   (:func:`_draw_table`) and consumes it through a per-row counter. The
+   sharing oracle over a recency or RRIP base rides the same kernel with
+   its annotation as one more column.
+3. **Two-phase dueling** (DIP/DRRIP, and the oracle over them) — sets
+   couple only through the PSEL counter, and only leader sets write it.
+   Replay the leaders of both roles first (their behaviour is
+   role-based, never PSEL-dependent), merge their miss positions into the
+   exact PSEL time-series, then replay followers reading the
+   reconstructed winner flag at each access.
 
 Policies with genuinely global state — SHiP's SHCT is trained by every
 set's fills, hits, and evictions — have no exact decomposition and stay on
-the scalar model (tier ``scalar``); DESIGN.md decision 9 has the argument.
+the scalar tier; DESIGN.md decision 9 has the argument.
 
 Observer-carrying replays additionally record the residency skeleton
-(fills, evictions, way assignments) per set and stitch it back into global
-fill order, reusing the fast path's metadata reconstruction and observer
-replay verbatim — observers see exactly the callback sequence the scalar
-model would have produced.
+(fills, their ways, the residencies they evict) at every step and stitch
+it back into global fill order, reusing the fast path's metadata
+reconstruction and observer replay verbatim — observers see exactly the
+callback sequence the scalar model would have produced.
 
 Which policies run here is decided by the replay planner
 (:func:`repro.sim.plan.plan_replay`), whose
@@ -48,18 +50,18 @@ carries the plan out.
 
 from array import array
 from time import perf_counter
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
+from repro.common.rng import DeterministicRng
 from repro.policies.base import REPLAY_DUELING, REPLAY_SET, ReplacementPolicy
 from repro.policies.dip import BipPolicy, DuelingController
-from repro.policies.lru import LipPolicy, LruPolicy
-from repro.policies.opt import NO_NEXT_USE
-from repro.policies.rrip import BrripPolicy, SrripPolicy
+from repro.policies.lru import LipPolicy
+from repro.policies.rrip import BrripPolicy
 from repro.sim.fastpath import (
     LruReplayReconstruction,
     _reconstruct,
@@ -76,12 +78,9 @@ from repro.sim.plan import (
 )
 from repro.sim.results import LlcSimResult
 
-# Insertion modes of the recency (stamp-ordered) family.
-_MODE_MRU = 0
-_MODE_LIP = 1
-_MODE_BIP = 2
-
-_RECENCY_MODES = {LruPolicy: _MODE_MRU, LipPolicy: _MODE_LIP, BipPolicy: _MODE_BIP}
+_COLD = np.iinfo(np.int64).max
+"""An empty way's victim key: above every live key of every family, so a
+row's first largest key is its lowest empty way while it has one."""
 
 _NO_KEY = np.iinfo(np.int64).min
 """A protected way's victim key while an exemption looks past it."""
@@ -94,21 +93,19 @@ _NO_KEY = np.iinfo(np.int64).min
 class StreamPartition:
     """The recorded stream bucketed by set index.
 
-    ``blocks[starts[s]:starts[s+1]]`` is set ``s``'s access subsequence in
-    stream order; ``order`` holds each grouped access's global stream
-    position (``order_np``/``blocks_np`` are the same columns as numpy
-    arrays).
+    ``blocks_np[starts[s]:starts[s+1]]`` is set ``s``'s access subsequence
+    in stream order, and ``order_np`` holds each grouped access's global
+    stream position.
     """
 
-    __slots__ = (
-        "num_sets", "blocks", "order", "starts", "order_np", "blocks_np",
-    )
+    __slots__ = ("num_sets", "starts", "order_np", "blocks_np")
 
 
 def partition_stream(blocks, num_sets: int, profile=None) -> StreamPartition:
     """Bucket ``blocks`` by ``block & (num_sets - 1)`` preserving order.
 
-    One stable ``argsort`` over the set-index column.
+    One stable ``argsort`` over the set-index column, narrowed to the
+    smallest unsigned type that holds it so numpy radix-sorts it.
     """
     part = StreamPartition()
     part.num_sets = num_sets
@@ -118,149 +115,267 @@ def partition_stream(blocks, num_sets: int, profile=None) -> StreamPartition:
     else:
         column = np.asarray(blocks, dtype=np.int64)
     sets = column & (num_sets - 1)
-    order_np = np.argsort(sets, kind="stable")
-    counts = np.bincount(sets, minlength=num_sets)
-    starts = np.zeros(num_sets + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    grouped = column[order_np]
-    part.blocks = grouped.tolist()
-    part.order = order_np.tolist()
-    part.starts = starts.tolist()
-    part.order_np = order_np
-    part.blocks_np = grouped
+    part.order_np = np.argsort(
+        sets.astype(np.min_scalar_type(num_sets - 1)), kind="stable")
+    part.starts = np.zeros(num_sets + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sets, minlength=num_sets), out=part.starts[1:])
+    part.blocks_np = column[part.order_np]
     if profile is not None:
         profile["partition"] = perf_counter() - start
     return part
 
 
 # ----------------------------------------------------------------------
-# Phase 2a: count kernels (classification only, no residency skeleton)
+# Phase 2: the lockstep kernel
 # ----------------------------------------------------------------------
 
-def _count_rrip(seg, ways, rmax, rng, throttle) -> int:
-    """SRRIP (``rng`` None) / BRRIP count kernel for one set."""
-    way_of = {}
-    blk = [0] * ways
-    rrpv = [rmax] * ways
-    filled = 0
-    hits = 0
-    get = way_of.get
-    for block in seg:
-        way = get(block)
-        if way is not None:
-            rrpv[way] = 0
-            hits += 1
-            continue
-        if filled < ways:
-            way = filled
-            filled += 1
-        else:
-            top = max(rrpv)
-            if top != rmax:
-                # Aging: the scalar +1-all rounds until some way reaches
-                # rmax add the same delta to every way.
-                delta = rmax - top
-                for w in range(ways):
-                    rrpv[w] += delta
-            way = rrpv.index(rmax)
-            del way_of[blk[way]]
-        if rng is None or rng.randrange(throttle) == 0:
-            rrpv[way] = rmax - 1
-        else:
-            rrpv[way] = rmax
-        blk[way] = block
-        way_of[block] = way
-    return hits
+class _Lanes(NamedTuple):
+    """Some sets of a partition laid out for lockstep stepping.
 
-
-def _count_lockstep(part: StreamPartition, ways: int, rmax: Optional[int],
-                    hints=None, cores=None, mode: str = "both",
-                    release: str = "never") -> Tuple[int, int, int, int]:
-    """Lockstep count kernel: every set advances one access per numpy step.
-
-    Serves count-mode SRRIP (``hints`` None) and the sharing oracle
-    wrapper over LRU (``rmax`` None) or SRRIP, whose per-access budget
-    and core columns come in stream order, with the wrapper's ``mode``
-    and ``release``. Both are deterministic and keep all state per set
-    (decision 9), so step ``i`` processes every set's ``i``-th access at
-    once. Rows hold the sets longest first, so the sets still active at
-    step ``i`` are a prefix of the rows and no lane is ever padded.
-
-    State is ``(sets, ways)`` matrices of resident blocks, victim keys,
-    budgets and fill cores. The key is the RRPV under SRRIP and minus
-    the step under LRU: a step stamps at most one way per set, so that
-    is LRU order, and the synthetic promote-hit right after a fill
-    changes nothing. Every miss takes its row's first largest key, after
-    SRRIP's closed-form aging (:func:`_count_rrip`), and an exemption the
-    first largest key among unprotected ways. A cold way's key is above
-    every live one (SRRIP ages only full sets, so no live way reaches
-    ``rmax`` before), which makes the lowest cold way the fill. Counters
-    follow the object model's decision order. Returns ``(hits,
-    protected_fills, exemptions, releases)``.
+    Row ``r`` replays set ``sets[r]``, longest set first, so the rows
+    still active at step ``i`` are a prefix of the rows and no lane is
+    ever padded. Slots are ordered by (step, row): step ``i`` is
+    ``bounds[i]:bounds[i + 1]``, and ``blocks``/``pos`` give each slot's
+    block and global stream position.
     """
-    starts = np.asarray(part.starts, dtype=np.int64)
-    lens = np.diff(starts)
-    rank = np.empty(len(lens), dtype=np.int64)
-    rank[np.argsort(-lens, kind="stable")] = np.arange(len(lens))
-    step = np.arange(len(part.order_np)) - np.repeat(starts[:-1], lens)
-    off = np.concatenate(([0], np.cumsum(np.bincount(step))))
-    slot = off[step] + np.repeat(rank, lens)
-    blocks = np.empty_like(part.blocks_np)
-    blocks[slot] = part.blocks_np
-    pos = np.empty_like(part.order_np)
-    pos[slot] = part.order_np
+
+    sets: np.ndarray
+    blocks: np.ndarray
+    pos: np.ndarray
+    bounds: List[int]
+
+
+def _lanes(part: StreamPartition, sets) -> _Lanes:
+    """Lay out the accesses of ``sets`` (skipping empty ones) in lockstep."""
+    lens = np.diff(part.starts)[sets]
+    rank = np.argsort(-lens, kind="stable")
+    rank = rank[lens[rank] > 0]
+    sets, lens = sets[rank], lens[rank]
+    step = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(step))))
+    slot = bounds[step] + np.repeat(np.arange(len(lens)), lens)
+    src = np.repeat(part.starts[sets], lens) + step
+    blocks = np.empty(len(src), dtype=np.int64)
+    blocks[slot] = part.blocks_np[src]
+    pos = np.empty(len(src), dtype=np.int64)
+    pos[slot] = part.order_np[src]
+    return _Lanes(sets, blocks, pos, bounds.tolist())
+
+
+def _draw_table(seeds, counts, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's first ``randrange(n)`` draws, drawn in bulk.
+
+    Returns ``(flat, first)``: ``flat[first[r] + j]`` for ``j <
+    counts[r]`` is the ``j``-th value that successive
+    ``DeterministicRng(seeds[r]).randrange(n)`` calls return.
+    ``randrange(n)`` takes the generator's next 32-bit output, keeps its
+    top ``n.bit_length()`` bits and returns the first such value below
+    ``n``; ``getrandbits(32 * w)`` returns the next ``w`` outputs, least
+    significant first. So one bulk call per row, a shift and a filter
+    give the same sequence (``tests/sim/test_setpath.py`` pins it).
+    """
+    first = np.zeros(len(counts), dtype=np.int64)
+    rows = np.flatnonzero(counts)
+    need = np.asarray(counts, dtype=np.int64)[rows]
+    flat = np.zeros(0, dtype=np.int64)
+    shift = 32 - n.bit_length()
+    if rows.size and shift >= 0:
+        # An output is kept with probability above one half, so a row
+        # runs short of this many about once in 10^8 rows.
+        words = 2 * need + 8 * np.sqrt(need).astype(np.int64) + 32
+        drawn = np.frombuffer(b"".join(
+            DeterministicRng(seeds[r]).getrandbits(32 * w).to_bytes(
+                4 * w, "little")
+            for r, w in zip(rows.tolist(), words.tolist())
+        ), dtype="<u4") >> shift
+        kept = drawn < n
+        flat = drawn[kept].astype(np.int64)
+        got = np.add.reduceat(kept, np.cumsum(words) - words, dtype=np.int64)
+        first[rows] = np.cumsum(got) - got
+        rows, need = rows[got < need], need[got < need]
+    for r, m in zip(rows.tolist(), need.tolist()):
+        rng = DeterministicRng(seeds[r])
+        first[r] = len(flat)
+        flat = np.concatenate((flat, [rng.randrange(n) for __ in range(m)]))
+    return flat, first
+
+
+def _lockstep(lanes: _Lanes, ways: int, family: str, rmax: int = 0,
+              lip: bool = False, use_b=None, draws=None, next_use=None,
+              hints=None, cores=None, mode: str = "both",
+              release: str = "never", fills=None, trail=None):
+    """Step every row of ``lanes`` one access per numpy step.
+
+    State is ``(rows, ways)`` matrices of resident blocks and victim keys,
+    addressed through flat ``row * ways + way`` cells: each miss takes its
+    row's first largest key. The key per ``family``:
+
+    * ``recency`` — minus the step on a hit or MRU fill (a step touches at
+      most one way per row, so that is recency order). A fill at the LRU
+      end (LIP always, BIP on all but a 1-in-``n`` draw) takes its row's
+      next LRU-end count, above every MRU key and every earlier LRU-end
+      fill: the order of the model's ``min(stamps) - 1``.
+    * ``rrip`` — the RRPV (``rmax`` the largest); before a full row picks
+      its victim, the scalar +1-all rounds that run until some way
+      reaches ``rmax`` are one closed-form delta. Fills insert at
+      ``rmax - 1``, or BRRIP-style at ``rmax`` on all but a 1-in-``n``
+      draw.
+    * ``nru`` — ``1 - reference bit``; a touch that sets every bit of the
+      row clears the others.
+    * ``opt`` — the next-use position of the way's last access.
+    * ``random`` — none: a full row's victim is its next draw.
+
+    Empty ways hold :data:`_COLD`, so a row with one fills its lowest
+    empty way with no victim choice and no exemption, and RRPV aging
+    stops at ``rmax``. ``use_b`` (per slot) marks the fills that apply
+    constituent B, the bimodal insertion, and draw; ``draws`` is a
+    :func:`_draw_table` of each row's pre-drawn values, consumed through
+    a per-row counter. ``next_use``, ``hints`` and ``cores`` are per-slot
+    columns. ``hints`` makes the kernel the sharing oracle wrapper with
+    ``mode`` and ``release``: a hinted fill is promoted as a hit would be,
+    a miss skips protected ways, and cross-core hits release budgets,
+    counted in the object model's decision order. ``fills``, a list,
+    receives every step's miss positions; ``trail``, a list, receives
+    this call's residency skeleton for :func:`_assemble_walk`, numbering
+    its residencies after those of the calls already on it. Returns
+    ``(hits, protected_fills, exemptions, releases)``.
+    """
+    blocks, pos, bounds = lanes.blocks, lanes.pos, lanes.bounds
+    blk = np.full((len(lanes.sets), ways), -1, dtype=np.int64)
+    key = np.full_like(blk, _COLD)
+    blk_at, key_at = blk.reshape(-1), key.reshape(-1)
+    lru_end = np.zeros(len(lanes.sets), dtype=np.int64)
     if hints is not None:
-        hints, cores = hints[pos], cores[pos]
-    blk = np.full((len(lens), ways), -1, dtype=np.int64)
-    key = np.full_like(blk, 1 if rmax is None else rmax)
-    budget = np.zeros_like(blk)
-    fill_core = np.zeros_like(blk)
+        budget = np.zeros_like(blk)
+        budget_at = budget.reshape(-1)
+        fill_core_at = np.zeros_like(blk_at)
+    if draws is not None:
+        flat, first = draws
+        used = np.zeros(len(lanes.sets), dtype=np.int64)
+    if trail is not None:
+        rid_at = np.full_like(blk_at, -1)
+        skeleton = ([], [], [], [], [])
+        counter = sum(len(record[0]) for record in trail)
     exempting = hints is not None and mode != "insert-promote"
+    promoting = hints is not None and mode != "victim-exempt"
+    releasing = hints is not None and release != "never"
     hits = protected = exempted = released = 0
-    bounds = off.tolist()
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+
+    def draw(rows):
+        values = flat[first[rows] + used[rows]]
+        used[rows] += 1
+        return values
+
+    def touch(rows, cells):
+        key_at[cells] = 0
+        saturated = ~key.take(rows, axis=0).any(axis=1)
+        if saturated.any():
+            key[rows[saturated]] = 1
+            key_at[cells[saturated]] = 0
+
+    for i in range(len(bounds) - 1):
+        lo, hi = bounds[i], bounds[i + 1]
         b = blocks[lo:hi]
-        top = -i if rmax is None else 0
-        match = blk[:hi - lo] == b[:, None]
-        rows, hit_ways = np.nonzero(match)
-        hit = np.zeros(hi - lo, dtype=bool)
-        hit[rows] = True
-        if rows.size:
-            key[rows, hit_ways] = top
-            hits += rows.size
-            if hints is not None and release != "never":
-                left = budget[rows, hit_ways]
-                shared = (left > 0) & (cores[lo:hi][rows]
-                                       != fill_core[rows, hit_ways])
-                left = np.where(release == "budget", left[shared] - 1, 0)
-                budget[rows[shared], hit_ways[shared]] = left
-                released += np.count_nonzero(left == 0)
-        rows = np.flatnonzero(~hit)
+        top = -i if family == FAMILY_RECENCY else 0
+        cells = np.flatnonzero(blk[:hi - lo] == b[:, None])
+        rows = cells // ways
+        miss = np.ones(hi - lo, dtype=bool)
+        if cells.size:
+            miss[rows] = False
+            hits += cells.size
+            if family == FAMILY_OPT:
+                key_at[cells] = next_use[lo:hi][rows]
+            elif family == FAMILY_NRU:
+                touch(rows, cells)
+            elif family != FAMILY_RANDOM:
+                key_at[cells] = top
+            if releasing:
+                shared = (budget_at[cells] > 0) & (
+                    cores[lo:hi][rows] != fill_core_at[cells])
+                gone = cells[shared]
+                if release == "budget":
+                    budget_at[gone] -= 1
+                    released += np.count_nonzero(budget_at[gone] == 0)
+                else:
+                    budget_at[gone] = 0
+                    released += gone.size
+            if trail is not None:
+                skeleton[3].append(pos[lo:hi][rows])
+                skeleton[4].append(rid_at[cells])
+        rows = np.flatnonzero(miss)
         if not rows.size:
             continue
-        sub = key[rows]
-        if rmax is not None:
-            sub += (rmax - sub.max(axis=1))[:, None]
-            key[rows] = sub
-        first = way = sub.argmax(axis=1)
+        if fills is not None:
+            fills.append(pos[lo:hi][rows])
+        sub = key.take(rows, axis=0)
+        way = sub.argmax(axis=1)
+        cells = rows * ways + way
+        if family == FAMILY_RRIP:
+            age = rmax - np.minimum(key_at[cells], rmax)
+            aged = np.flatnonzero(age)
+            if aged.size:
+                key[rows[aged]] += age[aged, None]
+        elif family == FAMILY_RANDOM:
+            full = sub[:, -1] != _COLD
+            if full.any():
+                way[full] = draw(rows[full])
+                cells = rows * ways + way
         if exempting:
-            guard = budget[rows] > 0
+            guard = budget.take(rows, axis=0) > 0
             if guard.any():
                 best = np.where(guard, _NO_KEY, sub).argmax(axis=1)
-                way = np.where(guard.all(axis=1), first, best)
-                exempted += np.count_nonzero(way != first)
-        blk[rows, way] = b[rows]
-        if hints is None:
-            key[rows, way] = rmax - 1
-            continue
-        hint = hints[lo:hi][rows]
-        budget[rows, way] = hint
-        fill_core[rows, way] = cores[lo:hi][rows]
-        hinted = hint > 0
-        protected += np.count_nonzero(hinted)
-        fill = -i if rmax is None else rmax - 1
-        key[rows, way] = np.where(hinted & (mode != "victim-exempt"), top,
-                                  fill)
+                # Every way protected: the base's first choice stands.
+                best = np.where(budget_at[rows * ways + best] > 0, way, best)
+                exempted += np.count_nonzero(best != way)
+                way = best
+                cells = rows * ways + way
+        if trail is not None:
+            skeleton[0].append(pos[lo:hi][rows])
+            skeleton[1].append(way)
+            skeleton[2].append(rid_at[cells])
+            rid_at[cells] = np.arange(counter, counter + rows.size)
+            counter += rows.size
+        blk_at[cells] = b[rows]
+        distant = None
+        if lip:
+            distant = np.ones(rows.size, dtype=bool)
+        elif use_b is not None:
+            chosen = use_b[lo:hi][rows]
+            if chosen.any():
+                distant = np.zeros(rows.size, dtype=bool)
+                distant[chosen] = draw(rows[chosen]) != 0
+        if family == FAMILY_RECENCY:
+            fill = top
+            if distant is not None:
+                far = rows[distant]
+                lru_end[far] += 1
+                fill = np.full(rows.size, top)
+                fill[distant] = lru_end[far]
+        elif family == FAMILY_RRIP:
+            fill = rmax - 1 if distant is None else rmax - 1 + distant
+        elif family == FAMILY_OPT:
+            fill = next_use[lo:hi][rows]
+        else:
+            fill = 0
+        if hints is not None:
+            hint = hints[lo:hi][rows]
+            budget_at[cells] = hint
+            fill_core_at[cells] = cores[lo:hi][rows]
+            hinted = hint > 0
+            protected += np.count_nonzero(hinted)
+            if promoting:
+                fill = np.where(hinted, top, fill)
+        if family == FAMILY_NRU:
+            touch(rows, cells)
+        else:
+            key_at[cells] = fill
+    if trail is not None:
+        live = np.flatnonzero(rid_at >= 0)
+        trail.append((
+            *(np.concatenate(part) if part else np.zeros(0, dtype=np.int64)
+              for part in skeleton),
+            lanes.sets[live // ways], live % ways, rid_at[live],
+        ))
     return hits, int(protected), int(exempted), int(released)
 
 
@@ -270,20 +385,20 @@ def _count_rrip_sync_stacked(
     """Stacked synchronous SRRIP kernel: every parameter variant at once.
 
     ``configs`` is a sequence of ``(rmax, insertion_rrpv)`` pairs — one per
-    grid variant. State generalizes :func:`_count_lockstep`'s SRRIP
-    recurrence, over ``-1``-padded rows in set order, by a leading
-    variant axis flattened into the row dimension: row
-    ``v * num_sets + s`` is variant ``v``'s copy of set ``s``. Each step
-    broadcasts the same block column to every variant (``np.tile``);
-    per-row ``rmax``/insertion vectors (``np.repeat`` over the variant
-    axis) parameterize the aging and fill updates; per-variant hits come
-    back from one ``bincount`` over ``row // num_sets``. The per-step Python overhead — the reason a warm
-    parameter sweep used to cost one full replay per variant — is paid once
-    for the whole grid.
+    grid variant. State generalizes :func:`_lockstep`'s SRRIP recurrence,
+    over ``-1``-padded rows in set order, by a leading variant axis
+    flattened into the row dimension: row ``v * num_sets + s`` is variant
+    ``v``'s copy of set ``s``. Each step broadcasts the same block column
+    to every variant (``np.tile``); per-row ``rmax``/insertion vectors
+    (``np.repeat`` over the variant axis) parameterize the aging and fill
+    updates; per-variant hits come back from one ``bincount`` over
+    ``row // num_sets``. The per-step Python overhead — the reason a warm
+    parameter sweep used to cost one full replay per variant — is paid
+    once for the whole grid.
 
     Exactness: variants never interact (disjoint row blocks), so each
     variant's rows step through exactly the recurrence its own
-    :func:`_count_lockstep` run would — the differential suite pins
+    :func:`_lockstep` run would — the differential suite pins
     bit-identity per variant.
 
     Two representation changes keep the stacked step from costing what
@@ -303,8 +418,7 @@ def _count_rrip_sync_stacked(
       within a row.
     """
     nv = len(configs)
-    starts = np.asarray(part.starts, dtype=np.int64)
-    lens = np.diff(starts)
+    lens = np.diff(part.starts)
     if nv == 0 or len(lens) == 0:
         return [0] * nv
     maxlen = int(lens.max())
@@ -357,792 +471,152 @@ def _count_rrip_sync_stacked(
     return [int(h) for h in hits]
 
 
-def _count_rrip_roles(seg, pos, ways, rmax, bimodal, rng, throttle,
-                      use_b, fills) -> int:
-    """DRRIP leader/follower count kernel for one set.
-
-    Leaders pass ``use_b=None`` (``bimodal`` fixes the role: False = SRRIP
-    constituent A, True = BRRIP constituent B) and a ``fills`` list that
-    receives every miss's global position. Followers pass the per-access
-    ``use_b`` flags reconstructed from the PSEL series.
-    """
-    way_of = {}
-    blk = [0] * ways
-    rrpv = [rmax] * ways
-    filled = 0
-    hits = 0
-    get = way_of.get
-    for idx in range(len(seg)):
-        block = seg[idx]
-        way = get(block)
-        if way is not None:
-            rrpv[way] = 0
-            hits += 1
-            continue
-        if fills is not None:
-            fills.append(pos[idx])
-        if filled < ways:
-            way = filled
-            filled += 1
-        else:
-            top = max(rrpv)
-            if top != rmax:
-                delta = rmax - top
-                for w in range(ways):
-                    rrpv[w] += delta
-            way = rrpv.index(rmax)
-            del way_of[blk[way]]
-        b = bimodal if use_b is None else use_b[idx]
-        if not b or rng.randrange(throttle) == 0:
-            rrpv[way] = rmax - 1
-        else:
-            rrpv[way] = rmax
-        blk[way] = block
-        way_of[block] = way
-    return hits
-
-
-def _count_recency(seg, ways, mode, rng, throttle) -> int:
-    """LRU/LIP/BIP count kernel: residents kept in LRU→MRU stamp order."""
-    st: List[int] = []
-    hits = 0
-    for block in seg:
-        if block in st:
-            st.remove(block)
-            st.append(block)
-            hits += 1
-            continue
-        if len(st) == ways:
-            del st[0]
-        if mode == _MODE_MRU:
-            st.append(block)
-        elif mode == _MODE_LIP:
-            st.insert(0, block)
-        elif rng.randrange(throttle) == 0:
-            st.append(block)
-        else:
-            st.insert(0, block)
-    return hits
-
-
-def _count_recency_roles(seg, pos, ways, mode, rng, throttle,
-                         use_b, fills) -> int:
-    """DIP leader/follower count kernel (see :func:`_count_rrip_roles`)."""
-    st: List[int] = []
-    hits = 0
-    for idx in range(len(seg)):
-        block = seg[idx]
-        if block in st:
-            st.remove(block)
-            st.append(block)
-            hits += 1
-            continue
-        if fills is not None:
-            fills.append(pos[idx])
-        if len(st) == ways:
-            del st[0]
-        m = mode if use_b is None else (_MODE_BIP if use_b[idx] else _MODE_MRU)
-        if m == _MODE_MRU:
-            st.append(block)
-        elif m == _MODE_LIP:
-            st.insert(0, block)
-        elif rng.randrange(throttle) == 0:
-            st.append(block)
-        else:
-            st.insert(0, block)
-    return hits
-
-
-def _count_nru(seg, ways) -> int:
-    """NRU count kernel: one reference bit per way."""
-    way_of = {}
-    blk = [0] * ways
-    bits = [0] * ways
-    filled = 0
-    hits = 0
-    get = way_of.get
-    for block in seg:
-        way = get(block)
-        if way is not None:
-            hits += 1
-        else:
-            if filled < ways:
-                way = filled
-                filled += 1
-            else:
-                # At ways == 1 the touch rule keeps the single bit set, so
-                # no clear way exists; mirror the scalar model's way-0
-                # fallback (unreachable for ways >= 2).
-                way = bits.index(0) if 0 in bits else 0
-                del way_of[blk[way]]
-            blk[way] = block
-            way_of[block] = way
-        bits[way] = 1
-        if 0 not in bits:
-            for i in range(ways):
-                bits[i] = 0
-            bits[way] = 1
-    return hits
-
-
-def _count_random(seg, ways, rng) -> int:
-    """Random count kernel: the per-set stream draws once per eviction."""
-    way_of = {}
-    blk = [0] * ways
-    filled = 0
-    hits = 0
-    get = way_of.get
-    for block in seg:
-        way = get(block)
-        if way is not None:
-            hits += 1
-            continue
-        if filled < ways:
-            way = filled
-            filled += 1
-        else:
-            way = rng.randrange(ways)
-            del way_of[blk[way]]
-        blk[way] = block
-        way_of[block] = way
-    return hits
-
-
-def _count_opt(seg, seg_next, ways) -> int:
-    """Belady OPT count kernel over the set's gathered next-use values."""
-    way_of = {}
-    blk = [0] * ways
-    nxt = [NO_NEXT_USE] * ways
-    filled = 0
-    hits = 0
-    get = way_of.get
-    for block, next_pos in zip(seg, seg_next):
-        way = get(block)
-        if way is not None:
-            nxt[way] = next_pos
-            hits += 1
-            continue
-        if filled < ways:
-            way = filled
-            filled += 1
-        else:
-            way = nxt.index(max(nxt))
-            del way_of[blk[way]]
-        nxt[way] = next_pos
-        blk[way] = block
-        way_of[block] = way
-    return hits
-
-
 # ----------------------------------------------------------------------
-# Phase 2b: walk kernels (classification + residency skeleton recording)
+# Phase 3: two-phase dueling (PSEL time-series reconstruction)
 # ----------------------------------------------------------------------
 
-class _WalkBuf:
-    """Skeleton accumulator shared by every set's walk kernel.
-
-    Residency ids here are *concat ids*: assigned in set-processing order,
-    remapped to global fill order by :func:`_assemble_walk`. The per-access
-    ``distances``/``rids`` columns are indexed by global position directly
-    (each set writes only its own positions); distances use the degenerate
-    hit/miss encoding (0 for hits, ``ways`` for misses) — non-LRU policies
-    have no stack distance, and nothing downstream of the walk reads more
-    than the hit/miss classification.
-    """
-
-    __slots__ = ("n", "distances", "rids", "res_block", "res_fill",
-                 "res_end", "res_way", "evicted", "live", "counter")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.distances = array("i", bytes(4 * n))
-        self.rids = array("q", bytes(8 * n))
-        self.res_block: List[int] = []
-        self.res_fill: List[int] = []
-        self.res_end: List[int] = []
-        self.res_way: List[int] = []
-        self.evicted: List[int] = []
-        self.live: List[Tuple[int, int, int]] = []
-        self.counter = 0
-
-
-def _walk_rrip(seg, pos, ways, rmax, bimodal, rng, throttle, use_b, fills,
-               buf, set_index) -> int:
-    """RRIP walk kernel: plain (``use_b``/``fills`` None), leader, follower."""
-    distances = buf.distances
-    rids = buf.rids
-    res_end = buf.res_end
-    evicted = buf.evicted
-    counter = buf.counter
-    way_of = {}
-    id_of = {}
-    blk = [0] * ways
-    rrpv = [rmax] * ways
-    filled = 0
-    hits = 0
-    get = way_of.get
-    for idx in range(len(seg)):
-        block = seg[idx]
-        p = pos[idx]
-        way = get(block)
-        if way is not None:
-            rrpv[way] = 0
-            distances[p] = 0
-            rids[p] = id_of[block]
-            hits += 1
-            continue
-        distances[p] = ways
-        if fills is not None:
-            fills.append(p)
-        new_id = counter
-        counter += 1
-        if filled < ways:
-            way = filled
-            filled += 1
-            evicted.append(-1)
-        else:
-            top = max(rrpv)
-            if top != rmax:
-                delta = rmax - top
-                for w in range(ways):
-                    rrpv[w] += delta
-            way = rrpv.index(rmax)
-            victim = blk[way]
-            vid = id_of.pop(victim)
-            del way_of[victim]
-            res_end[vid] = p
-            evicted.append(vid)
-        b = bimodal if use_b is None else use_b[idx]
-        if not b or (rng is not None and rng.randrange(throttle) == 0):
-            rrpv[way] = rmax - 1
-        else:
-            rrpv[way] = rmax
-        blk[way] = block
-        way_of[block] = way
-        id_of[block] = new_id
-        buf.res_block.append(block)
-        buf.res_fill.append(p)
-        res_end.append(-1)
-        buf.res_way.append(way)
-        rids[p] = new_id
-    buf.counter = counter
-    live = buf.live
-    for w in range(filled):
-        live.append((set_index, w, id_of[blk[w]]))
-    return hits
-
-
-def _walk_recency(seg, pos, ways, mode, rng, throttle, use_b, fills,
-                  buf, set_index) -> int:
-    """Recency-family walk kernel: plain LRU/LIP/BIP, DIP leader, follower."""
-    distances = buf.distances
-    rids = buf.rids
-    res_end = buf.res_end
-    evicted = buf.evicted
-    counter = buf.counter
-    st: List[int] = []
-    way_of = {}
-    id_of = {}
-    blk = [0] * ways
-    hits = 0
-    for idx in range(len(seg)):
-        block = seg[idx]
-        p = pos[idx]
-        rid = id_of.get(block)
-        if rid is not None:
-            st.remove(block)
-            st.append(block)
-            distances[p] = 0
-            rids[p] = rid
-            hits += 1
-            continue
-        distances[p] = ways
-        if fills is not None:
-            fills.append(p)
-        new_id = counter
-        counter += 1
-        if len(st) == ways:
-            victim = st.pop(0)
-            vid = id_of.pop(victim)
-            way = way_of.pop(victim)
-            res_end[vid] = p
-            evicted.append(vid)
-        else:
-            way = len(st)
-            evicted.append(-1)
-        m = mode if use_b is None else (_MODE_BIP if use_b[idx] else _MODE_MRU)
-        if m == _MODE_MRU:
-            st.append(block)
-        elif m == _MODE_LIP:
-            st.insert(0, block)
-        elif rng.randrange(throttle) == 0:
-            st.append(block)
-        else:
-            st.insert(0, block)
-        way_of[block] = way
-        id_of[block] = new_id
-        blk[way] = block
-        buf.res_block.append(block)
-        buf.res_fill.append(p)
-        res_end.append(-1)
-        buf.res_way.append(way)
-        rids[p] = new_id
-    buf.counter = counter
-    live = buf.live
-    for w in range(len(st)):
-        live.append((set_index, w, id_of[blk[w]]))
-    return hits
-
-
-def _walk_nru(seg, pos, ways, buf, set_index) -> int:
-    """NRU walk kernel."""
-    distances = buf.distances
-    rids = buf.rids
-    res_end = buf.res_end
-    evicted = buf.evicted
-    counter = buf.counter
-    way_of = {}
-    id_of = {}
-    blk = [0] * ways
-    bits = [0] * ways
-    filled = 0
-    hits = 0
-    get = way_of.get
-    for idx in range(len(seg)):
-        block = seg[idx]
-        p = pos[idx]
-        way = get(block)
-        if way is not None:
-            distances[p] = 0
-            rids[p] = id_of[block]
-            hits += 1
-        else:
-            distances[p] = ways
-            new_id = counter
-            counter += 1
-            if filled < ways:
-                way = filled
-                filled += 1
-                evicted.append(-1)
-            else:
-                # ways == 1: no clear bit exists; scalar falls back to 0.
-                way = bits.index(0) if 0 in bits else 0
-                victim = blk[way]
-                vid = id_of.pop(victim)
-                del way_of[victim]
-                res_end[vid] = p
-                evicted.append(vid)
-            blk[way] = block
-            way_of[block] = way
-            id_of[block] = new_id
-            buf.res_block.append(block)
-            buf.res_fill.append(p)
-            res_end.append(-1)
-            buf.res_way.append(way)
-            rids[p] = new_id
-        bits[way] = 1
-        if 0 not in bits:
-            for i in range(ways):
-                bits[i] = 0
-            bits[way] = 1
-    buf.counter = counter
-    live = buf.live
-    for w in range(filled):
-        live.append((set_index, w, id_of[blk[w]]))
-    return hits
-
-
-def _walk_random(seg, pos, ways, rng, buf, set_index) -> int:
-    """Random walk kernel."""
-    distances = buf.distances
-    rids = buf.rids
-    res_end = buf.res_end
-    evicted = buf.evicted
-    counter = buf.counter
-    way_of = {}
-    id_of = {}
-    blk = [0] * ways
-    filled = 0
-    hits = 0
-    get = way_of.get
-    for idx in range(len(seg)):
-        block = seg[idx]
-        p = pos[idx]
-        way = get(block)
-        if way is not None:
-            distances[p] = 0
-            rids[p] = id_of[block]
-            hits += 1
-            continue
-        distances[p] = ways
-        new_id = counter
-        counter += 1
-        if filled < ways:
-            way = filled
-            filled += 1
-            evicted.append(-1)
-        else:
-            way = rng.randrange(ways)
-            victim = blk[way]
-            vid = id_of.pop(victim)
-            del way_of[victim]
-            res_end[vid] = p
-            evicted.append(vid)
-        blk[way] = block
-        way_of[block] = way
-        id_of[block] = new_id
-        buf.res_block.append(block)
-        buf.res_fill.append(p)
-        res_end.append(-1)
-        buf.res_way.append(way)
-        rids[p] = new_id
-    buf.counter = counter
-    live = buf.live
-    for w in range(filled):
-        live.append((set_index, w, id_of[blk[w]]))
-    return hits
-
-
-def _walk_opt(seg, seg_next, pos, ways, buf, set_index) -> int:
-    """Belady OPT walk kernel."""
-    distances = buf.distances
-    rids = buf.rids
-    res_end = buf.res_end
-    evicted = buf.evicted
-    counter = buf.counter
-    way_of = {}
-    id_of = {}
-    blk = [0] * ways
-    nxt = [NO_NEXT_USE] * ways
-    filled = 0
-    hits = 0
-    get = way_of.get
-    for idx in range(len(seg)):
-        block = seg[idx]
-        p = pos[idx]
-        way = get(block)
-        if way is not None:
-            nxt[way] = seg_next[idx]
-            distances[p] = 0
-            rids[p] = id_of[block]
-            hits += 1
-            continue
-        distances[p] = ways
-        new_id = counter
-        counter += 1
-        if filled < ways:
-            way = filled
-            filled += 1
-            evicted.append(-1)
-        else:
-            way = nxt.index(max(nxt))
-            victim = blk[way]
-            vid = id_of.pop(victim)
-            del way_of[victim]
-            res_end[vid] = p
-            evicted.append(vid)
-        nxt[way] = seg_next[idx]
-        blk[way] = block
-        way_of[block] = way
-        id_of[block] = new_id
-        buf.res_block.append(block)
-        buf.res_fill.append(p)
-        res_end.append(-1)
-        buf.res_way.append(way)
-        rids[p] = new_id
-    buf.counter = counter
-    live = buf.live
-    for w in range(filled):
-        live.append((set_index, w, id_of[blk[w]]))
-    return hits
-
-
-# ----------------------------------------------------------------------
-# Phase 2c: two-phase dueling (PSEL time-series reconstruction)
-# ----------------------------------------------------------------------
-
-def _psel_steps(a_fills, b_fills, duel):
+def _psel_steps(fills, is_b, duel):
     """Merge leader miss positions into the exact PSEL time-series.
 
-    Returns ``(positions, values, flags)``: the sorted global positions of
-    every leader miss (the only events that move PSEL), the PSEL value
-    after each event (``values[0]``/``flags[0]`` describe the initial
-    state, so both have one more entry than ``positions``), and the
-    follower decision ``psel >= threshold`` after each event. The
-    saturating walk itself stays scalar — saturation breaks ``cumsum`` —
-    but the event merge vectorizes.
+    ``fills`` holds the global positions of every leader miss, ``is_b``
+    whether each was a B-leader's. Returns ``(positions, values)``: the
+    sorted positions (the only events that move PSEL) and the PSEL value
+    after each event (``values[0]`` is the initial state, so it has one
+    more entry than ``positions``). The saturating walk itself stays
+    scalar — saturation breaks ``cumsum`` — but the event merge
+    vectorizes.
     """
-    pos_np = np.asarray(a_fills + b_fills, dtype=np.int64)
-    delta_np = np.ones(len(pos_np), dtype=np.int64)
-    delta_np[len(a_fills):] = -1
     # Fill positions are unique (one access per position), so the
     # unstable default sort is deterministic here.
-    order = np.argsort(pos_np)
-    positions = pos_np[order].tolist()
-    deltas = delta_np[order].tolist()
+    order = np.argsort(fills)
     psel = duel.psel
     psel_max = duel.psel_max
-    threshold = duel.threshold
     values = [psel]
-    flags = [psel >= threshold]
-    for delta in deltas:
-        if delta > 0:
+    for b in is_b[order].tolist():
+        if not b:
             if psel < psel_max:
                 psel += 1
         elif psel > 0:
             psel -= 1
         values.append(psel)
-        flags.append(psel >= threshold)
-    return positions, values, flags
+    return fills[order], values
 
 
-def _make_flag_lookup(positions, flags, part: StreamPartition):
-    """Per-set follower-decision gather: ``lookup(lo, hi) -> [bool, ...]``.
+def _kernel(stream: LlcStream, geometry: CacheGeometry, policy,
+            trail: Optional[list]):
+    """``(base, tier, run)``: the lockstep kernel set up for ``policy``.
 
-    The flag for an access at global position ``p`` is the PSEL decision
-    after every leader-miss event strictly before ``p`` — exactly what the
-    scalar model reads at that access's fill (a follower's own miss never
-    moves PSEL).
+    ``run(lanes, use_b=None, fills=None)`` steps ``lanes`` under the
+    policy, or under the base of an oracle wrapper, the one planned policy
+    without a :data:`REPLAY_KERNELS` row, with its annotation as the hint
+    column. A plain policy is bound here; a wrapper has no walk and is
+    never bound, nor is its base. Draws come from fresh per-set streams
+    seeded as :meth:`ReplacementPolicy.set_rng` seeds them, so no
+    instance's own streams advance.
     """
-    pos_np = np.asarray(positions, dtype=np.int64)
-    flags_np = np.asarray(flags, dtype=bool)
-
-    def lookup(lo: int, hi: int) -> List[bool]:
-        idx = np.searchsorted(pos_np, part.order_np[lo:hi], side="left")
-        return flags_np[idx].tolist()
-
-    return lookup
-
-
-def _leader_pass(part: StreamPartition, geometry: CacheGeometry,
-                 policy, buf: Optional[_WalkBuf]):
-    """Replay every leader set; classify followers for the second phase.
-
-    Returns ``(hits, a_fills, b_fills, followers)`` where the fill lists
-    hold the global positions of every miss in A- and B-leader sets.
-    """
+    wrapped = type(policy) not in REPLAY_KERNELS
+    base = policy.base if wrapped else policy
+    tier, family = REPLAY_KERNELS[type(base)]
+    if wrapped and trail is not None:
+        raise SimulationError(f"no set-tier walk kernel for {policy.name!r}")
+    if not wrapped:
+        policy.bind(geometry)
     ways = geometry.ways
-    starts = part.starts
-    blocks = part.blocks
-    order = part.order
-    duel = policy.duel
-    throttle = policy.throttle
-    family = REPLAY_KERNELS[type(policy)][1]
-    hits = 0
-    a_fills: List[int] = []
-    b_fills: List[int] = []
-    followers: List[int] = []
-    for s in range(part.num_sets):
-        role = duel.role(s)
-        if role == DuelingController.FOLLOWER:
-            followers.append(s)
-            continue
-        lo, hi = starts[s], starts[s + 1]
-        if lo == hi:
-            continue
-        seg = blocks[lo:hi]
-        pos = order[lo:hi]
-        is_b = role == DuelingController.LEADER_B
-        rng = policy.set_rng(s) if is_b else None
-        fills = b_fills if is_b else a_fills
-        if family == FAMILY_RRIP:
-            rmax = policy.rrpv_max
-            if buf is None:
-                hits += _count_rrip_roles(
-                    seg, pos, ways, rmax, is_b, rng, throttle, None, fills
-                )
-            else:
-                hits += _walk_rrip(
-                    seg, pos, ways, rmax, is_b, rng, throttle, None, fills,
-                    buf, s,
-                )
-        else:
-            mode = _MODE_BIP if is_b else _MODE_MRU
-            if buf is None:
-                hits += _count_recency_roles(
-                    seg, pos, ways, mode, rng, throttle, None, fills
-                )
-            else:
-                hits += _walk_recency(
-                    seg, pos, ways, mode, rng, throttle, None, fills, buf, s
-                )
-    return hits, a_fills, b_fills, followers
-
-
-def _follower_pass(part: StreamPartition, geometry: CacheGeometry,
-                   policy, buf: Optional[_WalkBuf], lookup,
-                   followers: List[int]) -> int:
-    """Replay every follower set against the reconstructed PSEL flags."""
-    ways = geometry.ways
-    starts = part.starts
-    blocks = part.blocks
-    order = part.order
-    throttle = policy.throttle
-    family = REPLAY_KERNELS[type(policy)][1]
-    hits = 0
-    for s in followers:
-        lo, hi = starts[s], starts[s + 1]
-        if lo == hi:
-            continue
-        seg = blocks[lo:hi]
-        pos = order[lo:hi]
-        use_b = lookup(lo, hi)
-        rng = policy.set_rng(s)
-        if family == FAMILY_RRIP:
-            rmax = policy.rrpv_max
-            if buf is None:
-                hits += _count_rrip_roles(
-                    seg, pos, ways, rmax, False, rng, throttle, use_b, None
-                )
-            else:
-                hits += _walk_rrip(
-                    seg, pos, ways, rmax, False, rng, throttle, use_b, None,
-                    buf, s,
-                )
-        else:
-            if buf is None:
-                hits += _count_recency_roles(
-                    seg, pos, ways, _MODE_MRU, rng, throttle, use_b, None
-                )
-            else:
-                hits += _walk_recency(
-                    seg, pos, ways, _MODE_MRU, rng, throttle, use_b, None,
-                    buf, s,
-                )
-    return hits
-
-
-def _gather_next_use(next_use, part: StreamPartition):
-    """Group the precomputed next-use column by the partition order."""
-    if isinstance(next_use, array) and next_use.typecode == "q":
-        column = np.frombuffer(next_use, dtype=np.int64)
-    else:
-        column = np.asarray(next_use, dtype=np.int64)
-    return column[part.order_np].tolist()
-
-
-def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
-                policy, buf: Optional[_WalkBuf]) -> int:
-    """Replay every set of a non-dueling per-set policy; returns hits."""
-    cls = type(policy)
-    family = REPLAY_KERNELS[cls][1]
-    grouped_next = None
+    mask = geometry.num_sets - 1
+    cores, __, blocks, ___ = stream.numpy_columns()
+    columns = {}
+    options = {}
     if family == FAMILY_OPT:
-        next_use = policy.next_use
-        if len(next_use) != len(part.blocks):
+        next_use = np.asarray(policy.next_use, dtype=np.int64)
+        if len(next_use) != len(blocks):
             raise SimulationError(
                 f"OPT replayed against a mismatched stream: next-use column "
-                f"has {len(next_use)} entries for {len(part.blocks)} accesses"
+                f"has {len(next_use)} entries for {len(blocks)} accesses"
             )
-        grouped_next = _gather_next_use(next_use, part)
-    if buf is None and cls is SrripPolicy:
-        # Count-mode SRRIP steps every set in lockstep (no RNG, no
-        # residency skeleton to record); BRRIP's per-set draws and walk
-        # mode stay on the per-set kernels.
-        return _count_lockstep(part, geometry.ways, policy.rrpv_max)[0]
-    ways = geometry.ways
-    starts = part.starts
-    blocks = part.blocks
-    order = part.order
-    hits = 0
-    for s in range(part.num_sets):
-        lo, hi = starts[s], starts[s + 1]
-        if lo == hi:
-            continue
-        seg = blocks[lo:hi]
-        if family == FAMILY_RRIP:
-            rmax = policy.rrpv_max
-            bimodal = cls is BrripPolicy
-            rng = policy.set_rng(s) if bimodal else None
-            throttle = policy.throttle if bimodal else 0
-            if buf is None:
-                hits += _count_rrip(seg, ways, rmax, rng, throttle)
-            else:
-                hits += _walk_rrip(
-                    seg, order[lo:hi], ways, rmax, bimodal, rng, throttle,
-                    None, None, buf, s,
-                )
-        elif family == FAMILY_RECENCY:
-            mode = _RECENCY_MODES[cls]
-            rng = policy.set_rng(s) if mode == _MODE_BIP else None
-            throttle = policy.throttle if mode == _MODE_BIP else 0
-            if buf is None:
-                hits += _count_recency(seg, ways, mode, rng, throttle)
-            else:
-                hits += _walk_recency(
-                    seg, order[lo:hi], ways, mode, rng, throttle, None, None,
-                    buf, s,
-                )
-        elif family == FAMILY_NRU:
-            if buf is None:
-                hits += _count_nru(seg, ways)
-            else:
-                hits += _walk_nru(seg, order[lo:hi], ways, buf, s)
-        elif family == FAMILY_RANDOM:
-            rng = policy.set_rng(s)
-            if buf is None:
-                hits += _count_random(seg, ways, rng)
-            else:
-                hits += _walk_random(seg, order[lo:hi], ways, rng, buf, s)
-        else:  # FAMILY_OPT
-            seg_next = grouped_next[lo:hi]
-            if buf is None:
-                hits += _count_opt(seg, seg_next, ways)
-            else:
-                hits += _walk_opt(seg, seg_next, order[lo:hi], ways, buf, s)
-    return hits
+        columns["next_use"] = next_use
+    if wrapped:
+        # budgets[i + 1] is access i's hint.
+        columns["hints"] = np.asarray(
+            policy.hint_source.budgets, dtype=np.int64)[1:]
+        columns["cores"] = cores
+        options = {"mode": policy.mode, "release": policy.release}
+    rmax = base.rrpv_max if family == FAMILY_RRIP else 0
+    lip = type(base) is LipPolicy
+
+    def run(lanes, use_b=None, fills=None):
+        draws = None
+        if use_b is not None or family == FAMILY_RANDOM:
+            drawing = lanes.blocks if use_b is None else lanes.blocks[use_b]
+            counts = np.bincount(drawing & mask, minlength=mask + 1)
+            draws = _draw_table(
+                [base.set_seed(s) for s in lanes.sets.tolist()],
+                counts[lanes.sets],
+                ways if use_b is None else base.throttle,
+            )
+        return _lockstep(
+            lanes, ways, family, rmax, lip, use_b, draws, fills=fills,
+            trail=trail, **options,
+            **{name: column[lanes.pos] for name, column in columns.items()},
+        )
+
+    return base, tier, run
 
 
-def _oracle_pass(stream: LlcStream, part: StreamPartition,
-                 geometry: CacheGeometry, policy) -> int:
-    """Count an annotation-fed oracle wrapper over LRU or SRRIP in lockstep.
+def _leader_pass(part: StreamPartition, blocks, base, run):
+    """Replay the leader sets of both roles in one call.
 
-    The wrapper and its base stay unbound; the study counters are added
-    onto the wrapper, where the object model would have counted them.
+    Returns ``(counts, roles, duel, positions, values)``: the kernel's
+    counters over the leaders, every set's role, the dueling controller
+    and the PSEL series of :func:`_psel_steps`.
     """
-    # budgets[i + 1] is access i's hint.
-    hints = np.asarray(policy.hint_source.budgets, dtype=np.int64)[1:]
-    hits, fills, exempted, released = _count_lockstep(
-        part, geometry.ways, getattr(policy.base, "rrpv_max", None), hints,
-        stream.numpy_columns()[0], policy.mode, policy.release,
-    )
-    policy.protected_fills += fills
-    policy.exemptions_applied += exempted
-    policy.releases += released
-    return hits
+    duel = base.new_duel(part.num_sets)
+    roles = np.array([duel.role(s) for s in range(part.num_sets)])
+    is_b = roles == DuelingController.LEADER_B
+    mask = part.num_sets - 1
+    lanes = _lanes(part, np.flatnonzero(roles != DuelingController.FOLLOWER))
+    fills: List[np.ndarray] = []
+    counts = run(lanes, is_b[lanes.blocks & mask], fills)
+    fills = np.concatenate(fills) if fills else np.zeros(0, dtype=np.int64)
+    return (counts, roles, duel,
+            *_psel_steps(fills, is_b[blocks[fills] & mask], duel))
 
 
 def _run_partitioned(stream: LlcStream, part: StreamPartition,
                      geometry: CacheGeometry, policy,
-                     buf: Optional[_WalkBuf], profile=None) -> int:
-    """Bind ``policy`` and replay every set; returns hits.
+                     trail: Optional[list], profile=None) -> int:
+    """Replay every set of ``policy`` (see :func:`_kernel`); returns hits.
 
-    Count mode when ``buf`` is None. An oracle wrapper, the one planned
-    policy without a :data:`REPLAY_KERNELS` row, has only the count-mode
-    lockstep kernel and is never bound.
+    Count mode when ``trail`` is None. An oracle wrapper gets the study
+    counters the object model would have counted.
     """
     start = perf_counter()
-    kernel = REPLAY_KERNELS.get(type(policy))
-    if kernel is None:
-        if buf is not None:
-            raise SimulationError(
-                f"no set-tier walk kernel for {policy.name!r}"
-            )
-        hits = _oracle_pass(stream, part, geometry, policy)
-    elif kernel[0] == REPLAY_DUELING:
-        policy.bind(geometry)
-        hits, a_fills, b_fills, followers = _leader_pass(
-            part, geometry, policy, buf
-        )
+    base, tier, run = _kernel(stream, geometry, policy, trail)
+    if tier == REPLAY_DUELING:
+        counts, roles, duel, positions, values = _leader_pass(
+            part, stream.numpy_columns()[2], base, run)
         psel_start = perf_counter()
-        positions, __, flags = _psel_steps(a_fills, b_fills, policy.duel)
-        lookup = _make_flag_lookup(positions, flags, part)
+        lanes = _lanes(part, np.flatnonzero(
+            roles == DuelingController.FOLLOWER))
+        # A follower fill reads the PSEL decision after the leader misses
+        # strictly before it; its own miss never moves PSEL.
+        before = np.zeros(len(stream) + 1, dtype=np.int64)
+        before[positions + 1] = 1
+        np.cumsum(before, out=before)
+        flags = np.asarray(values) >= duel.threshold
+        use_b = flags[before[lanes.pos]]
         if profile is not None:
             profile["psel_series"] = perf_counter() - psel_start
-        hits += _follower_pass(part, geometry, policy, buf, lookup, followers)
+        counts = np.add(counts, run(lanes, use_b))
     else:
-        policy.bind(geometry)
-        hits = _plain_pass(part, geometry, policy, buf)
+        lanes = _lanes(part, np.arange(part.num_sets))
+        bimodal = type(base) in (BipPolicy, BrripPolicy)
+        counts = run(lanes, np.ones(len(lanes.pos), dtype=bool)
+                     if bimodal else None)
+    hits, protected, exempted, released = (int(c) for c in counts)
+    if base is not policy:
+        policy.protected_fills += protected
+        policy.exemptions_applied += exempted
+        policy.releases += released
     if profile is not None:
         profile["set_kernels"] = perf_counter() - start
     return hits
@@ -1169,14 +643,14 @@ def reconstruct_psel_series(
             f"policy; no PSEL series exists"
         )
     part = partition_stream(stream.blocks, geometry.num_sets)
-    policy.bind(geometry)
-    __, a_fills, b_fills, ___ = _leader_pass(part, geometry, policy, None)
-    positions, values, ____ = _psel_steps(a_fills, b_fills, policy.duel)
-    return positions, values
+    base, __, run = _kernel(stream, geometry, policy, None)
+    positions, values = _leader_pass(
+        part, stream.numpy_columns()[2], base, run)[3:]
+    return positions.tolist(), values
 
 
 # ----------------------------------------------------------------------
-# Phase 3: walk assembly (concat ids → global fill order) + replay
+# Phase 4: walk assembly (per-call ids → global fill order) + replay
 # ----------------------------------------------------------------------
 
 class SetReplayReconstruction(LruReplayReconstruction):
@@ -1193,40 +667,46 @@ class SetReplayReconstruction(LruReplayReconstruction):
     __slots__ = ()
 
 
-def _assemble_walk(buf: _WalkBuf, stream: LlcStream,
-                   geometry: CacheGeometry,
+def _assemble_walk(trail: list, stream: LlcStream, geometry: CacheGeometry,
                    profile=None) -> SetReplayReconstruction:
-    """Stitch per-set skeletons into a global fill-ordered walk."""
+    """Stitch the kernel calls' skeletons into a global fill-ordered walk.
+
+    Residency ids on the trail number fills in the order the kernel
+    calls made them; the sort by fill position remaps them to global
+    fill order.
+    """
     start = perf_counter()
     walk = SetReplayReconstruction()
-    n = buf.n
-    count = buf.counter
-    buf.live.sort()
-    fill_np = np.asarray(buf.res_fill, dtype=np.int64)
-    perm = np.argsort(fill_np)  # fill positions are unique
+    n = len(stream)
+    fill, way, evicted, hit_pos, hit_rid, live_sets, live_ways, live_ids = (
+        np.concatenate(column) for column in zip(*trail))
+    count = len(fill)
+    perm = np.argsort(fill)  # fill positions are unique
     inv = np.empty(count, dtype=np.int64)
     inv[perm] = np.arange(count, dtype=np.int64)
-    walk.res_block = np.asarray(buf.res_block, dtype=np.int64)[perm].tolist()
-    walk.res_fill = fill_np[perm].tolist()
-    walk.res_end = np.asarray(buf.res_end, dtype=np.int64)[perm].tolist()
-    walk.res_way = np.asarray(buf.res_way, dtype=np.int64)[perm].tolist()
-    evicted_np = np.asarray(buf.evicted, dtype=np.int64)
-    mapped = np.where(
-        evicted_np >= 0, inv[np.maximum(evicted_np, 0)], np.int64(-1)
-    )
-    walk.evicted_rid = mapped[perm].tolist()
-    rids_np = np.frombuffer(buf.rids, dtype=np.int64)
-    remapped = array("q", bytes(8 * n))
-    np.frombuffer(remapped, dtype=np.int64)[...] = inv[rids_np]
-    walk.rids = remapped
-    walk.live_rids = [int(inv[cid]) for __, ___, cid in buf.live]
+    end = np.full(count, -1, dtype=np.int64)
+    ended = evicted >= 0
+    end[evicted[ended]] = fill[ended]
+    walk.res_fill = fill[perm].tolist()
+    walk.res_block = stream.numpy_columns()[2][fill[perm]].tolist()
+    walk.res_end = end[perm].tolist()
+    walk.res_way = way[perm].tolist()
+    walk.evicted_rid = np.where(
+        ended, inv[np.maximum(evicted, 0)], np.int64(-1))[perm].tolist()
+    walk.rids = array("q", bytes(8 * n))
+    rids_np = np.frombuffer(walk.rids, dtype=np.int64)
+    rids_np[fill] = inv
+    rids_np[hit_pos] = inv[hit_rid]
+    walk.distances = array("i", bytes(4 * n))
+    np.frombuffer(walk.distances, dtype=np.int32)[fill] = geometry.ways
+    # The scalar flush visits sets in index order and ways in way order.
+    walk.live_rids = inv[live_ids[np.lexsort((live_ways, live_sets))]].tolist()
     walk.n = n
     walk.ways = geometry.ways
     walk.set_mask = geometry.num_sets - 1
-    walk.distances = buf.distances
     walk.hits = n - count
     walk.misses = count
-    walk.evictions = count - len(buf.live)
+    walk.evictions = count - len(live_ids)
     if profile is not None:
         profile["assemble"] = perf_counter() - start
         start = perf_counter()
@@ -1264,9 +744,9 @@ def reconstruct_setpath_replay(
     """
     _setpath_tier(policy, stream)
     part = partition_stream(stream.blocks, geometry.num_sets, profile=profile)
-    buf = _WalkBuf(len(stream.blocks))
-    _run_partitioned(stream, part, geometry, policy, buf, profile=profile)
-    return _assemble_walk(buf, stream, geometry, profile=profile)
+    trail: list = []
+    _run_partitioned(stream, part, geometry, policy, trail, profile=profile)
+    return _assemble_walk(trail, stream, geometry, profile=profile)
 
 
 def replay_setpath(
@@ -1282,8 +762,8 @@ def replay_setpath(
     ``LlcOnlySimulator(geometry, policy, observers).run(stream)`` for
     setpath-eligible policies: same hit/miss/eviction counts, same observer
     callbacks in the same order (equivalence-tested per policy). Without
-    observers the replay is pure classification (count kernels, no
-    skeleton). ``profile``, when a dict, receives per-phase wall times
+    observers the replay is pure classification (no skeleton).
+    ``profile``, when a dict, receives per-phase wall times
     (``partition``, ``set_kernels``, ``psel_series`` for dueling,
     ``assemble``/``reconstruct``/``observer_replay`` with observers).
     """

@@ -1,17 +1,19 @@
 """Differential tests for the oracle wrapper's replay kernels.
 
 An annotation-fed :class:`SharingAwareWrapper` over an exact-type base
-replays on a kernel of its own: over LRU or SRRIP, whose state is all per
-set, the set tier's lockstep kernel (``set``/``numpy``, whatever the native
-gate says); over SHiP, whose SHCT is global, the scalar tier's compact
-kernel (``scalar``/``compact``). Either must reproduce the scalar object
-model bit for bit — hit/miss counts *and* the wrapper's study counters
-(``protected_fills``, ``exemptions_applied``, ``releases``) — across every
-protection mode and release policy. Anything the replay planner cannot
-prove safe (bound instances, undeclared subclasses, closure hint sources,
-observers) must land on the object model, recorded as
-``backend == "model"`` with the planner's decline reason. An annotation
-built for another stream is refused outright.
+replays on a kernel of its own: over a recency or RRIP base, whose state
+is all per set, the lockstep kernel (``set``/``numpy`` over LRU, LIP,
+BIP, SRRIP and BRRIP, ``dueling``/``numpy`` over DIP and DRRIP, whatever
+the native gate says); over SHiP, whose SHCT is global, the scalar tier's
+compact kernel (``scalar``/``compact``). Each must reproduce the scalar
+object model bit for bit — hit/miss counts *and* the wrapper's study
+counters (``protected_fills``, ``exemptions_applied``, ``releases``) —
+across every protection mode and release policy. Anything the replay
+planner cannot prove safe (bound instances, undeclared subclasses,
+closure hint sources, observers, NRU/Random/OPT bases) must land on the
+object model, recorded as ``backend == "model"`` with the planner's
+decline reason. An annotation built for another stream is refused
+outright.
 """
 
 import gc
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.common.config import CacheGeometry
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigError, SimulationError
 from repro.oracle.annotate import AnnotationHintSource, build_stream_annotation
 from repro.oracle.runner import (
     ANNOTATION_MEMO_CAPACITY,
@@ -34,7 +36,9 @@ from repro.oracle.wrapper import (
     RELEASE_POLICIES,
     SharingAwareWrapper,
 )
+from repro.policies.dip import DipPolicy
 from repro.policies.registry import make_policy
+from repro.policies.rrip import DrripPolicy
 from repro.sim.fastpath import FASTPATH_ENV
 from repro.sim.gridpath import replay_geometry_grid
 from repro.sim.multipass import run_policy_on_stream
@@ -45,13 +49,18 @@ from tests.conftest import make_stream
 from tests.strategies import SIGNATURE_PCS, geometries, replay_stream_lists
 
 SEED = 23
-BASES = ("lru", "srrip", "ship")
+BASES = ("lru", "lip", "bip", "srrip", "brrip", "dip", "drrip", "ship")
 ENGINES = {
-    "lru": ("set", "numpy"),
-    "srrip": ("set", "numpy"),
+    **{base: ("set", "numpy")
+       for base in ("lru", "lip", "bip", "srrip", "brrip")},
+    "dip": ("dueling", "numpy"),
+    "drrip": ("dueling", "numpy"),
     "ship": ("scalar", "compact"),
 }
 """The tier and backend an annotation-fed wrapper over each base takes."""
+LOCKSTEP_BASES = [base for base in BASES if ENGINES[base][1] == "numpy"]
+ONE_SET_REFUSAL = r"cannot place 2\*1 leader sets in 1 sets"
+"""What both engines raise for a dueling base on a one-set geometry."""
 GEOMETRY = CacheGeometry(16 * 4 * 64, 4)
 
 
@@ -95,9 +104,20 @@ def counters(wrapper):
 
 def assert_matches_model(stream, geometry, base, budgets, mode="both",
                          release="budget"):
-    """Replay one wrapper on its planned kernel and on the model."""
+    """Replay one wrapper on its planned kernel and on the model.
+
+    A dueling base on a one-set geometry has no room for leader sets:
+    both engines must refuse it with the same error.
+    """
     fast_wrapper = make_wrapper(base, budgets, mode, release)
     model_wrapper = make_wrapper(base, budgets, mode, release)
+    if ENGINES[base][0] == "dueling" and geometry.num_sets == 1:
+        for wrapper, fastpath in ((fast_wrapper, None),
+                                  (model_wrapper, False)):
+            with pytest.raises(ConfigError, match=ONE_SET_REFUSAL):
+                run_policy_on_stream(stream, geometry, wrapper, seed=SEED,
+                                     fastpath=fastpath)
+        return fast_wrapper
     fast = run_policy_on_stream(stream, geometry, fast_wrapper, seed=SEED)
     model = run_policy_on_stream(
         stream, geometry, model_wrapper, seed=SEED, fastpath=False
@@ -118,6 +138,30 @@ class TestOracleBitIdentity:
         budgets = build_stream_annotation(stream, GEOMETRY, horizon_factor=4)
         assert_matches_model(stream, GEOMETRY, base, budgets, mode, release)
 
+    @pytest.mark.parametrize("base", ["dip", "drrip"])
+    @pytest.mark.parametrize("mode", PROTECTION_MODES)
+    def test_dueling_followers(self, base, mode):
+        # One leader set per role and a 2-bit PSEL, so most sets follow a
+        # flag that flips often (at 32 leaders per role, every set of a
+        # small cache leads).
+        stream = shared_stream()
+        geometry = CacheGeometry(16 * 2 * 64, 2)
+        budgets = build_stream_annotation(stream, geometry, horizon_factor=4)
+        cls = {"dip": DipPolicy, "drrip": DrripPolicy}[base]
+        made = [
+            SharingAwareWrapper(
+                cls(seed=SEED, num_leaders_each=1, psel_bits=2),
+                AnnotationHintSource(budgets), mode,
+            )
+            for __ in range(2)
+        ]
+        fast = run_policy_on_stream(stream, geometry, made[0])
+        model = run_policy_on_stream(stream, geometry, made[1],
+                                     fastpath=False)
+        assert (fast.tier, model.backend) == ("dueling", "model")
+        assert fast == model
+        assert counters(made[0]) == counters(made[1])
+
     def test_counters_are_exercised(self):
         # The identity above is vacuous if the stream never protects or
         # exempts anything; pin that the canonical stream drives all
@@ -136,6 +180,16 @@ class TestOracleBitIdentity:
         budgets = build_stream_annotation(stream, geometry, horizon_factor=4)
         for base in BASES:
             assert_matches_model(stream, geometry, base, budgets)
+
+    @pytest.mark.parametrize("base", ["dip", "drrip"])
+    def test_dueling_base_refuses_one_set_on_both_engines(self, base):
+        stream = shared_stream(300, 40)
+        geometry = CacheGeometry(1 * 4 * 64, 4)
+        budgets = build_stream_annotation(stream, geometry, horizon_factor=4)
+        for gates in ({}, {"fastpath": False}):
+            with pytest.raises(ConfigError, match=ONE_SET_REFUSAL):
+                run_policy_on_stream(stream, geometry,
+                                     make_wrapper(base, budgets), **gates)
 
     @pytest.mark.parametrize("base", BASES)
     @pytest.mark.parametrize("geometry", [
@@ -206,6 +260,8 @@ class TestOracleBitIdentity:
             assert wrapper.geometry is None
             assert wrapper.base.geometry is None
             assert vars(wrapper.base) == state_before
+            # The kernels draw from fresh per-set streams, not the base's.
+            assert wrapper.base._set_rngs == {}
 
     @settings(max_examples=25, deadline=None)
     @given(accesses=replay_stream_lists(pcs=SIGNATURE_PCS),
@@ -235,7 +291,7 @@ class TestOracleBitIdentity:
             "model" if base == "ship" else "numpy"
         )
 
-    @pytest.mark.parametrize("base", ["lru", "srrip"])
+    @pytest.mark.parametrize("base", LOCKSTEP_BASES)
     def test_geometry_grid_over_a_wrapper_factory(self, base):
         stream = shared_stream()
         budgets = build_stream_annotation(stream, GEOMETRY, horizon_factor=4)
@@ -252,7 +308,7 @@ class TestOracleBitIdentity:
         for geometry, result, wrapper in zip(grid, results, made):
             alone = make_wrapper(base, budgets)
             cell = run_policy_on_stream(stream, geometry, alone, seed=SEED)
-            assert (result.tier, cell.tier) == ("grid", "set")
+            assert (result.tier, cell.tier) == ("grid", ENGINES[base][0])
             assert (result.hits, result.misses) == (cell.hits, cell.misses)
             assert counters(wrapper) == counters(alone)
 
@@ -279,8 +335,10 @@ class TestOracleFallbackChain:
             assert self._replay(wrapper) == (ENGINES[base][1], "")
 
     def test_unsupported_base_declines(self):
-        wrapper = make_wrapper("drrip", self._budgets())
-        assert self._replay(wrapper, native=True) == ("model", "no-kernel")
+        for base in ("nru", "random"):
+            wrapper = make_wrapper(base, self._budgets())
+            assert self._replay(wrapper, native=True) == (
+                "model", "no-kernel")
 
     def test_bound_wrapper_declines(self):
         wrapper = make_wrapper("lru", self._budgets())

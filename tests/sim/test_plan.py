@@ -86,11 +86,13 @@ ROWS = {
     "ship+log": row(lambda: make_policy("ship"), model("observers"),
                     observers=lambda: (SharingClassifier(),)),
     **{f"oracle({base})": row(lambda base=base: oracle(base), SET)
-       for base in ("lru", "srrip")},
+       for base in ("lru", "lip", "bip", "srrip", "brrip")},
+    **{f"oracle({base})": row(lambda base=base: oracle(base), DUELING)
+       for base in ("dip", "drrip")},
     # The lockstep kernel is not behind the native gate.
     "oracle(lru) native off": row(lambda: oracle("lru"), SET, native=False),
     "oracle(ship)": row(lambda: oracle("ship"), COMPACT),
-    "oracle(drrip)": row(lambda: oracle("drrip"), model("no-kernel")),
+    "oracle(nru)": row(lambda: oracle("nru"), model("no-kernel")),
     "lru fastpath off": row(lambda: make_policy("lru"),
                             model("fastpath-off"), fastpath=False),
     "bound srrip": row(lambda: bound("srrip"), model("bound")),

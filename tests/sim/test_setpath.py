@@ -7,6 +7,8 @@ pins the engine's own contracts:
 * tier resolution — the planner's exact-type kernel table, bound-instance
   demotion, undeclared subclasses (the full pin is ``tests/sim/test_plan.py``);
 * the stream partition — a stable per-set grouping of positions;
+* the pre-drawn per-set sequences — exactly what successive
+  ``randrange`` calls on each set's stream return;
 * observer exactness — the assembled walk replays the scalar model's
   callback sequence verbatim, argument for argument, for every kernel
   family (and under hypothesis-driven adversarial streams);
@@ -21,15 +23,18 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.llc import ResidencyObserver
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
+from repro.common.rng import DeterministicRng, derive_seed
+from repro.policies.dip import DipPolicy
 from repro.policies.lru import LruPolicy
 from repro.policies.opt import BeladyOptPolicy, compute_next_use
 from repro.policies.registry import make_policy
-from repro.policies.rrip import SrripPolicy
+from repro.policies.rrip import DrripPolicy, SrripPolicy
 from repro.sim.engine import LlcOnlySimulator
 from repro.sim.fastpath import FASTPATH_ENV
 from repro.sim.multipass import run_policy_on_stream
 from repro.sim.plan import plan_replay
 from repro.sim.setpath import (
+    _draw_table,
     partition_stream,
     reconstruct_setpath_replay,
     replay_setpath,
@@ -112,16 +117,35 @@ class TestPartition:
         stream = mixed_stream(n=3000)
         num_sets = 8
         part = partition_stream(stream.blocks, num_sets)
-        assert sorted(part.order) == list(range(len(stream)))
+        assert sorted(part.order_np.tolist()) == list(range(len(stream)))
         assert part.starts[0] == 0 and part.starts[-1] == len(stream)
         for s in range(num_sets):
             lo, hi = part.starts[s], part.starts[s + 1]
-            positions = part.order[lo:hi]
+            positions = part.order_np[lo:hi].tolist()
             # ... every access of set s, in original stream order.
             assert positions == sorted(positions)
             for p in positions:
                 assert stream.blocks[p] & (num_sets - 1) == s
-            assert part.blocks[lo:hi] == [stream.blocks[p] for p in positions]
+            assert part.blocks_np[lo:hi].tolist() == [
+                stream.blocks[p] for p in positions
+            ]
+
+
+class TestDraws:
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 32, 33, 64, 2**31, 2**33])
+    def test_pre_drawn_sequences_match_randrange(self, n):
+        # 100 policy seeds x 4 sets, rows of 0 to 300 draws; n = 1 rejects
+        # half of the outputs, 2**31 keeps all 32 bits, 2**33 spans two.
+        rows = [(seed, s, (seed * 7 + s * 13) % 301 if s else 0)
+                for seed in range(100) for s in (0, 3, 17, 255)]
+        seeds = [derive_seed(seed, "set", s) for seed, s, __ in rows]
+        counts = [count for __, ___, count in rows]
+        flat, first = _draw_table(seeds, counts, n)
+        for (seed, s, count), start in zip(rows, first.tolist()):
+            rng = DeterministicRng(derive_seed(seed, "set", s))
+            assert flat[start:start + count].tolist() == [
+                rng.randrange(n) for __ in range(count)
+            ], (seed, s)
 
 
 class TestObserverExactness:
@@ -185,6 +209,44 @@ class TestObserverExactness:
     def test_degenerate_streams_bit_identical(self, policy, accesses):
         # The hypothesis strategy never draws an empty stream.
         self._assert_matches_scalar(policy, 3, accesses)
+
+    @staticmethod
+    def _few_leaders(name, seed):
+        # One leader set per role and a 2-bit PSEL: of 8 sets, 6 follow,
+        # and their winner flag flips every few leader misses (at the
+        # default 32 leaders per role, every set of a small cache leads).
+        cls = {"dip": DipPolicy, "drrip": DrripPolicy}[name]
+        return cls(seed=seed, num_leaders_each=1, psel_bits=2)
+
+    @pytest.mark.parametrize("name", ["dip", "drrip"])
+    def test_followers_read_every_psel_flip(self, name):
+        stream = mixed_stream()
+        geometry = CacheGeometry(8 * 2 * 64, 2)
+        slow = RecordingObserver()
+        ref = LlcOnlySimulator(
+            geometry, self._few_leaders(name, 4), observers=(slow,)
+        ).run(stream)
+        fast = RecordingObserver()
+        replay_setpath(
+            stream, geometry, self._few_leaders(name, 4), observers=(fast,)
+        )
+        assert fast.events == slow.events
+        counted = replay_setpath(stream, geometry, self._few_leaders(name, 4))
+        assert (counted.hits, counted.misses) == (ref.hits, ref.misses)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        name=st.sampled_from(["dip", "drrip"]),
+        seed=st.integers(0, 5),
+        accesses=replay_stream_lists(max_block=95),
+    )
+    def test_followers_on_random_streams(self, name, seed, accesses):
+        stream = make_stream(accesses)
+        geometry = CacheGeometry(8 * 2 * 64, 2)
+        ref = LlcOnlySimulator(geometry, self._few_leaders(name, seed)).run(
+            stream)
+        fast = replay_setpath(stream, geometry, self._few_leaders(name, seed))
+        assert (fast.hits, fast.misses) == (ref.hits, ref.misses)
 
     def test_opt_walk_matches_scalar(self):
         stream = mixed_stream()

@@ -270,7 +270,7 @@ class TestReplaysTable:
 
     @pytest.mark.parametrize("args, reason", [
         (["oracle", "--base", "ship"], "observers"),
-        (["oracle", "--base", "drrip"], "no-kernel"),
+        (["oracle", "--base", "nru"], "no-kernel"),
         (["compare", "--policies", "ship", "--no-native"], "native-off"),
         (["compare", "--no-fastpath"], "fastpath-off"),
     ])
