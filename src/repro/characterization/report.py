@@ -46,9 +46,8 @@ def characterize_stream(
         track_phases: also collect per-block phase statistics (costs memory
             proportional to the block footprint).
         fastpath: three-state gate for the exact replay fast paths
-            (stack-distance for LRU, set-partitioned for the rest of the
-            eligible matrix; None = auto; results are bit-identical
-            either way).
+            (the set-partitioned kernels; None = auto; results are
+            bit-identical either way).
     """
     # Imported here rather than at module level: repro.sim.experiment
     # imports this module, and pulling the replay runner in lazily keeps

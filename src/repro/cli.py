@@ -189,8 +189,8 @@ def _add_fastpath_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-fastpath", action="store_true",
         help="force the scalar cache model even for replay-tier-eligible "
-             "policies (LRU stack-distance and the set-partitioned "
-             "RRIP/DIP/NRU/random/OPT tiers; results are bit-identical, "
+             "policies (the set-partitioned LRU/RRIP/DIP/NRU/random/OPT "
+             "tiers and the LRU grid walk; results are bit-identical, "
              "this only trades speed)",
     )
     parser.add_argument(

@@ -197,10 +197,9 @@ def run_oracle_study(
         seed: seed for stochastic base policies (both replays re-seed the
             base identically so only the oracle differs).
         fastpath: three-state gate for the exact replay fast paths on
-            both replays — stack-distance for plain LRU, the lockstep
-            set or dueling kernel for the other per-set bases and for the
-            wrapper over LRU, LIP, BIP, SRRIP, BRRIP, DIP or DRRIP
-            (None = auto).
+            both replays — the lockstep set or dueling kernel for every
+            per-set base and for the wrapper over LRU, LIP, BIP, SRRIP,
+            BRRIP, DIP or DRRIP (None = auto).
         native: three-state gate for the compact kernel of the wrapper
             over SHiP (:func:`repro.sim.nativepath.replay_oracle_nativepath`,
             bit-identical); ``False`` or ``REPRO_SIM_NO_NATIVE`` restores

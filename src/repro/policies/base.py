@@ -22,7 +22,11 @@ from repro.common.errors import SimulationError
 from repro.common.rng import DeterministicRng, derive_seed
 
 REPLAY_STACK = "stack"
-"""Exact Mattson stack-distance replay (plain LRU only)."""
+"""Label of the retired LRU stack-distance tier. No replay produces it any
+more: plain LRU takes :data:`REPLAY_SET`. It stays in :data:`REPLAY_TIERS`
+because historic run records carry it and the end-to-end benchmark
+(``bench/measure.py``) names one ``sim.replay.tier.*`` metric per entry of
+that tuple."""
 
 REPLAY_SET = "set"
 """Exact set-partitioned replay: sets are independent state machines."""
@@ -44,9 +48,11 @@ independent replay (see DESIGN.md decision 10).
 """
 
 REPLAY_TIERS = (REPLAY_STACK, REPLAY_SET, REPLAY_DUELING, REPLAY_SCALAR)
-"""Every tier the replay planner (:func:`repro.sim.plan.plan_replay`)
-picks from, fastest-first (see DESIGN.md decision 9); :data:`REPLAY_GRID`
-is engine-assigned and deliberately absent here."""
+"""Every tier a replay result may carry: the three the replay planner
+(:func:`repro.sim.plan.plan_replay`) picks from, fastest-first (see
+DESIGN.md decision 9), after the retired :data:`REPLAY_STACK`, which it
+no longer picks; :data:`REPLAY_GRID` is engine-assigned and deliberately
+absent here."""
 
 
 class ReplacementPolicy(ABC):

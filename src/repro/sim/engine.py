@@ -6,8 +6,9 @@ every policy replayed this way sees identical accesses — the property OPT,
 the oracle, and fair policy comparisons all rely on.
 
 This model loop is also the *reference semantics* of every accelerated
-replay tier: the stack fast path, the set-partitioned and dueling kernels
-(:mod:`repro.sim.setpath`), and the native scalar/oracle backends
+replay tier: the set-partitioned and dueling kernels
+(:mod:`repro.sim.setpath`), the LRU grid walk (:mod:`repro.sim.gridpath`)
+and the native scalar/oracle backends
 (:mod:`repro.sim.nativepath`) are all required to reproduce, bit for bit,
 what this loop produces — hit/miss counts, per-set decision order, and
 (for the oracle wrapper) the study counters. Results therefore carry

@@ -127,10 +127,10 @@ class ExperimentContext:
         max_cached: LRU bound on in-memory :class:`WorkloadArtifacts`
             (``None`` = unbounded). Long full-size sweeps set this so the
             context doesn't hold every stream in RAM at once.
-        fastpath: three-state gate for the exact stack-distance LRU fast
-            path in this context's replay analyses (None = auto: enabled
-            unless ``REPRO_SIM_NO_FASTPATH`` is set). Results are
-            bit-identical either way.
+        fastpath: three-state gate for the exact fast replay tiers in
+            this context's replay analyses (None = auto: enabled unless
+            ``REPRO_SIM_NO_FASTPATH`` is set). Results are bit-identical
+            either way.
     """
 
     def __init__(

@@ -6,7 +6,8 @@ parameter) cells over one recorded stream. Replaying once per cell wastes
 the structure the exact fast paths already expose:
 
 * **Associativity grids** (fixed ``num_sets``): LRU is a stack algorithm,
-  so one capped stack walk at the grid's maximum ways classifies every
+  so one capped stack walk at the grid's maximum ways
+  (:func:`repro.sim.fastpath.lru_stack_distances`) classifies every
   access for **every** smaller associativity simultaneously —
   ``hit iff stack distance < ways`` (Mattson inclusion). A whole ways
   sweep is one walk plus a histogram threshold per cell.
@@ -37,9 +38,10 @@ Every grid cell is bit-identical to its per-cell replay
 decision 10 has the exactness argument.
 """
 
-from array import array
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
@@ -50,13 +52,13 @@ from repro.policies.base import (
     REPLAY_GRID,
     REPLAY_SCALAR,
     REPLAY_SET,
-    REPLAY_STACK,
     ReplacementPolicy,
 )
+from repro.policies.lru import LruPolicy
 from repro.policies.registry import make_policy
 from repro.policies.rrip import SrripPolicy
 from repro.sim import telemetry
-from repro.sim.fastpath import _histogram_walk, fastpath_enabled
+from repro.sim.fastpath import fastpath_enabled, lru_stack_distances
 from repro.sim.multipass import run_policy_on_stream
 from repro.sim.nativepath import native_enabled
 from repro.sim.plan import plan_replay
@@ -84,29 +86,20 @@ def lru_grid_hits(
 ) -> Dict[int, int]:
     """Exact LRU hit counts for every associativity in ``ways_grid`` at once.
 
-    One stack walk capped at ``max(ways_grid)`` yields every access's
+    One stack walk capped at ``max(ways_grid)``
+    (:func:`repro.sim.fastpath.lru_stack_distances`) yields every access's
     per-set stack distance; by Mattson inclusion ``hit iff distance < w``
-    for each ``w``, so the whole grid reduces to a distance histogram and
-    one cumulative-sum threshold per cell. Returns ``{ways: hits}``.
-
-    Pure Python by design: the walk accumulates the histogram in-loop
-    (:func:`repro.sim.fastpath._histogram_walk`) and the cumulative sum is
-    over ``cap + 1`` integers, so there is nothing left to vectorize.
+    for each ``w``, so the whole grid reduces to one ``bincount`` of the
+    distances and one cumulative-sum threshold per cell. Returns
+    ``{ways: hits}``.
     """
     if not ways_grid:
         return {}
     cap = max(ways_grid)
-    hist = _histogram_walk(
-        blocks.tolist() if isinstance(blocks, array) else list(blocks),
-        num_sets,
-        cap,
-    )
-    cum = [0] * (cap + 1)
-    running = 0
-    for d, count in enumerate(hist):
-        running += count
-        cum[d] = running
-    return {w: cum[w - 1] for w in ways_grid}
+    distances = np.frombuffer(
+        lru_stack_distances(blocks, num_sets, cap), dtype=np.int32)
+    cum = np.cumsum(np.bincount(distances, minlength=cap + 1))
+    return {w: int(cum[w - 1]) for w in ways_grid}
 
 
 def _group_by_num_sets(geometries) -> Dict[int, List[int]]:
@@ -138,8 +131,9 @@ def replay_lru_grid(
     Cells are grouped by ``num_sets``; each group costs one capped stack
     walk (:func:`lru_grid_hits`) regardless of how many associativities it
     spans. Results are positionally aligned with ``geometries`` and
-    bit-identical to per-cell :func:`repro.sim.fastpath.replay_lru_fastpath`
-    replays, with the ``grid`` tier recorded.
+    bit-identical to per-cell
+    :func:`repro.sim.multipass.run_policy_on_stream` LRU replays, with the
+    ``grid`` tier and the walk's ``python`` backend recorded.
     """
     results: List[Optional[LlcSimResult]] = [None] * len(geometries)
     groups = _group_by_num_sets(geometries)
@@ -206,15 +200,16 @@ def replay_geometry_grid(
 
     Dispatch by the tier the replay planner gives the policy:
 
-    * ``stack`` (plain LRU) — one capped stack walk per distinct
-      ``num_sets`` classifies every associativity cell
-      (:func:`replay_lru_grid`);
-    * ``set``/``dueling`` — one stream partition per distinct ``num_sets``,
-      shared by every cell of that group (the partition depends only on
-      ``num_sets``); each cell steps a fresh instance's kernels over it;
     * ``scalar`` — or fast paths disabled — independent per-cell
       :func:`repro.sim.multipass.run_policy_on_stream` replays, each with
-      its own plan recorded.
+      its own plan recorded;
+    * an exact unbound :class:`LruPolicy` (a ``set``-tier policy) — one
+      capped stack walk per distinct ``num_sets`` classifies every
+      associativity cell (:func:`replay_lru_grid`);
+    * any other ``set``/``dueling`` policy — one stream partition per
+      distinct ``num_sets``, shared by every cell of that group (the
+      partition depends only on ``num_sets``); each cell steps a fresh
+      instance's kernels over it.
 
     A factory spec is called at most once per cell: the instance that is
     planned serves cell 0. Results align positionally with ``geometries``
@@ -239,7 +234,7 @@ def replay_geometry_grid(
             profile["grid_cells"] = len(geometries)
             profile["grid_fallback_cells"] = len(geometries)
         return results
-    if tier == REPLAY_STACK:
+    if type(first) is LruPolicy:
         results = replay_lru_grid(stream, geometries, profile=profile)
     else:
         results = [None] * len(geometries)
@@ -285,11 +280,9 @@ def replay_param_grid(
     collapse into one stacked synchronous kernel (all ``rrpv_bits``
     variants stepped together). Stochastic and dueling variants replay
     per-variant over the shared partition — exact because each variant
-    owns its per-set RNG streams and PSEL series. Every other cell
-    (stack-tier LRU, which has no parameter axis to share, and scalar-tier
-    variants) is an independent
-    :func:`repro.sim.multipass.run_policy_on_stream` replay with its own
-    plan recorded.
+    owns its per-set RNG streams and PSEL series. Every scalar-tier cell
+    is an independent :func:`repro.sim.multipass.run_policy_on_stream`
+    replay with its own plan recorded.
     """
     start = perf_counter()
     n = len(stream.blocks)

@@ -22,13 +22,13 @@ from repro.cache.hierarchy import CmpHierarchy, HierarchyStats
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry, MachineConfig
 from repro.common.rng import derive_seed
-from repro.policies.base import REPLAY_SCALAR, REPLAY_STACK, ReplacementPolicy
+from repro.policies.base import REPLAY_SCALAR, ReplacementPolicy
 from repro.policies.opt import BeladyOptPolicy, compute_next_use
 from repro.policies.registry import make_policy
 from repro.policies.ship import ShipPolicy
 from repro.sim import telemetry
 from repro.sim.engine import LlcOnlySimulator
-from repro.sim.fastpath import fastpath_enabled, replay_lru_fastpath
+from repro.sim.fastpath import fastpath_enabled
 from repro.sim.nativepath import (
     BACKEND_MODEL,
     native_enabled,
@@ -78,8 +78,8 @@ def run_policy_on_stream(
     A name builds its registry instance seeded
     ``derive_seed(seed, "replay", name)``; callers with their own seed
     derivation pass an instance. The replay planner picks the engine —
-    the LRU stack walk, the set-partitioned or dueling kernels, a compact
-    kernel, or the object model, all bit-identical — and the result and
+    the set-partitioned or dueling kernels, a compact kernel, or the
+    object model, all bit-identical — and the result and
     the one ``replay`` span carry its tier, backend and decline reason.
     ``fastpath``/``native`` are three-state gates (``None`` defers to
     ``REPRO_SIM_NO_FASTPATH``/``REPRO_SIM_NO_NATIVE``).
@@ -90,9 +90,7 @@ def run_policy_on_stream(
         policy, observers, stream, fastpath_enabled(fastpath),
         native_enabled(native),
     )
-    if plan.tier == REPLAY_STACK:
-        result = replay_lru_fastpath(stream, geometry, observers=observers)
-    elif plan.tier != REPLAY_SCALAR:
+    if plan.tier != REPLAY_SCALAR:
         result = replay_setpath(stream, geometry, policy, observers=observers)
     elif plan.backend == BACKEND_MODEL:
         simulator = LlcOnlySimulator(geometry, policy, observers=observers)

@@ -1,10 +1,11 @@
 """The replay planner: which engine serves a replay, and why not a faster one.
 
-Every replay of a recorded stream runs on one of four tiers (DESIGN.md
-decision 9): the LRU stack walk (``stack``), the set-partitioned kernels
-(``set``), their two-phase dueling variant (``dueling``), or the scalar
+Every replay of a recorded stream runs on one of three tiers (DESIGN.md
+decision 9): the set-partitioned lockstep kernel (``set``, plain LRU
+included), its two-phase dueling variant (``dueling``), or the scalar
 tier, whose ``backend`` is either a compact native kernel (``compact``,
-decisions 11 and 14) or the object model (``model``).
+decisions 11 and 14) or the object model (``model``). No replay takes
+the retired ``stack`` tier.
 :func:`plan_replay` is the one place that picks among them. It is pure:
 it reads no environment variable and builds nothing, so callers resolve
 the ``fastpath``/``native`` gates once and
@@ -22,12 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from repro.common.errors import SimulationError
-from repro.policies.base import (
-    REPLAY_DUELING,
-    REPLAY_SCALAR,
-    REPLAY_SET,
-    REPLAY_STACK,
-)
+from repro.policies.base import REPLAY_DUELING, REPLAY_SCALAR, REPLAY_SET
 from repro.policies.dip import BipPolicy, DipPolicy
 from repro.policies.lru import LipPolicy, LruPolicy
 from repro.policies.nru import NruPolicy
@@ -57,7 +53,7 @@ FAMILY_RANDOM = "random"
 FAMILY_OPT = "opt"
 
 REPLAY_KERNELS: Dict[type, Tuple[str, str]] = {
-    LruPolicy: (REPLAY_STACK, FAMILY_RECENCY),
+    LruPolicy: (REPLAY_SET, FAMILY_RECENCY),
     LipPolicy: (REPLAY_SET, FAMILY_RECENCY),
     BipPolicy: (REPLAY_SET, FAMILY_RECENCY),
     DipPolicy: (REPLAY_DUELING, FAMILY_RECENCY),
@@ -89,8 +85,8 @@ it: the lockstep kernel (``dueling`` over DIP and DRRIP), or, for SHiP's
 global SHCT, the scalar tier's compact kernel. NRU, Random and OPT bases
 have none."""
 
-_BACKENDS = {REPLAY_STACK: "python", REPLAY_SET: "numpy",
-             REPLAY_DUELING: "numpy", REPLAY_SCALAR: BACKEND_COMPACT}
+_BACKENDS = {REPLAY_SET: "numpy", REPLAY_DUELING: "numpy",
+             REPLAY_SCALAR: BACKEND_COMPACT}
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,14 @@ is built around three cost rules:
 2. **Fastpath-compatible or scalar-only — provably.** Every probe declares
    ``fastpath_safe``. Safe probes produce **bit-identical** summaries
    whether the replay ran through the scalar :class:`SharedLlc` model or
-   one of the exact fast tiers — the stack-distance LRU fast path
-   (``"stack"``) or the set-partitioned kernels (``"set"``/``"dueling"``)
-   — either because they consume only :class:`ResidencyObserver`
-   callbacks, which every fast tier replays exactly, or because they
-   reconstruct their state from a canonical-LRU
-   :class:`LruReplayReconstruction` walk of the stream (a
-   policy-independent model, so it serves every tier). Unsafe probes
-   (policy-internal ones like PSEL/SHCT/RRPV samplers) force the scalar
-   tier for the whole replay. ``tests/sim/test_probes.py`` holds the
-   differential proof.
+   one of the exact fast tiers (the set-partitioned kernels, ``"set"`` /
+   ``"dueling"``) — either because they consume only
+   :class:`ResidencyObserver` callbacks, which every fast tier replays
+   exactly, or because they compute their summary from the stream itself
+   in :meth:`Probe.consume_stream`, which runs once per replay on every
+   tier. Unsafe probes (policy-internal ones like PSEL/SHCT/RRPV
+   samplers) force the scalar tier for the whole replay.
+   ``tests/sim/test_probes.py`` holds the differential proof.
 3. **Picklable summaries.** :class:`ProbeReport` crosses process
    boundaries (the parallel engine's ``inspect`` cells) and lands on disk
    under telemetry run directories, so everything in it is plain data.
@@ -51,10 +49,11 @@ stream already folded it in), so the probe attaches to a full
 """
 
 import dataclasses
-from array import array
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Union
+
+import numpy as np
 
 from repro.cache.hierarchy import CmpHierarchy
 from repro.cache.llc import NO_BLOCK, ResidencyObserver
@@ -64,16 +63,11 @@ from repro.common.config import CacheGeometry
 from repro.common.errors import ConfigError
 from repro.common.rng import derive_seed
 from repro.common.stats import RunningStats, ratio
-from repro.policies.base import REPLAY_SCALAR, REPLAY_STACK
+from repro.policies.base import REPLAY_SCALAR
 from repro.policies.registry import make_policy
 from repro.sim import telemetry
 from repro.sim.engine import LlcOnlySimulator
-from repro.sim.fastpath import (
-    LruReplayReconstruction,
-    _replay_observers,
-    fastpath_enabled,
-    reconstruct_lru_replay,
-)
+from repro.sim.fastpath import fastpath_enabled, lru_stack_distances
 from repro.sim.nativepath import (
     BACKEND_MODEL,
     native_enabled,
@@ -81,7 +75,7 @@ from repro.sim.nativepath import (
 )
 from repro.sim.plan import plan_replay
 from repro.sim.results import LlcSimResult
-from repro.sim.setpath import reconstruct_setpath_replay
+from repro.sim.setpath import replay_setpath
 
 PROBE_FORMAT_VERSION = 2
 """Bump when the on-disk shape of :meth:`ProbeReport.as_dict` changes.
@@ -97,12 +91,12 @@ class Probe:
     pick the replay tier and wire the probe up:
 
     * ``fastpath_safe`` — summaries are bit-identical between the scalar
-      model and the LRU fast path. Any unsafe probe in a replay forces the
+      model and the fast tiers. Any unsafe probe in a replay forces the
       scalar tier (:func:`run_probed_replay` never silently degrades a
       probe).
     * ``wants_access_events`` — receives :meth:`on_access` per LLC access
-      via the :class:`ProbeBus`; a *safe* access probe must also implement
-      :meth:`consume_fastpath`.
+      via the :class:`ProbeBus`, which only the object model drives, so
+      such a probe is scalar-only.
     * ``wants_policy`` — :meth:`bind` requires a bound policy instance and
       may reject incompatible ones with :class:`ConfigError`.
     * ``needs_hierarchy`` — cannot run on a replay at all; it attaches to a
@@ -121,17 +115,13 @@ class Probe:
     def on_access(self, llc, core, pc, block, is_write, hit, evicted) -> None:
         """Per-access callback (after the cache fully processed it)."""
 
-    def consume_fastpath(
-        self, walk: LruReplayReconstruction, stream: LlcStream,
-        geometry: CacheGeometry,
-    ) -> None:
-        """Rebuild this probe's state from a fast-path walk.
+    def consume_stream(self, stream: LlcStream,
+                       geometry: CacheGeometry) -> None:
+        """Read the replayed stream once, after the replay, on every tier.
 
-        Only called for ``fastpath_safe`` access probes; must leave the
-        probe in exactly the state the scalar :meth:`on_access` sequence
-        would have.
+        A probe whose summary is a property of the stream rather than of
+        the replay's policy computes it here; default no-op.
         """
-        raise NotImplementedError
 
     def finalize(self) -> None:
         """Post-replay pass (histogram folding etc.); default no-op."""
@@ -339,77 +329,45 @@ class SharingProbe(Probe, SharingClassifier):
 class ReuseDistanceProbe(Probe):
     """LRU stack-distance histogram split by sharing class of the residency.
 
-    Distances are computed under the canonical per-set LRU stack model of
-    the *stream* — a policy-independent property (the probe maintains its
-    own stack, never reading cache or policy state), which is what makes it
-    ``fastpath_safe``: on the fast path the identical quantities already
-    exist in the walk (``distances``/``rids``/``res_core_mask``) and
-    :meth:`consume_fastpath` just adopts them. Distance ``ways`` is the
-    capped miss bucket (true distance >= ways, cold misses included); each
-    access is attributed to the sharing class its residency *ends up* with.
+    Distances and residencies are those of the canonical per-set LRU
+    cache of the replay's geometry, whatever policy the replay ran: a
+    property of the *stream*, computed once in :meth:`consume_stream`
+    from :func:`repro.sim.fastpath.lru_stack_distances`, so the summary
+    is the same on every tier (``fastpath_safe``). Distance ``ways`` is
+    the capped miss bucket (true distance >= ways, cold misses included).
+    Each such miss starts an LRU residency of its block, and the block's
+    later accesses up to its next miss fall in it. An access counts in
+    the sharing class its residency *ends up* with: shared once two or
+    more distinct cores touched it.
     """
 
     name = "reuse"
     fastpath_safe = True
-    wants_access_events = True
 
     def __init__(self):
         self._ways = 0
-        self._set_mask = 0
-        self._stacks: List[List[int]] = []
-        self._rid_of: Dict[int, int] = {}
-        self._core_mask: Sequence[int] = []
-        self._acc_rids = array("q")
-        self._acc_dists = array("i")
-        self._shared_hist: List[int] = []
-        self._private_hist: List[int] = []
+        self._shared_hist: List[int] = [0]
+        self._private_hist: List[int] = [0]
 
-    def bind(self, geometry, policy) -> None:
-        self._ways = geometry.ways
-        self._set_mask = geometry.num_sets - 1
-        self._stacks = [[] for __ in range(geometry.num_sets)]
-        self._rid_of = {}
-        self._core_mask = []
-
-    def on_access(self, llc, core, pc, block, is_write, hit, evicted) -> None:
-        # Mirrors fastpath._stack_walk exactly (the equivalence the
-        # differential test pins down).
-        st = self._stacks[block & self._set_mask]
-        rid = self._rid_of.get(block)
-        if rid is not None:
-            idx = st.index(block)
-            distance = len(st) - 1 - idx
-            del st[idx]
-            st.append(block)
-            self._core_mask[rid] |= 1 << core
-        else:
-            distance = self._ways
-            if len(st) == self._ways:
-                del self._rid_of[st.pop(0)]
-            st.append(block)
-            rid = len(self._core_mask)
-            self._rid_of[block] = rid
-            self._core_mask.append(1 << core)
-        self._acc_rids.append(rid)
-        self._acc_dists.append(distance)
-
-    def consume_fastpath(self, walk, stream, geometry) -> None:
-        self._acc_rids = walk.rids
-        self._acc_dists = walk.distances
-        self._core_mask = walk.res_core_mask
-
-    def finalize(self) -> None:
-        buckets = self._ways + 1
-        shared = [0] * buckets
-        private = [0] * buckets
-        core_mask = self._core_mask
-        for rid, distance in zip(self._acc_rids, self._acc_dists):
-            if popcount(core_mask[rid]) >= 2:
-                shared[distance] += 1
-            else:
-                private[distance] += 1
-        self._shared_hist = shared
-        self._private_hist = private
+    def consume_stream(self, stream, geometry) -> None:
+        ways = self._ways = geometry.ways
+        distances = np.frombuffer(lru_stack_distances(
+            stream.blocks, geometry.num_sets, ways), dtype=np.int32)
+        cores, __, blocks, ___ = stream.numpy_columns()
+        # In (block, position) order each miss opens the next residency.
+        order = np.argsort(blocks, kind="stable")
+        rids = np.empty(len(order), dtype=np.int64)
+        rids[order] = np.cumsum(distances[order] == ways) - 1
+        # Core ids reach 127: count distinct (residency, core) pairs
+        # rather than OR-ing core bits into an int64 mask.
+        span = int(cores.max()) + 1 if len(cores) else 1
+        pairs = np.unique(rids * span + cores)
+        shared = np.bincount(pairs // span) >= 2
+        buckets = ways + 1
+        hist = np.bincount(distances + buckets * shared[rids],
+                           minlength=2 * buckets)
+        self._private_hist = hist[:buckets].tolist()
+        self._shared_hist = hist[buckets:].tolist()
 
     @staticmethod
     def _side(hist: List[int]) -> Dict:
@@ -726,24 +684,20 @@ def run_probed_replay(
     every probe is fastpath-safe** — one scalar-only probe forces the whole
     replay onto the model (reason ``probe``; probes are never silently
     degraded). The report's ``tier`` and ``reason`` and its result's
-    ``backend`` say what actually ran: ``"stack"`` (LRU stack-distance
-    walk), ``"set"`` / ``"dueling"`` (set-partitioned kernels), or
-    ``"scalar"`` — the object model, or a compact kernel when no probe is
-    attached at all. Hit/miss counts are bit-identical across tiers, and
-    match :func:`repro.sim.multipass.run_policy_on_stream` for the same
-    ``(policy_name, seed)`` (identical seed derivation).
-
-    Access probes stay policy-independent on the fast tiers: the reuse
-    probe models canonical per-set LRU stacks of the *stream*, so on the
-    set/dueling tiers it consumes a separate
-    :func:`reconstruct_lru_replay` walk (the policy walk's distances are
-    degenerate hit/miss markers), timed under ``profile["reuse_model"]``.
+    ``backend`` say what actually ran: ``"set"`` / ``"dueling"``
+    (set-partitioned kernels), or ``"scalar"`` — the object model, or a
+    compact kernel when no probe is attached at all. Hit/miss counts are
+    bit-identical across tiers, and match
+    :func:`repro.sim.multipass.run_policy_on_stream` for the same
+    ``(policy_name, seed)`` (identical seed derivation). After the replay,
+    every probe reads the stream once (:meth:`Probe.consume_stream`),
+    whatever the tier.
 
     ``profile`` in the returned report carries per-stage wall times from
-    the replay profiler (stack walk or partition/set kernels /
+    the replay profiler (partition / set kernels / assembly /
     reconstruction / observer replay on the fast tiers; replay loop /
-    flush on the scalar path), plus per-probe fast-path consumption times
-    and ``total``.
+    flush on the scalar path), plus each probe's stream pass
+    (``probe_<name>``), ``finalize`` and ``total``.
     """
     probes = resolve_probes(probes)
     for probe in probes:
@@ -765,36 +719,8 @@ def run_probed_replay(
     if plan.tier != REPLAY_SCALAR:
         for probe in probes:
             probe.bind(geometry, None)
-        if plan.tier == REPLAY_STACK:
-            walk = reconstruct_lru_replay(stream, geometry, profile=profile)
-            lru_walk = walk
-        else:
-            walk = reconstruct_setpath_replay(
-                stream, geometry, policy, profile=profile,
-            )
-            lru_walk = None
-        if observers:
-            phase_start = perf_counter()
-            _replay_observers(walk, stream, observers)
-            profile["observer_replay"] = perf_counter() - phase_start
-        for probe in probes:
-            if probe.wants_access_events:
-                if lru_walk is None:
-                    phase_start = perf_counter()
-                    lru_walk = reconstruct_lru_replay(stream, geometry)
-                    profile["reuse_model"] = perf_counter() - phase_start
-                phase_start = perf_counter()
-                probe.consume_fastpath(lru_walk, stream, geometry)
-                profile[f"probe_{probe.name}"] = perf_counter() - phase_start
-        result = LlcSimResult(
-            policy=policy_name,
-            stream_name=stream.name,
-            accesses=walk.n,
-            hits=walk.hits,
-            misses=walk.misses,
-            elapsed_sec=perf_counter() - start,
-            tier=plan.tier,
-            backend=plan.backend,
+        result = replay_setpath(
+            stream, geometry, policy, observers, profile=profile,
         )
     elif plan.backend == BACKEND_MODEL:
         simulator = LlcOnlySimulator(geometry, policy, observers=observers)
@@ -812,6 +738,10 @@ def run_probed_replay(
             stream, geometry, policy, profile=profile,
         )
     result = dataclasses.replace(result, reason=plan.reason)
+    for probe in probes:
+        phase_start = perf_counter()
+        probe.consume_stream(stream, geometry)
+        profile[f"probe_{probe.name}"] = perf_counter() - phase_start
     finalize_start = perf_counter()
     for probe in probes:
         probe.finalize()

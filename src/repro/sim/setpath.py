@@ -1,14 +1,12 @@
 """Exact set-partitioned replay for per-set replacement policies.
 
 The scalar :class:`repro.cache.llc.SharedLlc` walk is exact for every
-policy but pays full model overhead per access. The stack-distance fast
-path (:mod:`repro.sim.fastpath`) removes that overhead for plain LRU only.
-This module covers the rest of the policy matrix by exploiting a weaker
-structural property than Mattson inclusion: for most policies the sets of
-a set-associative cache are **independent state machines**. RRPV vectors,
-recency stamps, NRU reference bits, per-way next-use values — all of it is
-per-set state, read and written only by accesses mapping to that set. The
-replay therefore decomposes exactly:
+policy but pays full model overhead per access. This module removes that
+overhead for every policy whose sets are **independent state machines**,
+plain LRU included: recency stamps, RRPV vectors, NRU reference bits,
+per-way next-use values — all of it is per-set state, read and written
+only by accesses mapping to that set. The replay therefore decomposes
+exactly:
 
 1. **Partition** — bucket the recorded stream by set index in one
    vectorized pass (stable ``argsort`` over ``block & (num_sets-1)``),
@@ -31,15 +29,20 @@ replay therefore decomposes exactly:
    exact PSEL time-series, then replay followers reading the
    reconstructed winner flag at each access.
 
+A numpy step costs the same whatever the number of rows it advances, so
+the kernel pays per step, and a replay takes as many steps as its longest
+set has accesses: the kernel gains with the set count (DESIGN.md decision
+9 gives the measured crossover against a Python walk).
+
 Policies with genuinely global state — SHiP's SHCT is trained by every
 set's fills, hits, and evictions — have no exact decomposition and stay on
 the scalar tier; DESIGN.md decision 9 has the argument.
 
 Observer-carrying replays additionally record the residency skeleton
-(fills, their ways, the residencies they evict) at every step and stitch
-it back into global fill order, reusing the fast path's metadata
-reconstruction and observer replay verbatim — observers see exactly the
-callback sequence the scalar model would have produced.
+(fills and the residencies they evict) at every step and stitch it back
+into global fill order (:class:`ReplayWalk`); a vectorized metadata pass
+and the observer replay then emit exactly the callback sequence the
+scalar model would have produced.
 
 Which policies run here is decided by the replay planner
 (:func:`repro.sim.plan.plan_replay`), whose
@@ -62,11 +65,6 @@ from repro.policies.base import REPLAY_DUELING, REPLAY_SET, ReplacementPolicy
 from repro.policies.dip import BipPolicy, DuelingController
 from repro.policies.lru import LipPolicy
 from repro.policies.rrip import BrripPolicy
-from repro.sim.fastpath import (
-    LruReplayReconstruction,
-    _reconstruct,
-    _replay_observers,
-)
 from repro.sim.plan import (
     FAMILY_NRU,
     FAMILY_OPT,
@@ -254,7 +252,7 @@ def _lockstep(lanes: _Lanes, ways: int, family: str, rmax: int = 0,
         used = np.zeros(len(lanes.sets), dtype=np.int64)
     if trail is not None:
         rid_at = np.full_like(blk_at, -1)
-        skeleton = ([], [], [], [], [])
+        skeleton = ([], [], [], [])
         counter = sum(len(record[0]) for record in trail)
     exempting = hints is not None and mode != "insert-promote"
     promoting = hints is not None and mode != "victim-exempt"
@@ -300,8 +298,8 @@ def _lockstep(lanes: _Lanes, ways: int, family: str, rmax: int = 0,
                     budget_at[gone] = 0
                     released += gone.size
             if trail is not None:
-                skeleton[3].append(pos[lo:hi][rows])
-                skeleton[4].append(rid_at[cells])
+                skeleton[2].append(pos[lo:hi][rows])
+                skeleton[3].append(rid_at[cells])
         rows = np.flatnonzero(miss)
         if not rows.size:
             continue
@@ -331,8 +329,7 @@ def _lockstep(lanes: _Lanes, ways: int, family: str, rmax: int = 0,
                 cells = rows * ways + way
         if trail is not None:
             skeleton[0].append(pos[lo:hi][rows])
-            skeleton[1].append(way)
-            skeleton[2].append(rid_at[cells])
+            skeleton[1].append(rid_at[cells])
             rid_at[cells] = np.arange(counter, counter + rows.size)
             counter += rows.size
         blk_at[cells] = b[rows]
@@ -650,71 +647,207 @@ def reconstruct_psel_series(
 
 
 # ----------------------------------------------------------------------
-# Phase 4: walk assembly (per-call ids → global fill order) + replay
+# Phase 4: the walk — global fill order, residency metadata, observers
 # ----------------------------------------------------------------------
 
-class SetReplayReconstruction(LruReplayReconstruction):
-    """A set-partitioned replay's walk, in the fast path's layout.
+class ReplayWalk:
+    """Everything a scalar replay's observers see, rebuilt offline.
 
-    Identical field contract to :class:`LruReplayReconstruction` — so the
-    metadata reconstruction and observer replay are reused verbatim — with
-    one deliberate difference: ``distances`` carry only the degenerate
-    hit/miss encoding (0 for hits, ``ways`` for misses). Non-LRU policies
-    have no stack distance; consumers that need true reuse distances (the
-    reuse probe) must build a canonical LRU walk separately.
+    ``rids`` holds, per access, the residency id (global fill order,
+    0-based) it lands in; an access is a miss iff it is its residency's
+    fill.
+
+    Per-residency lists (length ``residencies``, fill order): block, fill
+    access index, hit and other-hit counts, core/write masks.
+    ``evicted_rid[j]`` is the residency evicted by fill ``j`` (``-1`` for
+    fills into empty frames), and ``live_rids`` lists the residencies
+    still resident at end-of-stream in the (set, way) order the scalar
+    flush visits them.
     """
 
-    __slots__ = ()
+    __slots__ = (
+        "n", "set_mask", "hits", "misses", "rids", "res_block", "res_fill",
+        "res_hits", "res_other_hits", "res_core_mask", "res_write_mask",
+        "evicted_rid", "live_rids",
+    )
+
+    @property
+    def residencies(self) -> int:
+        """Number of residencies (= fills = misses)."""
+        return len(self.res_block)
 
 
-def _assemble_walk(trail: list, stream: LlcStream, geometry: CacheGeometry,
-                   profile=None) -> SetReplayReconstruction:
+def _assemble_walk(trail: list, stream: LlcStream,
+                   geometry: CacheGeometry) -> ReplayWalk:
     """Stitch the kernel calls' skeletons into a global fill-ordered walk.
 
     Residency ids on the trail number fills in the order the kernel
     calls made them; the sort by fill position remaps them to global
-    fill order.
+    fill order. The trail is emptied, and every assembly array dies with
+    this call, before the metadata pass allocates its own.
     """
-    start = perf_counter()
-    walk = SetReplayReconstruction()
+    walk = ReplayWalk()
     n = len(stream)
-    fill, way, evicted, hit_pos, hit_rid, live_sets, live_ways, live_ids = (
+    fill, evicted, hit_pos, hit_rid, live_sets, live_ways, live_ids = (
         np.concatenate(column) for column in zip(*trail))
+    trail.clear()
     count = len(fill)
     perm = np.argsort(fill)  # fill positions are unique
     inv = np.empty(count, dtype=np.int64)
     inv[perm] = np.arange(count, dtype=np.int64)
-    end = np.full(count, -1, dtype=np.int64)
-    ended = evicted >= 0
-    end[evicted[ended]] = fill[ended]
-    walk.res_fill = fill[perm].tolist()
-    walk.res_block = stream.numpy_columns()[2][fill[perm]].tolist()
-    walk.res_end = end[perm].tolist()
-    walk.res_way = way[perm].tolist()
+    ordered = fill[perm]
+    walk.res_fill = ordered.tolist()
+    walk.res_block = stream.numpy_columns()[2][ordered].tolist()
     walk.evicted_rid = np.where(
-        ended, inv[np.maximum(evicted, 0)], np.int64(-1))[perm].tolist()
+        evicted >= 0, inv[np.maximum(evicted, 0)], np.int64(-1))[perm].tolist()
     walk.rids = array("q", bytes(8 * n))
     rids_np = np.frombuffer(walk.rids, dtype=np.int64)
     rids_np[fill] = inv
     rids_np[hit_pos] = inv[hit_rid]
-    walk.distances = array("i", bytes(4 * n))
-    np.frombuffer(walk.distances, dtype=np.int32)[fill] = geometry.ways
     # The scalar flush visits sets in index order and ways in way order.
     walk.live_rids = inv[live_ids[np.lexsort((live_ways, live_sets))]].tolist()
     walk.n = n
-    walk.ways = geometry.ways
     walk.set_mask = geometry.num_sets - 1
     walk.hits = n - count
     walk.misses = count
-    walk.evictions = count - len(live_ids)
-    if profile is not None:
-        profile["assemble"] = perf_counter() - start
-        start = perf_counter()
-    kernel = _reconstruct(walk, stream)
-    if profile is not None:
-        profile["reconstruct"] = perf_counter() - start
-        profile["reconstruct_kernel"] = kernel
     return walk
+
+
+_MAX_NUMPY_CORE = 62
+"""Highest core id the int64 mask kernel handles (1 << core must fit)."""
+
+
+def _reconstruct_python(walk: ReplayWalk, stream: LlcStream) -> None:
+    """Pure-Python metadata pass for core ids above :data:`_MAX_NUMPY_CORE`."""
+    count = walk.residencies
+    res_hits = [0] * count
+    res_other = [0] * count
+    res_cmask = [0] * count
+    res_wmask = [0] * count
+    fill_core = [0] * count
+    cores, __, ___, writes = stream.columns()
+    rids = walk.rids
+    res_fill = walk.res_fill
+    for i in range(walk.n):
+        rid = rids[i]
+        core = cores[i]
+        bit = 1 << core
+        if res_fill[rid] != i:
+            res_hits[rid] += 1
+            res_cmask[rid] |= bit
+            if writes[i]:
+                res_wmask[rid] |= bit
+            if core != fill_core[rid]:
+                res_other[rid] += 1
+        else:
+            fill_core[rid] = core
+            res_cmask[rid] = bit
+            res_wmask[rid] = bit if writes[i] else 0
+    walk.res_hits = res_hits
+    walk.res_other_hits = res_other
+    walk.res_core_mask = res_cmask
+    walk.res_write_mask = res_wmask
+
+
+def _reconstruct_numpy(walk: ReplayWalk, stream: LlcStream) -> bool:
+    """Vectorized metadata pass; returns False when it must defer.
+
+    Segmented reductions over the (stable) rid-sorted stream columns:
+    ``bincount`` for hit and other-hit counts, ``bitwise_or.reduceat`` for
+    the core and write masks. Defers to :func:`_reconstruct_python` for
+    core ids too wide for int64 masks (never the case for the paper's
+    8-core machine).
+    """
+    count = walk.residencies
+    if count == 0:
+        walk.res_hits = []
+        walk.res_other_hits = []
+        walk.res_core_mask = []
+        walk.res_write_mask = []
+        return True
+    cores_np, __, ___, writes_np = stream.numpy_columns()
+    if int(cores_np.max()) > _MAX_NUMPY_CORE:
+        return False
+    rids_np = np.frombuffer(walk.rids, dtype=np.int64)
+    res_fill_np = np.asarray(walk.res_fill, dtype=np.int64)
+    hit_mask = np.ones(walk.n, dtype=bool)
+    hit_mask[res_fill_np] = False
+
+    fill_core = cores_np[res_fill_np].astype(np.int64)
+    core_bits = np.left_shift(np.int64(1), cores_np.astype(np.int64))
+
+    res_hits = np.bincount(rids_np[hit_mask], minlength=count)
+    other = hit_mask & (cores_np.astype(np.int64) != fill_core[rids_np])
+    res_other = np.bincount(rids_np[other], minlength=count)
+
+    order = np.argsort(rids_np, kind="stable")
+    counts = np.bincount(rids_np, minlength=count)
+    starts = np.zeros(count, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    sorted_bits = core_bits[order]
+    res_cmask = np.bitwise_or.reduceat(sorted_bits, starts)
+    write_bits = np.where(writes_np[order] != 0, sorted_bits, np.int64(0))
+    res_wmask = np.bitwise_or.reduceat(write_bits, starts)
+
+    walk.res_hits = res_hits.tolist()
+    walk.res_other_hits = res_other.tolist()
+    walk.res_core_mask = res_cmask.tolist()
+    walk.res_write_mask = res_wmask.tolist()
+    return True
+
+
+def _reconstruct(walk: ReplayWalk, stream: LlcStream) -> str:
+    """Rebuild ``walk``'s residency metadata; returns the kernel that ran."""
+    if _reconstruct_numpy(walk, stream):
+        return "numpy"
+    _reconstruct_python(walk, stream)
+    return "python"
+
+
+def _replay_observers(
+    walk: ReplayWalk, stream: LlcStream, observers: Tuple
+) -> None:
+    """Emit the exact callback sequence the scalar replay would produce."""
+    pcs = stream.pcs
+    cores = stream.cores
+    res_block = walk.res_block
+    res_fill = walk.res_fill
+    res_hits = walk.res_hits
+    res_other = walk.res_other_hits
+    res_cmask = walk.res_core_mask
+    res_wmask = walk.res_write_mask
+    set_mask = walk.set_mask
+
+    def emit_ended(rid: int, end_ordinal: int, forced: bool) -> None:
+        block = res_block[rid]
+        fill = res_fill[rid]
+        for observer in observers:
+            observer.residency_ended(
+                block,
+                block & set_mask,
+                fill + 1,
+                end_ordinal,
+                pcs[fill],
+                cores[fill],
+                res_cmask[rid],
+                res_wmask[rid],
+                res_hits[rid],
+                res_other[rid],
+                forced,
+            )
+
+    for rid, (fill, victim_rid) in enumerate(zip(res_fill, walk.evicted_rid)):
+        if victim_rid >= 0:
+            # The scalar model ends the victim's residency before the fill
+            # callbacks of the access that evicted it.
+            emit_ended(victim_rid, fill + 1, False)
+        block = res_block[rid]
+        for observer in observers:
+            observer.residency_started(
+                block, block & set_mask, fill + 1, pcs[fill], cores[fill]
+            )
+    for rid in walk.live_rids:
+        emit_ended(rid, walk.n, True)
 
 
 def _setpath_tier(policy, stream: LlcStream) -> str:
@@ -733,20 +866,32 @@ def reconstruct_setpath_replay(
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
     profile=None,
-) -> SetReplayReconstruction:
+) -> ReplayWalk:
     """Replay ``stream`` under ``policy`` rebuilding the full walk.
 
     ``policy`` must be an unbound setpath-eligible instance; it is bound
-    here. The returned walk carries the same residency metadata contract
-    as :func:`repro.sim.fastpath.reconstruct_lru_replay` (the probe layer
-    consumes it), with degenerate distances (see
-    :class:`SetReplayReconstruction`).
+    here. ``profile``, when a dict, receives the wall times of the
+    partition, the kernels, the assembly and the metadata pass
+    (``reconstruct``), plus the metadata kernel that ran
+    (``reconstruct_kernel``: ``"numpy"`` or ``"python"``).
     """
     _setpath_tier(policy, stream)
-    part = partition_stream(stream.blocks, geometry.num_sets, profile=profile)
     trail: list = []
-    _run_partitioned(stream, part, geometry, policy, trail, profile=profile)
-    return _assemble_walk(trail, stream, geometry, profile=profile)
+    _run_partitioned(
+        stream, partition_stream(stream.blocks, geometry.num_sets,
+                                 profile=profile),
+        geometry, policy, trail, profile=profile,
+    )
+    start = perf_counter()
+    walk = _assemble_walk(trail, stream, geometry)
+    if profile is not None:
+        profile["assemble"] = perf_counter() - start
+        start = perf_counter()
+    kernel = _reconstruct(walk, stream)
+    if profile is not None:
+        profile["reconstruct"] = perf_counter() - start
+        profile["reconstruct_kernel"] = kernel
+    return walk
 
 
 def replay_setpath(

@@ -128,7 +128,7 @@ class TestBasePass:
         monkeypatch.delenv(NO_NATIVE_ENV, raising=False)
 
     @pytest.mark.parametrize("base, engine", [
-        ("lru", ("stack", "python")),
+        ("lru", ("set", "numpy")),
         ("srrip", ("set", "numpy")),
         ("drrip", ("dueling", "numpy")),
         ("ship", ("scalar", "compact")),

@@ -1,13 +1,15 @@
-"""Equivalence tests for the exact stack-distance LRU fast path.
+"""Plain LRU on the fast path, the fast-path gate, and the stack walk.
 
 The load-bearing property is *bit-identity*: for every stream and geometry,
-:func:`replay_lru_fastpath` must produce exactly what the scalar
-``LlcOnlySimulator(geometry, LruPolicy(), observers)`` replay produces —
-same hit/miss counts, same observer callbacks with the same arguments in
-the same order (victim-ended before fill-started, forced flushes in
-(set, way) order). Hypothesis drives random streams across geometries and
-both metadata-reconstruction kernels (numpy, and the pure-Python pass that
-serves core ids too wide for int64 masks).
+an LRU :func:`run_policy_on_stream` replay on the set tier must produce
+exactly what the scalar ``LlcOnlySimulator(geometry, LruPolicy(),
+observers)`` replay produces — same hit/miss counts, same observer
+callbacks with the same arguments in the same order (victim-ended before
+fill-started, forced flushes in (set, way) order). Hypothesis drives
+random streams across geometries and both metadata-reconstruction kernels
+(numpy, and the pure-Python pass that serves core ids too wide for int64
+masks). :func:`lru_stack_distances`, the one stack-distance walk, is
+pinned against the distance's definition.
 """
 
 import os
@@ -24,15 +26,16 @@ from repro.predictors.registry import make_predictor
 from repro.sim.engine import LlcOnlySimulator
 from repro.sim.fastpath import (
     FASTPATH_ENV,
+    fastpath_enabled,
+    lru_stack_distances,
+)
+from repro.sim.multipass import run_policy_on_stream
+from repro.sim.setpath import (
     _reconstruct_numpy,
     _reconstruct_python,
     _replay_observers,
-    fastpath_enabled,
-    lru_stack_distances,
-    reconstruct_lru_replay,
-    replay_lru_fastpath,
+    reconstruct_setpath_replay,
 )
-from repro.sim.multipass import run_policy_on_stream
 from tests.conftest import make_stream
 from tests.strategies import replay_stream_lists
 
@@ -66,6 +69,13 @@ def scalar_replay(stream, geometry, observers=()):
     return LlcOnlySimulator(geometry, LruPolicy(), observers=observers).run(stream)
 
 
+def fast_replay(stream, geometry, observers=()):
+    result = run_policy_on_stream(stream, geometry, "lru", observers=observers,
+                                  fastpath=True)
+    assert (result.tier, result.backend) == ("set", "numpy")
+    return result
+
+
 accesses_strategy = replay_stream_lists(max_block=40, min_size=0, max_size=300)
 
 
@@ -78,7 +88,7 @@ class TestEquivalence:
 
         slow_obs, fast_obs = RecordingObserver(), RecordingObserver()
         slow = scalar_replay(stream, geometry, observers=(slow_obs,))
-        fast = replay_lru_fastpath(stream, geometry, observers=(fast_obs,))
+        fast = fast_replay(stream, geometry, observers=(fast_obs,))
 
         assert (fast.accesses, fast.hits, fast.misses) \
             == (slow.accesses, slow.hits, slow.misses)
@@ -92,7 +102,7 @@ class TestEquivalence:
         stream = make_stream(accesses)
         slow_obs, fast_obs = RecordingObserver(), RecordingObserver()
         scalar_replay(stream, geometry, observers=(slow_obs,))
-        walk = reconstruct_lru_replay(stream, geometry)
+        walk = reconstruct_setpath_replay(stream, geometry, LruPolicy())
         _reconstruct_python(walk, stream)
         _replay_observers(walk, stream, (fast_obs,))
         assert fast_obs.events == slow_obs.events
@@ -102,7 +112,7 @@ class TestEquivalence:
     def test_numpy_kernel_matches_python(self, accesses, geometry_index):
         geometry = GEOMETRIES[geometry_index]
         stream = make_stream(accesses)
-        walk = reconstruct_lru_replay(stream, geometry)
+        walk = reconstruct_setpath_replay(stream, geometry, LruPolicy())
 
         def metadata():
             return (list(walk.res_hits), list(walk.res_other_hits),
@@ -119,7 +129,7 @@ class TestEquivalence:
         geometry = GEOMETRIES[geometry_index]
         stream = make_stream(accesses)
         slow = scalar_replay(stream, geometry)
-        fast = replay_lru_fastpath(stream, geometry)
+        fast = fast_replay(stream, geometry)
         assert fast == slow  # LlcSimResult equality excludes timing
 
     def test_wide_core_ids_defer_to_python(self):
@@ -129,11 +139,12 @@ class TestEquivalence:
                              + [(63, 0x100, b, False) for b in range(8)])
         geometry = CacheGeometry(2 * 4 * 64, 4)
         obs_fast, obs_slow = RecordingObserver(), RecordingObserver()
-        profile = {}
-        replay_lru_fastpath(stream, geometry, observers=(obs_fast,),
-                            profile=profile)
+        fast_replay(stream, geometry, observers=(obs_fast,))
         scalar_replay(stream, geometry, observers=(obs_slow,))
         assert obs_fast.events == obs_slow.events
+        profile = {}
+        reconstruct_setpath_replay(stream, geometry, LruPolicy(),
+                                   profile=profile)
         assert profile["reconstruct_kernel"] == "python"
 
 
@@ -196,7 +207,7 @@ class TestRealObservers:
         stream = self._stream()
         slow_c, fast_c = SharingClassifier(), SharingClassifier()
         scalar_replay(stream, small_geometry, observers=(slow_c,))
-        replay_lru_fastpath(stream, small_geometry, observers=(fast_c,))
+        fast_replay(stream, small_geometry, observers=(fast_c,))
         assert fast_c.breakdown == slow_c.breakdown
 
     def test_predictor_harness_matrix(self, small_geometry):
@@ -204,14 +215,14 @@ class TestRealObservers:
         slow_h = PredictorHarness(make_predictor("hybrid"))
         fast_h = PredictorHarness(make_predictor("hybrid"))
         scalar_replay(stream, small_geometry, observers=(slow_h,))
-        replay_lru_fastpath(stream, small_geometry, observers=(fast_h,))
+        fast_replay(stream, small_geometry, observers=(fast_h,))
         assert fast_h.matrix == slow_h.matrix
 
     def test_phase_tracker_stats(self, small_geometry):
         stream = self._stream()
         slow_t, fast_t = SharingPhaseTracker(), SharingPhaseTracker()
         scalar_replay(stream, small_geometry, observers=(slow_t,))
-        replay_lru_fastpath(stream, small_geometry, observers=(fast_t,))
+        fast_replay(stream, small_geometry, observers=(fast_t,))
         assert fast_t.finalize() == slow_t.finalize()
 
 
@@ -244,8 +255,7 @@ class TestGates:
         assert disabled == enabled
 
     def test_policy_instance_bypasses_fastpath(self, small_geometry):
-        # A pre-built LruPolicy must replay through the scalar model even
-        # with the gate wide open; the result is the same either way, so
+        # A pre-built unbound LruPolicy and the name take the same plan;
         # assert on behaviour: instance and name paths agree.
         stream = make_stream([(0, 0x1, b % 23, False) for b in range(800)])
         by_name = run_policy_on_stream(stream, small_geometry, "lru")

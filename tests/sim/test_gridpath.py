@@ -6,14 +6,14 @@ counters an independent replay of that cell would have produced, with the
 engine-assigned ``grid`` tier recorded where a shared pass ran and the
 cell's own tier where it fell back. This file pins that matrix:
 
-* :func:`lru_grid_hits` against per-associativity fastpath replays
+* :func:`lru_grid_hits` against per-associativity LRU replays
   (Mattson inclusion, including degenerate grids);
-* geometry grids for every eligible tier — stack (LRU), set
-  (LIP/BIP/NRU/SRRIP/BRRIP/random), dueling (DIP/DRRIP) — plus the
+* geometry grids for every eligible tier — the LRU stack-distance walk,
+  set (LIP/BIP/NRU/SRRIP/BRRIP/random), dueling (DIP/DRRIP) — plus the
   forced-scalar fallback pin (SHiP) and the disabled-fastpath gate;
 * parameter grids — the stacked SRRIP kernel, stochastic epsilon
   variants over the shared partition, dueling variants, and mixed grids
-  with stack/scalar stragglers;
+  with scalar stragglers;
 * oracle grids/variants against independent ``run_oracle_study`` calls
   (the memoized annotation sharing must not change a single number);
 * a hypothesis-driven adversarial stream case;
@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
-from repro.policies.base import REPLAY_GRID, REPLAY_SCALAR, REPLAY_STACK
+from repro.policies.base import REPLAY_GRID, REPLAY_SCALAR
 from repro.policies.registry import make_policy
 from repro.policies.rrip import BrripPolicy, SrripPolicy
 from repro.sim.engine import LlcOnlySimulator
@@ -225,8 +225,8 @@ class TestParamGrid:
 
     def test_mixed_grid_tiers_and_fallbacks(self):
         # A grid mixing every tier: stacked SRRIPs, a dueling DRRIP, a
-        # stack-tier LRU (nothing to share - keeps its own tier) and a
-        # scalar SHiP (forced per-cell fallback pin).
+        # set-tier LRU over the shared partition and a scalar SHiP
+        # (forced per-cell fallback pin).
         stream = mixed_stream(2500, 120)
         geometry = CacheGeometry(8 * 4 * 64, 4)
         cells = replay_param_grid(
@@ -260,7 +260,7 @@ class TestParamGrid:
             assert cell == ref
         tiers = [cell.tier for cell in cells]
         assert tiers == [
-            REPLAY_GRID, REPLAY_GRID, REPLAY_GRID, REPLAY_STACK,
+            REPLAY_GRID, REPLAY_GRID, REPLAY_GRID, REPLAY_GRID,
             REPLAY_SCALAR,
         ]
 
@@ -322,9 +322,9 @@ class TestCellsAndSpans:
         replays = [s for s in spans if s["stage"] == "replay"]
         assert sorted((s["policy"], s["tier"]) for s in replays) == sorted(
             (cell.policy, cell.tier) for cell in unshared
-        ) == [("lru", "stack"), ("ship", "scalar")]
+        ) == [("ship", "scalar")]
         [grid] = [s for s in spans if s["stage"] == "replay_grid"]
-        assert (grid["cells"], grid["backend"]) == (3, "numpy")
+        assert (grid["cells"], grid["backend"]) == (4, "numpy")
 
 
 class TestOracleGrid:

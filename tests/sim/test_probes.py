@@ -4,7 +4,10 @@ The load-bearing properties, per DESIGN.md decision 8:
 
 * **Tier equivalence** — every ``fastpath_safe`` probe produces a
   bit-identical summary whether the replay ran through the scalar cache
-  model or the exact stack-distance LRU fast path.
+  model or the set tier's lockstep kernel.
+* **The reuse probe is its definition** — its histograms equal the
+  stack distance by definition, split by the sharing class of a model
+  LRU replay's residencies.
 * **Never silently degrade** — one scalar-only probe forces the whole
   replay onto the scalar tier, and the report says which tier ran.
 * **Observation only** — a probed replay returns exactly the hit/miss
@@ -22,8 +25,9 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.cache.llc import SharedLlc
+from repro.cache.llc import ResidencyObserver, SharedLlc
 from repro.common.config import CacheGeometry
 from repro.common.errors import ConfigError
 from repro.sim.engine import LlcOnlySimulator
@@ -43,6 +47,7 @@ from repro.sim.probes import (
 )
 from repro.policies.lru import LruPolicy
 from tests.conftest import make_stream
+from tests.strategies import REPLAY_PCS, geometries
 
 FASTPATH_SAFE = ("sets", "evictions", "sharing", "reuse")
 
@@ -105,7 +110,7 @@ class TestTierEquivalence:
         scalar = run_probed_replay(
             stream, small_geometry, "lru", [name], fastpath=False
         )
-        assert fast.tier == "stack"
+        assert fast.tier == "set"
         assert scalar.tier == "scalar"
         assert fast.probes[name] == scalar.probes[name]
         assert (fast.result.hits, fast.result.misses) == (
@@ -146,12 +151,12 @@ class TestTierEquivalence:
         report = run_probed_replay(
             stream, small_geometry, "lru", list(FASTPATH_SAFE)
         )
-        assert report.tier == "stack"
+        assert report.tier == "set"
 
 
 class TestReportedPlan:
     @pytest.mark.parametrize("policy, probes, plan", [
-        ("lru", [], ("stack", "python", "")),
+        ("lru", [], ("set", "numpy", "")),
         ("srrip", [], ("set", "numpy", "")),
         ("drrip", ["sets"], ("dueling", "numpy", "")),
         ("ship", ["sets"], ("scalar", "model", "observers")),
@@ -217,14 +222,16 @@ class TestObservationOnly:
 
     @pytest.mark.parametrize("probes, attaches", [
         ([], 0),
-        (["sets", "evictions", "sharing"], 0),
-        (["reuse"], 1),
-    ], ids=["none", "residency", "reuse"])
+        (["sets", "evictions", "sharing", "reuse"], 0),
+        ([CountingProbe], 1),
+    ], ids=["none", "residency", "access"])
     def test_model_replay_attaches_a_bus_only_for_access_probes(
         self, stream, small_geometry, monkeypatch, probes, attaches
     ):
-        # Residency probes ride the observer callbacks, so only a
-        # per-access probe may shadow the LLC's access method.
+        # Residency probes ride the observer callbacks and the reuse probe
+        # reads the stream, so only a per-access probe may shadow the
+        # LLC's access method.
+        probes = [p if isinstance(p, str) else p() for p in probes]
         calls = []
         original = SharedLlc.attach_probe_bus
 
@@ -252,7 +259,7 @@ class TestObservationOnly:
         fast = run_probed_replay(
             stream, small_geometry, "lru", ["reuse"], fastpath=True
         )
-        assert "stack_walk" in fast.profile
+        assert "set_kernels" in fast.profile
         assert "probe_reuse" in fast.profile
         assert fast.profile["total"] >= 0
         scalar = run_probed_replay(
@@ -260,6 +267,74 @@ class TestObservationOnly:
         )
         assert "replay_loop" in scalar.profile
         assert "finalize" in scalar.profile
+
+
+class ResidencyLog(ResidencyObserver):
+    """Every residency of a replay: ``(block, fill ordinal, core mask)``."""
+
+    def __init__(self):
+        self.residencies = []
+
+    def residency_ended(self, block, set_index, fill_ordinal, end_ordinal,
+                        fill_pc, fill_core, core_mask, write_mask, hits,
+                        other_hits, forced):
+        self.residencies.append((block, fill_ordinal, core_mask))
+
+
+def reuse_by_definition(stream, geometry):
+    """The reuse probe's ``(shared, private)`` histograms, by definition.
+
+    The distance of access ``i`` is the number of distinct other blocks of
+    its set touched since the previous access to its block, capped at
+    ``ways`` (cold accesses too); its class is that of the residency a
+    model LRU replay holds its block in: the block's latest fill at or
+    before ``i``, shared when two or more cores touched it.
+    """
+    log = ResidencyLog()
+    LlcOnlySimulator(geometry, LruPolicy(), observers=(log,)).run(stream)
+    blocks = list(stream.blocks)
+    ways, mask = geometry.ways, geometry.num_sets - 1
+    shared = [0] * (ways + 1)
+    private = [0] * (ways + 1)
+    for i, block in enumerate(blocks):
+        prev = max((j for j in range(i) if blocks[j] == block), default=None)
+        distance = ways if prev is None else min(ways, len({
+            other for other in blocks[prev + 1:i]
+            if other & mask == block & mask and other != block
+        }))
+        __, ___, core_mask = max(
+            r for r in log.residencies if r[0] == block and r[1] <= i + 1
+        )
+        side = shared if bin(core_mask).count("1") >= 2 else private
+        side[distance] += 1
+    return shared, private
+
+
+class TestReuseProbe:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        accesses=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 2, 63, 64, 127]),
+                st.sampled_from(REPLAY_PCS),
+                st.integers(0, 40),
+                st.booleans(),
+            ),
+            max_size=200,
+        ),
+        geometry=geometries(),
+        fastpath=st.booleans(),
+    )
+    def test_summary_matches_definition(self, accesses, geometry, fastpath):
+        # Core ids up to 127 fill the stream's int8 core column.
+        stream = make_stream(accesses)
+        summary = run_probed_replay(
+            stream, geometry, "lru", ["reuse"], fastpath=fastpath,
+        ).probes["reuse"]
+        shared, private = reuse_by_definition(stream, geometry)
+        assert summary["ways"] == geometry.ways
+        assert summary["shared"]["histogram"] == shared
+        assert summary["private"]["histogram"] == private
 
 
 class TestPolicyInternalProbes:

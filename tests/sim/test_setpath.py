@@ -12,7 +12,7 @@ pins the engine's own contracts:
 * observer exactness — the assembled walk replays the scalar model's
   callback sequence verbatim, argument for argument, for every kernel
   family (and under hypothesis-driven adversarial streams);
-* the walk's degenerate-distance contract;
+* the walk's residency contract;
 * dispatch — :func:`run_policy_on_stream` takes eligible tiers, records
   why scalar-tier replays declined, and honours the gate.
 """
@@ -43,7 +43,7 @@ from tests.conftest import make_stream
 from tests.strategies import replay_stream_lists
 
 SETPATH_POLICIES = (
-    "lip", "bip", "dip", "srrip", "brrip", "drrip", "nru", "random",
+    "lru", "lip", "bip", "dip", "srrip", "brrip", "drrip", "nru", "random",
 )
 
 GEOMETRIES = [
@@ -93,7 +93,7 @@ class TestTierResolution:
         stream = mixed_stream(n=200)
         geometry = CacheGeometry(8 * 4 * 64, 4)
         assert planned_tier(SrripPolicy()) == "set"
-        assert planned_tier(LruPolicy()) == "stack"
+        assert planned_tier(LruPolicy()) == "set"
         for name in ("srrip", "lru", "dip"):
             assert (run_policy_on_stream(stream, geometry, name).tier
                     == planned_tier(make_policy(name)))
@@ -264,15 +264,18 @@ class TestObserverExactness:
 
 
 class TestWalkContract:
-    def test_distances_are_degenerate_hit_miss_markers(self):
+    def test_every_access_lands_in_a_residency_of_its_block(self):
         stream = mixed_stream()
         geometry = CacheGeometry(8 * 4 * 64, 4)
         walk = reconstruct_setpath_replay(
             stream, geometry, make_policy("srrip", seed=1)
         )
-        assert set(walk.distances) <= {0, geometry.ways}
-        assert walk.misses == sum(
-            1 for d in walk.distances if d == geometry.ways
+        assert walk.res_fill == sorted(walk.res_fill)
+        for i, rid in enumerate(walk.rids):
+            assert walk.res_block[rid] == stream.blocks[i]
+            assert walk.res_fill[rid] <= i
+        assert walk.misses == walk.residencies == sum(
+            1 for i, rid in enumerate(walk.rids) if walk.res_fill[rid] == i
         )
         assert walk.hits + walk.misses == walk.n == len(stream)
 
@@ -331,12 +334,12 @@ class TestDispatch:
         assert plan_replay(bound, (), (), True, True).reason == "bound"
 
     def test_tiers_are_recorded_on_results(self):
-        assert self._replay("lru").tier == "stack"
+        assert self._replay("lru").tier == "set"
         assert self._replay("srrip").tier == "set"
         assert self._replay("dip").tier == "dueling"
 
     def test_unbound_instance_passes_through(self):
-        assert self._replay(LruPolicy()).tier == "stack"
+        assert self._replay(LruPolicy()).tier == "set"
         assert self._replay(SrripPolicy()).tier == "set"
 
     def test_replay_twice_is_deterministic(self):

@@ -3,9 +3,9 @@
 Fast tiers vs scalar, promising *bit-identical* results: the accelerated
 replays against the scalar ``LlcOnlySimulator`` model, checked for
 **every registered policy** plus OPT. The replay planner gives each
-policy a tier (``stack`` for plain LRU's stack-distance walk,
-``set``/``dueling`` for the set-partitioned kernels, ``scalar`` for SHiP
-and wrapped policies; ``tests/sim/test_plan.py`` pins the table); fast
+policy a tier (``set``/``dueling`` for the set-partitioned kernels,
+plain LRU included, ``scalar`` for SHiP and wrapped policies;
+``tests/sim/test_plan.py`` pins the table); fast
 tiers must match the scalar model exactly *and* record the tier that ran,
 while scalar-tier policies must never take a fast tier (taking one for a
 policy it does not model would be the bug).
@@ -25,11 +25,11 @@ from bisect import bisect_right
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.policies.lru import LruPolicy
 from repro.policies.registry import POLICY_NAMES, make_policy
 from repro.sim.experiment import ExperimentContext
-from repro.sim.fastpath import replay_lru_fastpath
 from repro.sim.multipass import run_opt, run_policy_on_stream
-from repro.sim.setpath import reconstruct_psel_series
+from repro.sim.setpath import reconstruct_psel_series, replay_setpath
 from tests.conftest import make_stream
 
 
@@ -57,7 +57,7 @@ def geometry():
 
 
 EXPECTED_TIERS = {
-    "lru": "stack",
+    "lru": "set",
     "lip": "set",
     "bip": "set",
     "dip": "dueling",
@@ -97,7 +97,7 @@ class TestFastTiersVsScalar:
         assert scalar.tier == "scalar"
 
     def test_fastpath_replay_matches_scalar_directly(self, stream, geometry):
-        fast = replay_lru_fastpath(stream, geometry)
+        fast = replay_setpath(stream, geometry, LruPolicy())
         scalar = run_policy_on_stream(
             stream, geometry, "lru", seed=0, fastpath=False
         )
