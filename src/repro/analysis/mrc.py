@@ -2,18 +2,25 @@
 
 Uses the Mattson stack-distance histogram of an LLC stream to produce the
 fully-associative LRU miss ratio at *every* capacity at once — the
-one-pass alternative to simulating each size. Set-associative LRU tracks
-the fully-associative curve closely at the paper's 16-way associativity, so
-the MRC serves as an independent cross-check of the simulator (tested) and
-as the cheap scout for capacity sweeps (F7).
+one-pass alternative to simulating each size. The histogram comes from
+the simulator's one stack walk,
+:func:`repro.sim.fastpath.lru_stack_distances`, run over one set: a
+single ``max_depth``-way set *is* the fully associative LRU stack, capped
+at that depth. Set-associative LRU tracks the fully-associative curve
+closely at the paper's 16-way associativity, so the MRC serves as an
+independent cross-check of the simulator (tested) and as the cheap scout
+for capacity sweeps (F7).
 """
 
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.cache.stream import LlcStream
-from repro.characterization.reuse import ReuseDistanceProfiler
 from repro.common.errors import ConfigError
+from repro.common.stats import ratio
+from repro.sim.fastpath import lru_stack_distances
 
 
 @dataclass(frozen=True)
@@ -57,26 +64,38 @@ def compute_mrc(
 ) -> MissRatioCurve:
     """Profile ``stream`` once and evaluate the LRU MRC at each capacity.
 
+    One stack walk gives every access's distance, capped at ``max_depth``
+    (cold misses and deeper reuses take the sentinel ``max_depth``); one
+    ``bincount`` of the distances and a cumulative-sum threshold per
+    capacity give its hits, ``distance < capacity``.
+
     Args:
         stream: recorded LLC demand stream.
         capacities_blocks: capacities (in blocks) to evaluate, any order.
         max_depth: stack-depth cap; must cover the largest capacity.
 
     Raises:
-        ConfigError: on an empty capacity list or one exceeding the depth.
+        ConfigError: on an empty capacity list, a non-positive depth or a
+            capacity exceeding the depth.
     """
     capacities = sorted(set(capacities_blocks))
     if not capacities:
         raise ConfigError("need at least one capacity")
+    if max_depth <= 0:
+        raise ConfigError(f"max_depth must be positive, got {max_depth}")
     if capacities[-1] > max_depth:
         raise ConfigError(
             f"largest capacity {capacities[-1]} exceeds max_depth {max_depth}"
         )
-    profiler = ReuseDistanceProfiler(max_depth=max_depth)
-    for block in stream.blocks:
-        profiler.access(block)
+    n = len(stream.blocks)
+    distances = np.frombuffer(
+        lru_stack_distances(stream.blocks, 1, max_depth), dtype=np.int32)
+    # hits[c] = accesses with distance < c.
+    hits = np.zeros(max_depth + 2, dtype=np.int64)
+    np.cumsum(np.bincount(distances, minlength=max_depth + 1), out=hits[1:])
     points: List[Tuple[int, float]] = [
-        (capacity, profiler.miss_ratio_at(capacity)) for capacity in capacities
+        (capacity, ratio(n - int(hits[max(capacity, 0)]), n))
+        for capacity in capacities
     ]
     return MissRatioCurve(
         stream_name=stream.name, accesses=len(stream), points=tuple(points)

@@ -8,14 +8,11 @@ attach to any simulated LLC (full-hierarchy or replay):
 * :class:`SharingPhaseTracker` — temporal stability of a block's sharing
   behaviour across consecutive residencies (the quantity fill-time history
   predictors implicitly bet on).
-* :class:`ReuseDistanceProfiler` — LRU stack-distance histogram of the LLC
-  stream, with a miss-ratio-curve helper.
 """
 
 from repro.characterization.hits import HitBreakdown, SharingClassifier, popcount
 from repro.characterization.pc_profile import PcProfile, PcSharingProfiler
 from repro.characterization.phases import PhaseStats, SharingPhaseTracker
-from repro.characterization.reuse import ReuseDistanceProfiler
 from repro.characterization.report import CharacterizationReport, characterize_stream
 
 __all__ = [
@@ -26,7 +23,6 @@ __all__ = [
     "PcSharingProfiler",
     "PhaseStats",
     "SharingPhaseTracker",
-    "ReuseDistanceProfiler",
     "CharacterizationReport",
     "characterize_stream",
 ]

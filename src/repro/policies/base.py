@@ -38,13 +38,12 @@ REPLAY_SCALAR = "scalar"
 """No exact fast path is known; replay through the scalar cache model."""
 
 REPLAY_GRID = "grid"
-"""Grid replay: one pass amortised across a whole configuration grid.
+"""Grid replay: one LRU stack walk amortised across a whole ways grid.
 
 Never planned for a single replay — it is an engine tier stamped on
-results by :mod:`repro.sim.gridpath` when a cell's counters came out of a
-shared single-pass walk (stack-distance thresholding across ways, a
-stacked parameter kernel, or a shared set partition) rather than an
-independent replay (see DESIGN.md decision 10).
+results by :mod:`repro.sim.gridpath` when a cell's counters came out of
+the shared Mattson walk (stack-distance thresholding across ways) rather
+than an independent replay (see DESIGN.md decision 10).
 """
 
 REPLAY_TIERS = (REPLAY_STACK, REPLAY_SET, REPLAY_DUELING, REPLAY_SCALAR)

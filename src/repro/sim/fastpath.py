@@ -15,10 +15,11 @@ per-set *stack distance* — the number of distinct blocks of the same set
 touched since the previous access to the same block: ``hit iff distance <
 ways``. :func:`lru_stack_distances` is the one walk that computes it. It
 serves what depends on distances rather than on one cache's contents: a
-whole LRU associativity grid (:mod:`repro.sim.gridpath`) and the reuse
-probe's histogram (:mod:`repro.sim.probes`). A single LRU replay, with or
-without observers, runs the set tier's lockstep kernel like every other
-per-set policy.
+whole LRU associativity grid (:mod:`repro.sim.gridpath`), the reuse
+probe's histogram (:mod:`repro.sim.probes`) and the miss-ratio curve
+(:mod:`repro.analysis.mrc`, one set of ``max_depth`` ways). A single LRU
+replay, with or without observers, runs the set tier's lockstep kernel
+like every other per-set policy.
 """
 
 from array import array

@@ -40,15 +40,16 @@ the scalar tier; DESIGN.md decision 9 has the argument.
 
 Observer-carrying replays additionally record the residency skeleton
 (fills and the residencies they evict) at every step and stitch it back
-into global fill order (:class:`ReplayWalk`); a vectorized metadata pass
-and the observer replay then emit exactly the callback sequence the
-scalar model would have produced.
+into global fill order (:class:`ReplayWalk`); one vectorized metadata
+pass, for any core id, and the observer replay then emit exactly the
+callback sequence the scalar model would have produced.
 
 Which policies run here is decided by the replay planner
 (:func:`repro.sim.plan.plan_replay`), whose
 :data:`repro.sim.plan.REPLAY_KERNELS` table also names the kernel family
 each class steps through; :func:`repro.sim.multipass.run_policy_on_stream`
-carries the plan out.
+carries the plan out, for single replays and for every grid cell that
+:mod:`repro.sim.gridpath`'s LRU stack walk does not serve.
 """
 
 from array import array
@@ -376,98 +377,6 @@ def _lockstep(lanes: _Lanes, ways: int, family: str, rmax: int = 0,
     return hits, int(protected), int(exempted), int(released)
 
 
-def _count_rrip_sync_stacked(
-    part: StreamPartition, ways: int, configs
-) -> List[int]:
-    """Stacked synchronous SRRIP kernel: every parameter variant at once.
-
-    ``configs`` is a sequence of ``(rmax, insertion_rrpv)`` pairs — one per
-    grid variant. State generalizes :func:`_lockstep`'s SRRIP recurrence,
-    over ``-1``-padded rows in set order, by a leading variant axis
-    flattened into the row dimension: row ``v * num_sets + s`` is variant
-    ``v``'s copy of set ``s``. Each step broadcasts the same block column
-    to every variant (``np.tile``); per-row ``rmax``/insertion vectors
-    (``np.repeat`` over the variant axis) parameterize the aging and fill
-    updates; per-variant hits come back from one ``bincount`` over
-    ``row // num_sets``. The per-step Python overhead — the reason a warm
-    parameter sweep used to cost one full replay per variant — is paid
-    once for the whole grid.
-
-    Exactness: variants never interact (disjoint row blocks), so each
-    variant's rows step through exactly the recurrence its own
-    :func:`_lockstep` run would — the differential suite pins
-    bit-identity per variant.
-
-    Two representation changes keep the stacked step from costing what
-    ``nv`` independent steps would:
-
-    * **Compact block ids** — the kernel only ever compares blocks for
-      equality, so the address column is remapped through ``np.unique``
-      to dense ``int32`` ids once, halving the traffic of the dominant
-      ``(rows, ways)`` comparison.
-    * **Offset-form RRPVs** — the true RRPV of ``(row, way)`` is
-      ``rel[row, way] + off[row]``. The aging rounds on a victimless
-      miss add the same delta to every way of the row, which in offset
-      form is one scatter-add into ``off`` instead of a gather / age /
-      write-back round trip over the row's RRPV vector; hits and
-      insertions store absolute values minus the row offset. ``argmax``
-      over ``rel`` still finds the victim because the offset is uniform
-      within a row.
-    """
-    nv = len(configs)
-    lens = np.diff(part.starts)
-    if nv == 0 or len(lens) == 0:
-        return [0] * nv
-    maxlen = int(lens.max())
-    num_sets = part.num_sets
-    ids = np.unique(part.blocks_np, return_inverse=True)[1].astype(np.int32)
-    seg = np.full((num_sets, maxlen), -1, dtype=np.int32)
-    col = np.arange(maxlen)
-    seg[col[None, :] < lens[:, None]] = ids
-    total = nv * num_sets
-    rmax_rows = np.repeat(
-        np.asarray([rmax for rmax, __ in configs], dtype=np.int64), num_sets
-    )
-    ins_rows = np.repeat(
-        np.asarray([ins for __, ins in configs], dtype=np.int64), num_sets
-    )
-    blk = np.full((total, ways), -1, dtype=np.int32)
-    rel = np.tile(rmax_rows[:, None], (1, ways))
-    off = np.zeros(total, dtype=np.int64)
-    filled = np.zeros(total, dtype=np.int64)
-    hits = np.zeros(nv, dtype=np.int64)
-    segT = np.tile(seg, (nv, 1)).T.copy()  # (maxlen, total), contiguous rows
-    actT = segT >= 0
-    match = np.empty((total, ways), dtype=bool)
-    for i in range(maxlen):
-        b = segT[i]
-        np.equal(blk, b[:, None], out=match)
-        is_hit = match.any(axis=1)
-        is_hit &= actT[i]
-        hit_rows = np.flatnonzero(is_hit)
-        if hit_rows.size:
-            hit_ways = match.argmax(axis=1)[hit_rows]
-            rel[hit_rows, hit_ways] = -off[hit_rows]
-            hits += is_hit.reshape(nv, num_sets).sum(axis=1)
-        miss_rows = np.flatnonzero(actT[i] ^ is_hit)
-        if not miss_rows.size:
-            continue
-        fill_count = filled[miss_rows]
-        cold = fill_count < ways
-        way = fill_count.copy()
-        filled[miss_rows[cold]] += 1
-        full_rows = miss_rows[~cold]
-        if full_rows.size:
-            sub = rel[full_rows]
-            victim = sub.argmax(axis=1)
-            top = sub[np.arange(full_rows.size), victim] + off[full_rows]
-            off[full_rows] += rmax_rows[full_rows] - top
-            way[~cold] = victim
-        rel[miss_rows, way] = ins_rows[miss_rows] - off[miss_rows]
-        blk[miss_rows, way] = b[miss_rows]
-    return [int(h) for h in hits]
-
-
 # ----------------------------------------------------------------------
 # Phase 3: two-phase dueling (PSEL time-series reconstruction)
 # ----------------------------------------------------------------------
@@ -578,14 +487,15 @@ def _leader_pass(part: StreamPartition, blocks, base, run):
             *_psel_steps(fills, is_b[blocks[fills] & mask], duel))
 
 
-def _run_partitioned(stream: LlcStream, part: StreamPartition,
-                     geometry: CacheGeometry, policy,
+def _run_partitioned(stream: LlcStream, geometry: CacheGeometry, policy,
                      trail: Optional[list], profile=None) -> int:
-    """Replay every set of ``policy`` (see :func:`_kernel`); returns hits.
+    """Partition ``stream`` and replay every set of ``policy`` (see
+    :func:`_kernel`); returns hits.
 
     Count mode when ``trail`` is None. An oracle wrapper gets the study
     counters the object model would have counted.
     """
+    part = partition_stream(stream.blocks, geometry.num_sets, profile=profile)
     start = perf_counter()
     base, tier, run = _kernel(stream, geometry, policy, trail)
     if tier == REPLAY_DUELING:
@@ -713,50 +623,19 @@ def _assemble_walk(trail: list, stream: LlcStream,
     return walk
 
 
-_MAX_NUMPY_CORE = 62
-"""Highest core id the int64 mask kernel handles (1 << core must fit)."""
+_MAX_INT64_CORE = 62
+"""Highest core id whose mask bit, ``1 << core``, fits an int64."""
 
 
-def _reconstruct_python(walk: ReplayWalk, stream: LlcStream) -> None:
-    """Pure-Python metadata pass for core ids above :data:`_MAX_NUMPY_CORE`."""
-    count = walk.residencies
-    res_hits = [0] * count
-    res_other = [0] * count
-    res_cmask = [0] * count
-    res_wmask = [0] * count
-    fill_core = [0] * count
-    cores, __, ___, writes = stream.columns()
-    rids = walk.rids
-    res_fill = walk.res_fill
-    for i in range(walk.n):
-        rid = rids[i]
-        core = cores[i]
-        bit = 1 << core
-        if res_fill[rid] != i:
-            res_hits[rid] += 1
-            res_cmask[rid] |= bit
-            if writes[i]:
-                res_wmask[rid] |= bit
-            if core != fill_core[rid]:
-                res_other[rid] += 1
-        else:
-            fill_core[rid] = core
-            res_cmask[rid] = bit
-            res_wmask[rid] = bit if writes[i] else 0
-    walk.res_hits = res_hits
-    walk.res_other_hits = res_other
-    walk.res_core_mask = res_cmask
-    walk.res_write_mask = res_wmask
-
-
-def _reconstruct_numpy(walk: ReplayWalk, stream: LlcStream) -> bool:
-    """Vectorized metadata pass; returns False when it must defer.
+def _reconstruct_numpy(walk: ReplayWalk, stream: LlcStream) -> None:
+    """Vectorized metadata pass.
 
     Segmented reductions over the (stable) rid-sorted stream columns:
     ``bincount`` for hit and other-hit counts, ``bitwise_or.reduceat`` for
-    the core and write masks. Defers to :func:`_reconstruct_python` for
-    core ids too wide for int64 masks (never the case for the paper's
-    8-core machine).
+    the core and write masks. The masks are int64 while every core id is
+    at most :data:`_MAX_INT64_CORE` (the paper's machine has 8 cores) and
+    Python ints in object arrays above that, which the same shifts,
+    reductions and ``where`` serve unchanged.
     """
     count = walk.residencies
     if count == 0:
@@ -764,17 +643,17 @@ def _reconstruct_numpy(walk: ReplayWalk, stream: LlcStream) -> bool:
         walk.res_other_hits = []
         walk.res_core_mask = []
         walk.res_write_mask = []
-        return True
+        return
     cores_np, __, ___, writes_np = stream.numpy_columns()
-    if int(cores_np.max()) > _MAX_NUMPY_CORE:
-        return False
+    mask_type = np.int64 if int(cores_np.max()) <= _MAX_INT64_CORE else object
     rids_np = np.frombuffer(walk.rids, dtype=np.int64)
     res_fill_np = np.asarray(walk.res_fill, dtype=np.int64)
     hit_mask = np.ones(walk.n, dtype=bool)
     hit_mask[res_fill_np] = False
 
     fill_core = cores_np[res_fill_np].astype(np.int64)
-    core_bits = np.left_shift(np.int64(1), cores_np.astype(np.int64))
+    core_bits = np.left_shift(np.array(1, dtype=mask_type),
+                              cores_np.astype(mask_type))
 
     res_hits = np.bincount(rids_np[hit_mask], minlength=count)
     other = hit_mask & (cores_np.astype(np.int64) != fill_core[rids_np])
@@ -786,22 +665,13 @@ def _reconstruct_numpy(walk: ReplayWalk, stream: LlcStream) -> bool:
     np.cumsum(counts[:-1], out=starts[1:])
     sorted_bits = core_bits[order]
     res_cmask = np.bitwise_or.reduceat(sorted_bits, starts)
-    write_bits = np.where(writes_np[order] != 0, sorted_bits, np.int64(0))
+    write_bits = np.where(writes_np[order] != 0, sorted_bits, 0)
     res_wmask = np.bitwise_or.reduceat(write_bits, starts)
 
     walk.res_hits = res_hits.tolist()
     walk.res_other_hits = res_other.tolist()
     walk.res_core_mask = res_cmask.tolist()
     walk.res_write_mask = res_wmask.tolist()
-    return True
-
-
-def _reconstruct(walk: ReplayWalk, stream: LlcStream) -> str:
-    """Rebuild ``walk``'s residency metadata; returns the kernel that ran."""
-    if _reconstruct_numpy(walk, stream):
-        return "numpy"
-    _reconstruct_python(walk, stream)
-    return "python"
 
 
 def _replay_observers(
@@ -872,25 +742,19 @@ def reconstruct_setpath_replay(
     ``policy`` must be an unbound setpath-eligible instance; it is bound
     here. ``profile``, when a dict, receives the wall times of the
     partition, the kernels, the assembly and the metadata pass
-    (``reconstruct``), plus the metadata kernel that ran
-    (``reconstruct_kernel``: ``"numpy"`` or ``"python"``).
+    (``reconstruct``).
     """
     _setpath_tier(policy, stream)
     trail: list = []
-    _run_partitioned(
-        stream, partition_stream(stream.blocks, geometry.num_sets,
-                                 profile=profile),
-        geometry, policy, trail, profile=profile,
-    )
+    _run_partitioned(stream, geometry, policy, trail, profile=profile)
     start = perf_counter()
     walk = _assemble_walk(trail, stream, geometry)
     if profile is not None:
         profile["assemble"] = perf_counter() - start
         start = perf_counter()
-    kernel = _reconstruct(walk, stream)
+    _reconstruct_numpy(walk, stream)
     if profile is not None:
         profile["reconstruct"] = perf_counter() - start
-        profile["reconstruct_kernel"] = kernel
     return walk
 
 
@@ -925,12 +789,8 @@ def replay_setpath(
             profile["observer_replay"] = perf_counter() - phase_start
         hits, misses = walk.hits, walk.misses
     else:
-        part = partition_stream(
-            stream.blocks, geometry.num_sets, profile=profile
-        )
-        hits = _run_partitioned(
-            stream, part, geometry, policy, None, profile=profile
-        )
+        hits = _run_partitioned(stream, geometry, policy, None,
+                                profile=profile)
         misses = n - hits
     return LlcSimResult(
         policy=policy.name,

@@ -633,7 +633,7 @@ def summarize_spans(events: List[Dict]) -> Dict[str, RunningStats]:
 
 
 REPLAY_SPAN_STAGES = ("replay", "replay_grid", "inspect_replay")
-"""Span stages that each record one replay (or one shared grid pass)."""
+"""Span stages that each record one replay (or one LRU grid walk)."""
 
 
 def summarize_replays(events: List[Dict]) -> Dict[Tuple[str, ...], int]:

@@ -1,6 +1,7 @@
 """Tests for miss-ratio-curve computation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.mrc import compute_mrc
 from repro.common.config import CacheGeometry
@@ -10,7 +11,70 @@ from repro.sim.engine import LlcOnlySimulator
 from tests.conftest import read_stream
 
 
+def lru_fully_assoc_misses(blocks, capacity):
+    """Reference: directly simulated fully-associative LRU."""
+    stack = []
+    misses = 0
+    for block in blocks:
+        if block in stack:
+            stack.remove(block)
+        else:
+            misses += 1
+            if len(stack) == capacity:
+                stack.pop()
+        stack.insert(0, block)
+    return misses
+
+
 class TestComputeMrc:
+    def test_matches_direct_fully_associative_lru(self):
+        blocks = [1, 2, 3, 1, 4, 2, 5, 1, 3, 3, 2, 6, 1]
+        capacities = (1, 2, 3, 4, 8)
+        curve = compute_mrc(read_stream(blocks), capacities)
+        for capacity in capacities:
+            assert curve.miss_ratio_at(capacity) == lru_fully_assoc_misses(
+                blocks, capacity
+            ) / len(blocks)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=12), max_size=150),
+        st.integers(min_value=1, max_value=10),
+    )
+    def test_property_matches_direct_lru(self, blocks, capacity):
+        curve = compute_mrc(read_stream(blocks), [capacity])
+        misses = lru_fully_assoc_misses(blocks, capacity)
+        assert curve.miss_ratio_at(capacity) == (
+            misses / len(blocks) if blocks else 0.0
+        )
+
+    def test_miss_ratio(self):
+        curve = compute_mrc(read_stream([1, 1, 1, 2]), [4])
+        assert curve.miss_ratio_at(4) == 0.5
+
+    def test_depth_cap_keeps_capacities_within_it_exact(self):
+        # Reuses at distance 2 and 3 fall past a depth-2 cap into the far
+        # bucket, which every capacity up to the cap counts as misses.
+        blocks = [1, 2, 3, 1, 2, 4, 1, 1, 3, 2]
+        capped = compute_mrc(read_stream(blocks), [1, 2], max_depth=2)
+        deep = compute_mrc(read_stream(blocks), [1, 2])
+        assert capped.points == deep.points
+        for capacity in (1, 2):
+            assert capped.miss_ratio_at(capacity) == lru_fully_assoc_misses(
+                blocks, capacity
+            ) / len(blocks)
+
+    def test_capacity_at_depth_accepted_one_past_rejected(self):
+        stream = read_stream([1, 2, 3, 4, 1])
+        curve = compute_mrc(stream, [4], max_depth=4)
+        assert curve.miss_ratio_at(4) == 4 / 5
+        with pytest.raises(ConfigError, match="exceeds max_depth"):
+            compute_mrc(stream, [5], max_depth=4)
+
+    def test_invalid_depth(self):
+        with pytest.raises(ConfigError, match="must be positive"):
+            compute_mrc(read_stream([1]), [1], max_depth=0)
+
     def test_monotone_non_increasing(self):
         blocks = [b % 30 for b in range(2000)]
         curve = compute_mrc(read_stream(blocks), [4, 8, 16, 32, 64])

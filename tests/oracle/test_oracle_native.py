@@ -303,12 +303,15 @@ class TestOracleBitIdentity:
             made.append(make_wrapper(base, budgets))
             return made[-1]
 
-        results = replay_geometry_grid(stream, grid, factory)
+        results = replay_geometry_grid(stream, grid, factory, fastpath=True)
         assert len(made) == len(grid)
         for geometry, result, wrapper in zip(grid, results, made):
             alone = make_wrapper(base, budgets)
-            cell = run_policy_on_stream(stream, geometry, alone, seed=SEED)
-            assert (result.tier, cell.tier) == ("grid", ENGINES[base][0])
+            cell = run_policy_on_stream(stream, geometry, alone, seed=SEED,
+                                        fastpath=False)
+            # Each cell is its own planned replay on the lockstep kernel.
+            assert (result.tier, result.backend, result.reason) == (
+                *ENGINES[base], "")
             assert (result.hits, result.misses) == (cell.hits, cell.misses)
             assert counters(wrapper) == counters(alone)
 

@@ -6,14 +6,15 @@ exactly what the scalar ``LlcOnlySimulator(geometry, LruPolicy(),
 observers)`` replay produces — same hit/miss counts, same observer
 callbacks with the same arguments in the same order (victim-ended before
 fill-started, forced flushes in (set, way) order). Hypothesis drives
-random streams across geometries and both metadata-reconstruction kernels
-(numpy, and the pure-Python pass that serves core ids too wide for int64
-masks). :func:`lru_stack_distances`, the one stack-distance walk, is
-pinned against the distance's definition.
+random streams across geometries through the one metadata pass, whose
+masks are int64 up to core 62 and Python ints above.
+:func:`lru_stack_distances`, the one stack-distance walk, is pinned
+against the distance's definition.
 """
 
 import os
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.llc import ResidencyObserver
@@ -30,12 +31,6 @@ from repro.sim.fastpath import (
     lru_stack_distances,
 )
 from repro.sim.multipass import run_policy_on_stream
-from repro.sim.setpath import (
-    _reconstruct_numpy,
-    _reconstruct_python,
-    _replay_observers,
-    reconstruct_setpath_replay,
-)
 from tests.conftest import make_stream
 from tests.strategies import replay_stream_lists
 
@@ -97,34 +92,6 @@ class TestEquivalence:
 
     @settings(max_examples=40, deadline=None)
     @given(accesses=accesses_strategy, geometry_index=st.integers(0, 3))
-    def test_python_kernel_matches_scalar(self, accesses, geometry_index):
-        geometry = GEOMETRIES[geometry_index]
-        stream = make_stream(accesses)
-        slow_obs, fast_obs = RecordingObserver(), RecordingObserver()
-        scalar_replay(stream, geometry, observers=(slow_obs,))
-        walk = reconstruct_setpath_replay(stream, geometry, LruPolicy())
-        _reconstruct_python(walk, stream)
-        _replay_observers(walk, stream, (fast_obs,))
-        assert fast_obs.events == slow_obs.events
-
-    @settings(max_examples=40, deadline=None)
-    @given(accesses=accesses_strategy, geometry_index=st.integers(0, 3))
-    def test_numpy_kernel_matches_python(self, accesses, geometry_index):
-        geometry = GEOMETRIES[geometry_index]
-        stream = make_stream(accesses)
-        walk = reconstruct_setpath_replay(stream, geometry, LruPolicy())
-
-        def metadata():
-            return (list(walk.res_hits), list(walk.res_other_hits),
-                    list(walk.res_core_mask), list(walk.res_write_mask))
-
-        assert _reconstruct_numpy(walk, stream)
-        vectorized = metadata()
-        _reconstruct_python(walk, stream)
-        assert metadata() == vectorized
-
-    @settings(max_examples=40, deadline=None)
-    @given(accesses=accesses_strategy, geometry_index=st.integers(0, 3))
     def test_no_observer_counts_match_scalar(self, accesses, geometry_index):
         geometry = GEOMETRIES[geometry_index]
         stream = make_stream(accesses)
@@ -132,20 +99,22 @@ class TestEquivalence:
         fast = fast_replay(stream, geometry)
         assert fast == slow  # LlcSimResult equality excludes timing
 
-    def test_wide_core_ids_defer_to_python(self):
-        # Core 63 overflows the int64 mask kernel; the numpy pass must
-        # defer rather than produce wrong masks.
-        stream = make_stream([(63, 0x100, b, False) for b in range(8)]
-                             + [(63, 0x100, b, False) for b in range(8)])
+    @pytest.mark.parametrize("wide", (63, 127))
+    def test_wide_core_ids_match_the_model(self, wide):
+        # 1 << 63 overflows an int64 mask, so these masks are Python ints;
+        # stream cores are int8, so 127 is the widest id a stream holds.
+        cores = (0, 5, 62, wide)
+        stream = make_stream([
+            (cores[i % 4], 0x100, (i * 3) % 11, i % 3 == 0)
+            for i in range(64)
+        ])
         geometry = CacheGeometry(2 * 4 * 64, 4)
         obs_fast, obs_slow = RecordingObserver(), RecordingObserver()
         fast_replay(stream, geometry, observers=(obs_fast,))
         scalar_replay(stream, geometry, observers=(obs_slow,))
         assert obs_fast.events == obs_slow.events
-        profile = {}
-        reconstruct_setpath_replay(stream, geometry, LruPolicy(),
-                                   profile=profile)
-        assert profile["reconstruct_kernel"] == "python"
+        assert any(event[0] == "ended" and event[7] >> wide & 1
+                   and event[8] >> wide & 1 for event in obs_slow.events)
 
 
 class TestStackDistances:
@@ -178,6 +147,12 @@ class TestStackDistances:
         assert list(got) == self.brute_force(
             blocks, geometry.num_sets, geometry.ways
         )
+
+    def test_one_set_is_the_fully_associative_stack(self):
+        # 1 and 2 cold, 1 at distance 1, 3 cold, 2 and 1 at distance 2,
+        # then an immediate reuse at distance 0.
+        got = lru_stack_distances([1, 2, 1, 3, 2, 1, 1], 1, 8)
+        assert list(got) == [8, 8, 1, 8, 2, 2, 0]
 
     def test_hit_iff_distance_below_ways(self, small_geometry):
         blocks = [0, 8, 16, 24, 32, 0, 8, 99, 0]

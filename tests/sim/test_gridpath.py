@@ -1,19 +1,21 @@
-"""Differential tests for the single-pass grid replay layer.
+"""Differential tests for the grid replay layer.
 
-The grid layer's whole contract is *bit-identity with per-cell replay*:
+The grid layer's whole contract is *bit-identity with the object model*:
 every cell of a geometry or parameter grid must carry exactly the
-counters an independent replay of that cell would have produced, with the
-engine-assigned ``grid`` tier recorded where a shared pass ran and the
-cell's own tier where it fell back. This file pins that matrix:
+counters the scalar model gives that cell, with the engine-assigned
+``grid`` tier recorded where the LRU stack walk served it and, on every
+other cell, the tier, backend and reason of the cell's own replay plan.
+The references run with the fast path off: a non-LRU cell *is* a
+:func:`run_policy_on_stream` replay, so a fast-path reference would
+compare that code with itself. This file pins that matrix:
 
 * :func:`lru_grid_hits` against per-associativity LRU replays
   (Mattson inclusion, including degenerate grids);
-* geometry grids for every eligible tier — the LRU stack-distance walk,
-  set (LIP/BIP/NRU/SRRIP/BRRIP/random), dueling (DIP/DRRIP) — plus the
-  forced-scalar fallback pin (SHiP) and the disabled-fastpath gate;
-* parameter grids — the stacked SRRIP kernel, stochastic epsilon
-  variants over the shared partition, dueling variants, and mixed grids
-  with scalar stragglers;
+* geometry grids for every planned tier — the LRU stack-distance walk,
+  set (LIP/BIP/NRU/SRRIP/BRRIP/random), dueling (DIP/DRRIP), scalar
+  (SHiP) — and the disabled-fastpath gate;
+* parameter grids — the SRRIP ``rrpv_bits`` grid, stochastic epsilon
+  variants, and a mixed grid over every tier;
 * oracle grids/variants against independent ``run_oracle_study`` calls
   (the memoized annotation sharing must not change a single number);
 * a hypothesis-driven adversarial stream case;
@@ -29,17 +31,24 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
-from repro.policies.base import REPLAY_GRID, REPLAY_SCALAR
+from repro.policies.base import (
+    REPLAY_DUELING,
+    REPLAY_GRID,
+    REPLAY_SCALAR,
+    REPLAY_SET,
+)
+from repro.policies.lru import LruPolicy
 from repro.policies.registry import make_policy
 from repro.policies.rrip import BrripPolicy, SrripPolicy
 from repro.sim.engine import LlcOnlySimulator
 from repro.sim.gridpath import (
     lru_grid_hits,
     replay_geometry_grid,
-    replay_lru_grid,
     replay_param_grid,
 )
 from repro.sim.multipass import run_policy_on_stream
+from repro.sim.nativepath import native_enabled
+from repro.sim.plan import plan_replay
 from repro.oracle.runner import run_oracle_study, run_oracle_study_grid, run_oracle_variants
 from tests.conftest import make_stream
 from tests.strategies import replay_stream_lists
@@ -50,8 +59,8 @@ GRID_POLICIES = (
     "lru", "lip", "bip", "dip", "srrip", "brrip", "drrip", "nru", "random",
 )
 
-# Shared num_sets groups *and* a distinct one, so grids exercise both the
-# walk/partition sharing and the per-num_sets re-partition.
+# Shared num_sets groups *and* a distinct one, so LRU grids exercise both
+# a walk shared across ways and one walk per num_sets.
 GEOMETRY_GRID = [
     CacheGeometry(8 * 2 * 64, 2),    # 8 sets x 2 ways
     CacheGeometry(8 * 4 * 64, 4),    # 8 sets x 4 ways  (shares the group)
@@ -70,6 +79,24 @@ def mixed_stream(n=4000, spread=160):
 
 
 accesses_strategy = replay_stream_lists()
+
+
+def stamps(result):
+    """A result's (tier, backend, reason) provenance."""
+    return result.tier, result.backend, result.reason
+
+
+def own_plan(policy, stream):
+    """The (tier, backend, reason) the planner gives one cell's instance
+    with the fast path on and the native gate as the environment sets it."""
+    plan = plan_replay(policy, (), stream, True, native_enabled())
+    return plan.tier, plan.backend, plan.reason
+
+
+def model(stream, geometry, policy, **kwargs):
+    """The cell's object-model reference."""
+    return run_policy_on_stream(stream, geometry, policy, fastpath=False,
+                                **kwargs)
 
 
 class TestLruGridHits:
@@ -100,59 +127,76 @@ class TestGeometryGrid:
     def test_bit_identity_every_tier(self, policy):
         stream = mixed_stream()
         cells = replay_geometry_grid(
-            stream, GEOMETRY_GRID, policy=policy, seed=SEED
+            stream, GEOMETRY_GRID, policy=policy, seed=SEED, fastpath=True,
         )
         assert len(cells) == len(GEOMETRY_GRID)
         for geometry, cell in zip(GEOMETRY_GRID, cells):
-            ref = run_policy_on_stream(
-                stream, geometry, policy, seed=SEED, fastpath=True
-            )
-            assert cell == ref
-            assert cell.tier == REPLAY_GRID
+            assert cell == model(stream, geometry, policy, seed=SEED)
+            if policy == "lru":
+                assert stamps(cell) == (REPLAY_GRID, "python", "")
+            else:
+                assert stamps(cell) == own_plan(
+                    make_policy(policy, seed=cell_seed(policy)), stream)
 
-    def test_scalar_policy_falls_back_per_cell(self):
+    def test_scalar_policy_replays_per_cell(self):
         # SHiP's globally coupled SHCT makes it scalar-tier by design; the
-        # grid layer must replay it per cell and record the scalar tier
-        # (the PR 5 contract), never stamp it as grid.
+        # grid layer must replay it per cell and record the cell's own
+        # plan, never stamp it as grid.
         stream = mixed_stream(1500, 80)
         profile = {}
         cells = replay_geometry_grid(
             stream, GEOMETRY_GRID[:2], policy="ship", seed=SEED,
-            profile=profile,
+            fastpath=True, profile=profile,
         )
         for geometry, cell in zip(GEOMETRY_GRID[:2], cells):
-            ref = run_policy_on_stream(
-                stream, geometry, "ship", seed=SEED, fastpath=True
-            )
-            assert cell == ref
+            assert cell == model(stream, geometry, "ship", seed=SEED)
+            assert stamps(cell) == own_plan(
+                make_policy("ship", seed=cell_seed("ship")), stream)
             assert cell.tier == REPLAY_SCALAR
-        assert profile["grid_fallback_cells"] == 2
+        assert profile == {"grid_cells": 2}
 
-    def test_disabled_fastpath_matches_scalar(self):
+    @pytest.mark.parametrize("policy", ("lru", "srrip"))
+    def test_disabled_fastpath_matches_scalar(self, policy):
         stream = mixed_stream(1200, 60)
         cells = replay_geometry_grid(
-            stream, GEOMETRY_GRID[:2], policy="srrip", seed=SEED,
+            stream, GEOMETRY_GRID[:2], policy=policy, seed=SEED,
             fastpath=False,
         )
         for geometry, cell in zip(GEOMETRY_GRID[:2], cells):
             scalar = LlcOnlySimulator(
                 geometry,
-                make_policy("srrip", seed=cell_seed("srrip")),
+                make_policy(policy, seed=cell_seed(policy)),
             ).run(stream)
             assert cell == scalar
-            assert cell.tier != REPLAY_GRID
+            assert stamps(cell) == (REPLAY_SCALAR, "model", "fastpath-off")
 
     def test_factory_spec_matches_per_cell_instances(self):
         stream = mixed_stream(1500, 90)
         cells = replay_geometry_grid(
             stream, GEOMETRY_GRID, policy=lambda: SrripPolicy(rrpv_bits=3),
-            seed=SEED,
+            seed=SEED, fastpath=True,
         )
         for geometry, cell in zip(GEOMETRY_GRID, cells):
-            ref = run_policy_on_stream(
-                stream, geometry, SrripPolicy(rrpv_bits=3), fastpath=True
-            )
-            assert cell == ref
+            assert cell == model(stream, geometry, SrripPolicy(rrpv_bits=3))
+            assert stamps(cell) == own_plan(SrripPolicy(rrpv_bits=3), stream)
+
+    def test_only_exact_lru_takes_the_walk(self):
+        class TweakedLru(LruPolicy):
+            name = "tweaked-lru"
+
+        stream = mixed_stream(1200, 60)
+        walked = replay_geometry_grid(
+            stream, GEOMETRY_GRID, LruPolicy, fastpath=True)
+        assert {stamps(cell) for cell in walked} == {
+            (REPLAY_GRID, "python", "")}
+        # A subclass may change what the walk assumes: each of its cells
+        # is its own planned replay, on the model.
+        cells = replay_geometry_grid(
+            stream, GEOMETRY_GRID, TweakedLru, fastpath=True)
+        for geometry, cell in zip(GEOMETRY_GRID, cells):
+            assert cell == model(stream, geometry, TweakedLru())
+            assert stamps(cell) == own_plan(TweakedLru(), stream) == (
+                REPLAY_SCALAR, "model", "no-kernel")
 
     def test_prebuilt_instance_rejected(self):
         stream = mixed_stream(200, 20)
@@ -179,88 +223,58 @@ def cell_seed(name, seed=SEED):
 
 
 class TestParamGrid:
-    def test_stacked_srrip_bit_identity(self):
+    def test_srrip_rrpv_grid_bit_identity(self):
         stream = mixed_stream()
         geometry = CacheGeometry(8 * 8 * 64, 8)
         bits = (1, 2, 3, 4)
         cells = replay_param_grid(
-            stream, geometry, [SrripPolicy(rrpv_bits=b) for b in bits]
+            stream, geometry, [SrripPolicy(rrpv_bits=b) for b in bits],
+            fastpath=True,
         )
         for b, cell in zip(bits, cells):
-            ref = run_policy_on_stream(
-                stream, geometry, SrripPolicy(rrpv_bits=b), fastpath=True
-            )
-            assert cell == ref
-            assert cell.tier == REPLAY_GRID
+            assert cell == model(stream, geometry, SrripPolicy(rrpv_bits=b))
+            assert stamps(cell) == own_plan(SrripPolicy(rrpv_bits=b), stream)
+            assert cell.tier == REPLAY_SET
 
-    def test_stochastic_epsilon_grid_shares_partition_exactly(self):
+    def test_stochastic_epsilon_grid_bit_identity(self):
         # BRRIP variants draw from per-set RNG streams derived from their
-        # own seeds; replaying each over the shared partition must equal
-        # the independent replay bit for bit.
+        # own seeds; each cell must equal the model's replay bit for bit.
         stream = mixed_stream(2500, 120)
         geometry = CacheGeometry(8 * 4 * 64, 4)
         variants = [
-            BrripPolicy(seed=3, throttle=8),
-            BrripPolicy(seed=3, throttle=32),
-            BrripPolicy(seed=11, throttle=32),
+            lambda: BrripPolicy(seed=3, throttle=8),
+            lambda: BrripPolicy(seed=3, throttle=32),
+            lambda: BrripPolicy(seed=11, throttle=32),
         ]
-        cells = replay_param_grid(stream, geometry, variants)
-        refs = [
-            run_policy_on_stream(
-                stream, geometry, BrripPolicy(seed=3, throttle=8),
-                fastpath=True,
-            ),
-            run_policy_on_stream(
-                stream, geometry, BrripPolicy(seed=3, throttle=32),
-                fastpath=True,
-            ),
-            run_policy_on_stream(
-                stream, geometry, BrripPolicy(seed=11, throttle=32),
-                fastpath=True,
-            ),
-        ]
-        for cell, ref in zip(cells, refs):
-            assert cell == ref
-            assert cell.tier == REPLAY_GRID
+        cells = replay_param_grid(
+            stream, geometry, [variant() for variant in variants],
+            fastpath=True,
+        )
+        for variant, cell in zip(variants, cells):
+            assert cell == model(stream, geometry, variant())
+            assert stamps(cell) == own_plan(variant(), stream)
 
-    def test_mixed_grid_tiers_and_fallbacks(self):
-        # A grid mixing every tier: stacked SRRIPs, a dueling DRRIP, a
-        # set-tier LRU over the shared partition and a scalar SHiP
-        # (forced per-cell fallback pin).
+    def test_mixed_grid_tiers(self):
+        # A grid over every tier: SRRIPs and LRU on the set tier, a
+        # dueling DRRIP and a scalar SHiP; each cell carries its own plan.
         stream = mixed_stream(2500, 120)
         geometry = CacheGeometry(8 * 4 * 64, 4)
-        cells = replay_param_grid(
-            stream, geometry,
-            [
-                SrripPolicy(rrpv_bits=1),
-                SrripPolicy(rrpv_bits=2),
-                make_policy("drrip", seed=cell_seed("drrip")),
-                make_policy("lru", seed=cell_seed("lru")),
-                make_policy("ship", seed=cell_seed("ship")),
-            ],
-        )
-        refs = [
-            run_policy_on_stream(
-                stream, geometry, SrripPolicy(rrpv_bits=1), fastpath=True
-            ),
-            run_policy_on_stream(
-                stream, geometry, SrripPolicy(rrpv_bits=2), fastpath=True
-            ),
-            run_policy_on_stream(
-                stream, geometry, "drrip", seed=SEED, fastpath=True
-            ),
-            run_policy_on_stream(
-                stream, geometry, "lru", seed=SEED, fastpath=True
-            ),
-            run_policy_on_stream(
-                stream, geometry, "ship", seed=SEED, fastpath=True
-            ),
+        variants = [
+            lambda: SrripPolicy(rrpv_bits=1),
+            lambda: SrripPolicy(rrpv_bits=2),
+            lambda: make_policy("drrip", seed=cell_seed("drrip")),
+            lambda: make_policy("lru", seed=cell_seed("lru")),
+            lambda: make_policy("ship", seed=cell_seed("ship")),
         ]
-        for cell, ref in zip(cells, refs):
-            assert cell == ref
-        tiers = [cell.tier for cell in cells]
-        assert tiers == [
-            REPLAY_GRID, REPLAY_GRID, REPLAY_GRID, REPLAY_GRID,
+        cells = replay_param_grid(
+            stream, geometry, [variant() for variant in variants],
+            fastpath=True,
+        )
+        for variant, cell in zip(variants, cells):
+            assert cell == model(stream, geometry, variant())
+            assert stamps(cell) == own_plan(variant(), stream)
+        assert [cell.tier for cell in cells] == [
+            REPLAY_SET, REPLAY_SET, REPLAY_DUELING, REPLAY_SET,
             REPLAY_SCALAR,
         ]
 
@@ -309,7 +323,7 @@ class TestCellsAndSpans:
         )
         assert len(calls) <= len(cells) == 3
 
-    def test_every_unshared_cell_emits_one_replay_span(self, record_spans):
+    def test_every_param_cell_emits_one_replay_span(self, record_spans):
         stream = mixed_stream(1500, 90)
         geometry = CacheGeometry(8 * 4 * 64, 4)
         cells = []
@@ -317,14 +331,22 @@ class TestCellsAndSpans:
             stream, geometry,
             [SrripPolicy(), SrripPolicy(rrpv_bits=3), make_policy("ship"),
              make_policy("lru"), make_policy("dip", seed=1)],
+            fastpath=True,
         )))
-        unshared = [cell for cell in cells if cell.tier != REPLAY_GRID]
-        replays = [s for s in spans if s["stage"] == "replay"]
-        assert sorted((s["policy"], s["tier"]) for s in replays) == sorted(
-            (cell.policy, cell.tier) for cell in unshared
-        ) == [("ship", "scalar")]
-        [grid] = [s for s in spans if s["stage"] == "replay_grid"]
-        assert (grid["cells"], grid["backend"]) == (4, "numpy")
+        # One replay span per cell, in cell order, and no replay_grid span.
+        assert len(cells) == 5
+        assert [(s["stage"], s["policy"], s["tier"], s["backend"],
+                 s["reason"]) for s in spans] == [
+            ("replay", cell.policy, *stamps(cell)) for cell in cells]
+
+    def test_lru_geometry_grid_emits_one_grid_span(self, record_spans):
+        stream = mixed_stream(1500, 90)
+        spans = record_spans(lambda: replay_geometry_grid(
+            stream, GEOMETRY_GRID, fastpath=True))
+        [grid] = spans
+        assert (grid["stage"], grid["tier"], grid["backend"]) == (
+            "replay_grid", REPLAY_GRID, "python")
+        assert (grid["cells"], grid["groups"]) == (4, 2)
 
 
 class TestOracleGrid:
@@ -376,20 +398,16 @@ class TestHypothesisStreams:
             CacheGeometry(2 * 2 * 64, 2),
         ]
         lru_cells = replay_geometry_grid(
-            stream, geometries, policy="lru", seed=SEED
+            stream, geometries, policy="lru", seed=SEED, fastpath=True
         )
         srrip_cells = replay_geometry_grid(
-            stream, geometries, policy="srrip", seed=SEED
+            stream, geometries, policy="srrip", seed=SEED, fastpath=True
         )
         for geometry, lru_cell, srrip_cell in zip(
             geometries, lru_cells, srrip_cells
         ):
-            assert lru_cell == run_policy_on_stream(
-                stream, geometry, "lru", seed=SEED, fastpath=True
-            )
-            assert srrip_cell == run_policy_on_stream(
-                stream, geometry, "srrip", seed=SEED, fastpath=True
-            )
+            assert lru_cell == model(stream, geometry, "lru", seed=SEED)
+            assert srrip_cell == model(stream, geometry, "srrip", seed=SEED)
 
 
 class TestF7Golden:

@@ -21,6 +21,7 @@ from repro.common.rng import derive_seed
 from repro.policies.base import REPLAY_SCALAR
 from repro.policies.ship import ShipPolicy
 from repro.sim.engine import LlcOnlySimulator
+from repro.sim.fastpath import FASTPATH_ENV
 from repro.sim.multipass import run_policy_on_stream
 from repro.sim.nativepath import NO_NATIVE_ENV, replay_ship_nativepath
 from repro.sim.plan import plan_replay
@@ -32,13 +33,16 @@ SEED = 11
 
 @pytest.fixture(autouse=True)
 def _auto_native_gates(monkeypatch):
-    """Pin the native env gate to its default.
+    """Pin the native and fastpath env gates to their default.
 
-    The CI matrix runs the whole suite with ``REPRO_SIM_NO_NATIVE=1`` (the
-    escape-hatch job); these tests probe the gate itself, so they must see
-    the unset-auto state regardless of the ambient environment.
+    The CI matrix runs the whole suite with ``REPRO_SIM_NO_NATIVE=1`` and
+    with ``REPRO_SIM_NO_FASTPATH=1`` (the escape-hatch jobs); these tests
+    probe the native gate itself, which sits behind the fastpath gate, so
+    they must see the unset-auto state regardless of the ambient
+    environment.
     """
     monkeypatch.delenv(NO_NATIVE_ENV, raising=False)
+    monkeypatch.delenv(FASTPATH_ENV, raising=False)
 
 GEOMETRIES = [
     CacheGeometry(8 * 4 * 64, 4),    # 8 sets x 4 ways

@@ -182,6 +182,9 @@ class TestReportedPlan:
     def test_probe_free_ship_replay_takes_the_compact_kernel(
         self, stream, small_geometry, monkeypatch
     ):
+        from repro.sim.fastpath import FASTPATH_ENV
+
+        monkeypatch.delenv(FASTPATH_ENV, raising=False)
         monkeypatch.delenv("REPRO_SIM_NO_NATIVE", raising=False)
         report = run_probed_replay(stream, small_geometry, "ship", [])
         assert report.result.backend == "compact"

@@ -95,7 +95,8 @@ class TestTierResolution:
         assert planned_tier(SrripPolicy()) == "set"
         assert planned_tier(LruPolicy()) == "set"
         for name in ("srrip", "lru", "dip"):
-            assert (run_policy_on_stream(stream, geometry, name).tier
+            assert (run_policy_on_stream(stream, geometry, name,
+                                         fastpath=True).tier
                     == planned_tier(make_policy(name)))
 
     def test_bound_instance_demotes_to_scalar(self):
@@ -163,6 +164,29 @@ class TestObserverExactness:
         )
         assert fast.events == slow.events
         assert result.tier in ("set", "dueling")
+
+    @pytest.mark.parametrize("policy", ("srrip", "drrip", "random"))
+    def test_wide_core_masks_identical_to_scalar(self, policy):
+        # Core ids above 62 overflow an int64 mask bit; the metadata pass
+        # then builds the masks as Python ints (stream cores are int8).
+        cores = (0, 5, 62, 63, 100, 127)
+        stream = make_stream([
+            (cores[i % 6], 0x100 + (i % 3) * 0x10,
+             (i * 7 + (i // 13) * 3) % 90, i % 4 == 0)
+            for i in range(1500)
+        ])
+        geometry = CacheGeometry(8 * 4 * 64, 4)
+        slow = RecordingObserver()
+        LlcOnlySimulator(
+            geometry, make_policy(policy, seed=11), observers=(slow,)
+        ).run(stream)
+        fast = RecordingObserver()
+        replay_setpath(
+            stream, geometry, make_policy(policy, seed=11), observers=(fast,)
+        )
+        assert fast.events == slow.events
+        assert any(event[0] == "ended" and event[7] >> 127 & 1
+                   for event in slow.events)
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_counts_identical_across_geometries(self, geometry):
@@ -312,11 +336,11 @@ class TestDispatch:
         # scalar backend: the result is scalar-tier and its backend
         # records the native kernel, not the object model.
         monkeypatch.delenv("REPRO_SIM_NO_NATIVE", raising=False)
-        result = self._replay("ship")
+        result = self._replay("ship", fastpath=True)
         assert (result.tier, result.backend) == ("scalar", "compact")
 
     def test_scalar_tier_declines_without_native(self):
-        result = self._replay("ship", native=False)
+        result = self._replay("ship", fastpath=True, native=False)
         assert (result.backend, result.reason) == ("model", "native-off")
 
     def test_uncovered_scalar_policies_decline(self):
@@ -327,20 +351,20 @@ class TestDispatch:
             def residency_started(self, *a): pass
             def residency_ended(self, *a): pass
 
-        assert self._replay("ship", observers=(Observer(),)).reason == (
-            "observers")
+        assert self._replay("ship", observers=(Observer(),),
+                            fastpath=True).reason == "observers"
         bound = make_policy("ship", seed=1)
         bound.bind(CacheGeometry(8 * 4 * 64, 4))
         assert plan_replay(bound, (), (), True, True).reason == "bound"
 
     def test_tiers_are_recorded_on_results(self):
-        assert self._replay("lru").tier == "set"
-        assert self._replay("srrip").tier == "set"
-        assert self._replay("dip").tier == "dueling"
+        assert self._replay("lru", fastpath=True).tier == "set"
+        assert self._replay("srrip", fastpath=True).tier == "set"
+        assert self._replay("dip", fastpath=True).tier == "dueling"
 
     def test_unbound_instance_passes_through(self):
-        assert self._replay(LruPolicy()).tier == "set"
-        assert self._replay(SrripPolicy()).tier == "set"
+        assert self._replay(LruPolicy(), fastpath=True).tier == "set"
+        assert self._replay(SrripPolicy(), fastpath=True).tier == "set"
 
     def test_replay_twice_is_deterministic(self):
         # Per-set RNG streams are pure functions of (seed, set): two

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.sim import telemetry
+from repro.sim.fastpath import FASTPATH_ENV
 from repro.sim.nativepath import NO_NATIVE_ENV
 
 FAST = ["--accesses", "3000", "--workloads", "swaptions", "water"]
@@ -240,6 +241,7 @@ class TestNoNativeCli:
     def test_no_native_is_scoped_to_its_command(self, capsys, tmp_path,
                                                 monkeypatch):
         monkeypatch.delenv(NO_NATIVE_ENV, raising=False)
+        monkeypatch.delenv(FASTPATH_ENV, raising=False)
         cache = str(tmp_path / "cache")
         args = [*self.ARGS, "--cache-dir", cache]
         assert main([*args, "--no-native"]) == 0
@@ -278,6 +280,7 @@ class TestReplaysTable:
         self, args, reason, capsys, tmp_path, monkeypatch
     ):
         monkeypatch.delenv(NO_NATIVE_ENV, raising=False)
+        monkeypatch.delenv(FASTPATH_ENV, raising=False)
         cache = str(tmp_path / "cache")
         assert main([*args, "--accesses", "3000", "--workloads", "water",
                      "--cache-dir", cache]) == 0
