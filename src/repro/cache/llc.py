@@ -28,6 +28,18 @@ class ResidencyObserver:
     to keep the eviction path allocation-free.
     """
 
+    def consume_walk(self, walk) -> bool:
+        """Take a set-tier replay's whole walk instead of its callbacks.
+
+        ``walk`` is the :class:`repro.sim.setpath.ReplayWalk` that the
+        set and dueling tiers rebuild, whose numpy columns hold every
+        residency the callbacks would describe. Return True when this
+        observer has read all it needs from them; it then receives no
+        :meth:`residency_started` or :meth:`residency_ended` call for that
+        replay. The default returns False, so the callbacks come.
+        """
+        return False
+
     def residency_started(
         self, block: int, set_index: int, fill_ordinal: int, pc: int, core: int
     ) -> None:

@@ -38,6 +38,13 @@ def characterize_stream(
 ) -> CharacterizationReport:
     """Replay ``stream`` under ``policy_name`` with characterization attached.
 
+    The replay is planned like any other. On the set and dueling tiers
+    (LRU stamps ``set``/``numpy``) the classifier reduces the rebuilt
+    replay walk's columns and receives no callback, and only the phase
+    tracker, when asked for, takes the per-residency callback replay. On
+    the object model (SHiP, or ``fastpath=False``) both take the model's
+    callbacks; the classifier feeds them through the same rule.
+
     Args:
         stream: recorded LLC demand stream.
         geometry: LLC geometry for the replay.

@@ -41,13 +41,22 @@ def build_stream_annotation(
     Vectorized via packed-key sorts and one searchsorted each. Each access
     is packed into ``(group << shift) | position`` (with ``2^shift >= n``),
     so one values-only sort lines every group up as a contiguous run of
-    ascending positions. For access ``i`` with window end ``limit``, the
-    count of same-group accesses in ``(i, limit]`` is
-    ``searchsorted(keys, (group << shift) | limit, 'right') - rank(i) - 1``.
-    Doing this once grouped by block and once grouped by (block, core)
-    yields total and same-core future counts; their difference is the
-    cross-core budget. Blocks too large to pack are factorized to dense ids
-    first; :class:`SimulationError` when even dense ids cannot pack.
+    ascending positions. For the access at sorted index ``k`` with window
+    end ``limit``, the count of same-group accesses after it up to
+    ``limit`` is ``searchsorted(keys, (group << shift) | limit, 'right') -
+    k - 1``. The queries go in sorted-key order: the limit grows with the
+    position, so they are nondecreasing, and numpy's binary search starts
+    each one from the previous answer, so consecutive searches probe
+    nearby, cached keys instead of random ones. One scatter through the
+    sorted positions then puts the counts back in stream order. Doing this
+    once grouped by block and once grouped by (block, core) yields total
+    and same-core future counts; their difference is the cross-core
+    budget. Both passes reuse three stream-length buffers (keys, sorted
+    positions, queries) and the total scatters straight into the int32
+    budgets, so the only other allocation is each search's result: fresh
+    temporaries cost measurable peak RSS (DESIGN.md decision 5). Blocks
+    too large to pack are factorized to dense ids first;
+    :class:`SimulationError` when even dense ids cannot pack.
     """
     if horizon_factor <= 0 or cap <= 0:
         raise ConfigError("horizon_factor and cap must be positive")
@@ -74,22 +83,37 @@ def build_stream_annotation(
             )
 
     positions = np.arange(n, dtype=np.int64)
-    limits = np.minimum(positions + horizon, n - 1)
     mask = (1 << shift) - 1
+    keys = groups.astype(np.int64)
+    order = np.empty_like(keys)
+    queries = np.empty_like(keys)
 
-    def future_counts(group_ids):
-        keys = (group_ids << shift) | positions
-        queries = (group_ids << shift) | limits
+    def future_counts(out):
+        # keys holds the group ids on entry. Sorted index k queries
+        # (group << shift) | limit of its access, and keys - order is its
+        # group part; limits grow with positions, so the queries are
+        # nondecreasing.
+        np.left_shift(keys, shift, out=keys)
+        np.bitwise_or(keys, positions, out=keys)
         keys.sort()
-        ranks = np.empty(n, dtype=np.int64)
-        ranks[keys & mask] = positions
-        return np.searchsorted(keys, queries, side="right") - ranks - 1
+        np.bitwise_and(keys, mask, out=order)
+        np.add(order, horizon, out=queries)
+        np.minimum(queries, n - 1, out=queries)
+        np.add(queries, keys, out=queries)
+        np.subtract(queries, order, out=queries)
+        found = np.searchsorted(keys, queries, side="right")
+        found -= positions
+        found -= 1
+        out[order] = found
 
-    total = future_counts(groups)
-    same_core = future_counts(groups * num_cores + cores_np.astype(np.int64))
-    clipped = np.minimum(total - same_core, cap).astype(np.int32)
     # array('i') exposes a writable buffer; fill ordinals 1..n in place.
-    np.frombuffer(budgets, dtype=np.int32)[1:] = clipped
+    counts = np.frombuffer(budgets, dtype=np.int32)[1:]
+    future_counts(counts)
+    np.multiply(groups, num_cores, out=keys)
+    keys += cores_np
+    future_counts(keys)
+    counts -= keys
+    np.minimum(counts, cap, out=counts)
     return budgets
 
 

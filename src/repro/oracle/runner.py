@@ -258,9 +258,12 @@ def shared_fill_fraction(
     A shared residency is one two or more cores touched (DESIGN decision
     7). The characterization replay is seeded exactly like the base pass
     of :func:`run_oracle_study` with the same ``base`` and ``seed``, so it
-    sees the same residencies. It is a replay of its own because its
-    observer costs a per-residency callback replay and keeps SHiP off the
-    compact kernel; only the reports that print the fraction pay for it.
+    sees the same residencies. It is a replay of its own because the
+    classifier needs residencies, not counts: on the set and dueling tiers
+    it reduces the columns of the rebuilt replay walk, which a count-mode
+    base pass never builds, and over SHiP its observer keeps the replay on
+    the object model, off the compact kernel. Only the reports that print
+    the fraction pay for it.
     """
     report = characterize_stream(
         stream, geometry, policy_name=base, seed=_base_seed(seed, base),

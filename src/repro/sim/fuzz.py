@@ -408,8 +408,9 @@ def replay_scenario_full(
       the full stream;
     * ``fastpath_match`` — the full-fidelity tiered replay agrees
       bit-for-bit with the ``--no-fastpath`` scalar model, per policy;
-    * probe evidence (``probe_report``) and the full oracle study attach to
-      the base policy's full replay.
+    * probe evidence (``probe_report``, without its wall-time
+      ``profile``) and the full oracle study attach to the base policy's
+      full replay.
     """
     from repro.oracle.runner import run_oracle_study, shared_fill_fraction
     from repro.policies.registry import make_policy
@@ -490,7 +491,12 @@ def replay_scenario_full(
             stream, machine.llc, config.base, probes=list(probes),
             seed=config.seed, fastpath=config.fastpath,
         )
-        record["probe_report"] = report.as_dict()
+        # The corpus is a committed artifact: it keeps the report's
+        # counts and leaves out its wall-time profile.
+        record["probe_report"] = {
+            key: value for key, value in report.as_dict().items()
+            if key != "profile"
+        }
     return record
 
 

@@ -176,10 +176,9 @@ def _ship_count_compact(blocks, sigs, num_sets: int, ways: int, rmax: int,
 # promote-hit of insert-promote/both runs *after* the base fill (it
 # increments the incoming signature's SHCT counter, exactly as the scalar
 # model does), and victim selection walks SHiP's descending-RRPV order
-# skipping protected ways, with the "nothing protected in this set"
-# short-circuit kept O(1) by a per-set protected-way count. Over a recency
-# or RRIP base, whose state is all per set, the wrapper takes the lockstep
-# kernel instead (repro.sim.setpath._lockstep).
+# skipping protected ways, which it need only do when its first choice is
+# protected. Over a recency or RRIP base, whose state is all per set, the
+# wrapper takes the lockstep kernel instead (repro.sim.setpath._lockstep).
 
 _ORACLE_MODES = {"victim-exempt": 0, "insert-promote": 1, "both": 2}
 _ORACLE_RELEASES = {"budget": 0, "first-share": 1, "never": 2}
@@ -205,7 +204,6 @@ def _oracle_count_compact(blocks, cores, hints, sigs, num_sets: int,
     budget_rows = [[0] * ways for __ in range(num_sets)]
     core_rows = [[0] * ways for __ in range(num_sets)]
     filled = [0] * num_sets
-    protected = [0] * num_sets
     hits = protected_fills = exemptions = released = 0
     for i, block in enumerate(blocks):
         entry = get(block)
@@ -226,7 +224,6 @@ def _oracle_count_compact(blocks, cores, hints, sigs, num_sets: int,
                     b = 0 if release == 1 else b - 1
                     brow[way] = b
                     if b == 0:
-                        protected[s] -= 1
                         released += 1
             continue
         s = block & set_mask
@@ -245,7 +242,10 @@ def _oracle_count_compact(blocks, cores, hints, sigs, num_sets: int,
                 for w in range(ways):
                     rrow[w] += delta
             way = rrow.index(rmax)
-            if mode != 1 and protected[s] > 0:
+            # Only a protected first choice can move: SHiP's first choice
+            # is the first way at rmax, which is also the first
+            # unprotected way of the descending-RRPV walk when unprotected.
+            if mode != 1 and brow[way] > 0:
                 best = -1
                 for v in range(rmax, -1, -1):
                     for w in range(ways):
@@ -262,9 +262,7 @@ def _oracle_count_compact(blocks, cores, hints, sigs, num_sets: int,
                 g2 = sig_rows[s][way]
                 if shct[g2] > 0:
                     shct[g2] -= 1
-            if brow[way] > 0:
-                protected[s] -= 1
-                brow[way] = 0
+            brow[way] = 0
         # Fill: base first, then the wrapper's protection bookkeeping and
         # (insert-promote/both) the synthetic promote-hit.
         g = sigs[i]
@@ -275,7 +273,6 @@ def _oracle_count_compact(blocks, cores, hints, sigs, num_sets: int,
         brow[way] = h
         core_rows[s][way] = cores[i]
         if h > 0:
-            protected[s] += 1
             protected_fills += 1
             if mode != 0:
                 rrow[way] = 0

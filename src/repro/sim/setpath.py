@@ -40,9 +40,12 @@ the scalar tier; DESIGN.md decision 9 has the argument.
 
 Observer-carrying replays additionally record the residency skeleton
 (fills and the residencies they evict) at every step and stitch it back
-into global fill order (:class:`ReplayWalk`); one vectorized metadata
-pass, for any core id, and the observer replay then emit exactly the
-callback sequence the scalar model would have produced.
+into global fill order (:class:`ReplayWalk`), and one vectorized metadata
+pass, for any core id, fills its per-residency columns. An observer that
+reduces those columns itself (the sharing classifier,
+:meth:`repro.cache.llc.ResidencyObserver.consume_walk`) takes the walk;
+for the rest the observer replay emits exactly the callback sequence the
+scalar model would have produced.
 
 Which policies run here is decided by the replay planner
 (:func:`repro.sim.plan.plan_replay`), whose
@@ -320,13 +323,18 @@ def _lockstep(lanes: _Lanes, ways: int, family: str, rmax: int = 0,
                 way[full] = draw(rows[full])
                 cells = rows * ways + way
         if exempting:
-            guard = budget.take(rows, axis=0) > 0
-            if guard.any():
-                best = np.where(guard, _NO_KEY, sub).argmax(axis=1)
+            # Only a protected first choice can move. A recency or RRIP
+            # base takes its row's first largest key, so an unprotected
+            # first choice is also the first largest unprotected key.
+            # (NRU, Random and OPT bases have no oracle plan.)
+            look = np.flatnonzero(budget_at[cells] > 0)
+            if look.size:
+                guard = budget.take(rows[look], axis=0) > 0
+                best = np.where(guard, _NO_KEY, sub[look]).argmax(axis=1)
                 # Every way protected: the base's first choice stands.
-                best = np.where(budget_at[rows * ways + best] > 0, way, best)
-                exempted += np.count_nonzero(best != way)
-                way = best
+                moved = ~guard[np.arange(look.size), best]
+                exempted += np.count_nonzero(moved)
+                way[look[moved]] = best[moved]
                 cells = rows * ways + way
         if trail is not None:
             skeleton[0].append(pos[lo:hi][rows])
@@ -563,11 +571,13 @@ def reconstruct_psel_series(
 class ReplayWalk:
     """Everything a scalar replay's observers see, rebuilt offline.
 
-    ``rids`` holds, per access, the residency id (global fill order,
-    0-based) it lands in; an access is a miss iff it is its residency's
-    fill.
+    Every column is an int64 numpy array, except that the masks are
+    object arrays of Python ints when a core id exceeds
+    :data:`_MAX_INT64_CORE`. ``rids`` holds, per access, the residency id
+    (global fill order, 0-based) it lands in; an access is a miss iff it
+    is its residency's fill.
 
-    Per-residency lists (length ``residencies``, fill order): block, fill
+    Per-residency columns (length ``residencies``, fill order): block, fill
     access index, hit and other-hit counts, core/write masks.
     ``evicted_rid[j]`` is the residency evicted by fill ``j`` (``-1`` for
     fills into empty frames), and ``live_rids`` lists the residencies
@@ -605,17 +615,15 @@ def _assemble_walk(trail: list, stream: LlcStream,
     perm = np.argsort(fill)  # fill positions are unique
     inv = np.empty(count, dtype=np.int64)
     inv[perm] = np.arange(count, dtype=np.int64)
-    ordered = fill[perm]
-    walk.res_fill = ordered.tolist()
-    walk.res_block = stream.numpy_columns()[2][ordered].tolist()
+    walk.res_fill = fill[perm]
+    walk.res_block = stream.numpy_columns()[2][walk.res_fill]
     walk.evicted_rid = np.where(
-        evicted >= 0, inv[np.maximum(evicted, 0)], np.int64(-1))[perm].tolist()
-    walk.rids = array("q", bytes(8 * n))
-    rids_np = np.frombuffer(walk.rids, dtype=np.int64)
-    rids_np[fill] = inv
-    rids_np[hit_pos] = inv[hit_rid]
+        evicted >= 0, inv[np.maximum(evicted, 0)], np.int64(-1))[perm]
+    walk.rids = np.zeros(n, dtype=np.int64)
+    walk.rids[fill] = inv
+    walk.rids[hit_pos] = inv[hit_rid]
     # The scalar flush visits sets in index order and ways in way order.
-    walk.live_rids = inv[live_ids[np.lexsort((live_ways, live_sets))]].tolist()
+    walk.live_rids = inv[live_ids[np.lexsort((live_ways, live_sets))]]
     walk.n = n
     walk.set_mask = geometry.num_sets - 1
     walk.hits = n - count
@@ -639,39 +647,32 @@ def _reconstruct_numpy(walk: ReplayWalk, stream: LlcStream) -> None:
     """
     count = walk.residencies
     if count == 0:
-        walk.res_hits = []
-        walk.res_other_hits = []
-        walk.res_core_mask = []
-        walk.res_write_mask = []
+        empty = np.zeros(0, dtype=np.int64)
+        walk.res_hits = walk.res_other_hits = empty
+        walk.res_core_mask = walk.res_write_mask = empty
         return
     cores_np, __, ___, writes_np = stream.numpy_columns()
     mask_type = np.int64 if int(cores_np.max()) <= _MAX_INT64_CORE else object
-    rids_np = np.frombuffer(walk.rids, dtype=np.int64)
-    res_fill_np = np.asarray(walk.res_fill, dtype=np.int64)
+    rids_np = walk.rids
     hit_mask = np.ones(walk.n, dtype=bool)
-    hit_mask[res_fill_np] = False
+    hit_mask[walk.res_fill] = False
 
-    fill_core = cores_np[res_fill_np].astype(np.int64)
+    fill_core = cores_np[walk.res_fill].astype(np.int64)
     core_bits = np.left_shift(np.array(1, dtype=mask_type),
                               cores_np.astype(mask_type))
 
-    res_hits = np.bincount(rids_np[hit_mask], minlength=count)
+    walk.res_hits = np.bincount(rids_np[hit_mask], minlength=count)
     other = hit_mask & (cores_np.astype(np.int64) != fill_core[rids_np])
-    res_other = np.bincount(rids_np[other], minlength=count)
+    walk.res_other_hits = np.bincount(rids_np[other], minlength=count)
 
     order = np.argsort(rids_np, kind="stable")
     counts = np.bincount(rids_np, minlength=count)
     starts = np.zeros(count, dtype=np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
     sorted_bits = core_bits[order]
-    res_cmask = np.bitwise_or.reduceat(sorted_bits, starts)
+    walk.res_core_mask = np.bitwise_or.reduceat(sorted_bits, starts)
     write_bits = np.where(writes_np[order] != 0, sorted_bits, 0)
-    res_wmask = np.bitwise_or.reduceat(write_bits, starts)
-
-    walk.res_hits = res_hits.tolist()
-    walk.res_other_hits = res_other.tolist()
-    walk.res_core_mask = res_cmask.tolist()
-    walk.res_write_mask = res_wmask.tolist()
+    walk.res_write_mask = np.bitwise_or.reduceat(write_bits, starts)
 
 
 def _replay_observers(
@@ -680,12 +681,14 @@ def _replay_observers(
     """Emit the exact callback sequence the scalar replay would produce."""
     pcs = stream.pcs
     cores = stream.cores
-    res_block = walk.res_block
-    res_fill = walk.res_fill
-    res_hits = walk.res_hits
-    res_other = walk.res_other_hits
-    res_cmask = walk.res_core_mask
-    res_wmask = walk.res_write_mask
+    # Python lists: a callback receives plain ints, and list indexing is
+    # the cheapest per-residency read.
+    res_block = walk.res_block.tolist()
+    res_fill = walk.res_fill.tolist()
+    res_hits = walk.res_hits.tolist()
+    res_other = walk.res_other_hits.tolist()
+    res_cmask = walk.res_core_mask.tolist()
+    res_wmask = walk.res_write_mask.tolist()
     set_mask = walk.set_mask
 
     def emit_ended(rid: int, end_ordinal: int, forced: bool) -> None:
@@ -706,7 +709,8 @@ def _replay_observers(
                 forced,
             )
 
-    for rid, (fill, victim_rid) in enumerate(zip(res_fill, walk.evicted_rid)):
+    for rid, (fill, victim_rid) in enumerate(
+            zip(res_fill, walk.evicted_rid.tolist())):
         if victim_rid >= 0:
             # The scalar model ends the victim's residency before the fill
             # callbacks of the access that evicted it.
@@ -716,7 +720,7 @@ def _replay_observers(
             observer.residency_started(
                 block, block & set_mask, fill + 1, pcs[fill], cores[fill]
             )
-    for rid in walk.live_rids:
+    for rid in walk.live_rids.tolist():
         emit_ended(rid, walk.n, True)
 
 
@@ -769,9 +773,12 @@ def replay_setpath(
 
     Drop-in replacement for
     ``LlcOnlySimulator(geometry, policy, observers).run(stream)`` for
-    setpath-eligible policies: same hit/miss/eviction counts, same observer
-    callbacks in the same order (equivalence-tested per policy). Without
-    observers the replay is pure classification (no skeleton).
+    setpath-eligible policies: same hit/miss/eviction counts, and every
+    observer ends up with what the model's callbacks would have given it
+    (equivalence-tested per policy). Each observer is first offered the
+    rebuilt walk (:meth:`ResidencyObserver.consume_walk`); only those
+    that decline receive the callback sequence, in the model's order.
+    Without observers the replay is pure classification (no skeleton).
     ``profile``, when a dict, receives per-phase wall times
     (``partition``, ``set_kernels``, ``psel_series`` for dueling,
     ``assemble``/``reconstruct``/``observer_replay`` with observers).
@@ -784,7 +791,9 @@ def replay_setpath(
             stream, geometry, policy, profile=profile
         )
         phase_start = perf_counter()
-        _replay_observers(walk, stream, tuple(observers))
+        callbacks = tuple(o for o in observers if not o.consume_walk(walk))
+        if callbacks:
+            _replay_observers(walk, stream, callbacks)
         if profile is not None:
             profile["observer_replay"] = perf_counter() - phase_start
         hits, misses = walk.hits, walk.misses

@@ -17,6 +17,7 @@ outright.
 """
 
 import gc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +162,23 @@ class TestOracleBitIdentity:
         assert (fast.tier, model.backend) == ("dueling", "model")
         assert fast == model
         assert counters(made[0]) == counters(made[1])
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("mode", PROTECTION_MODES)
+    def test_unprotected_first_choice_beside_protected_ways(self, base,
+                                                             mode):
+        # Six blocks of set 0, one core. A B C D fill its four ways and
+        # only B and C are protected. E's miss finds an unprotected first
+        # choice (A: the least recent, or the first way at the top RRPV)
+        # in a row whose other ways are protected: the kernels skip their
+        # exemption search there, and the victim must still be the
+        # model's. F's miss then finds the protected B first and exempts
+        # it.
+        stream = make_stream([(0, 0x400000, 16 * k, False) for k in range(6)])
+        budgets = array("i", [0, 0, 1, 1, 0, 0, 0])
+        wrapper = assert_matches_model(stream, GEOMETRY, base, budgets, mode)
+        if base in ("lru", "srrip", "ship") and mode == "victim-exempt":
+            assert wrapper.exemptions_applied == 1
 
     def test_counters_are_exercised(self):
         # The identity above is vacuous if the stream never protects or

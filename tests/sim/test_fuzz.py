@@ -241,6 +241,10 @@ class TestFullFidelityDifferential:
         scenario = sample_scenario(SMALL, 0)
         full = replay_scenario_full(SMALL, scenario, probes=("sharing",))
         assert "probe_report" in full
+        # The record holds no timing, so a rerun reproduces it.
+        assert "profile" not in full["probe_report"]
+        assert full == replay_scenario_full(SMALL, scenario,
+                                            probes=("sharing",))
         assert full["oracle_gain_full"] >= 0.0
 
     def test_stale_campaign_counts_are_caught(self):

@@ -294,12 +294,15 @@ class TestWalkContract:
         walk = reconstruct_setpath_replay(
             stream, geometry, make_policy("srrip", seed=1)
         )
-        assert walk.res_fill == sorted(walk.res_fill)
-        for i, rid in enumerate(walk.rids):
-            assert walk.res_block[rid] == stream.blocks[i]
-            assert walk.res_fill[rid] <= i
+        # The walk's columns are numpy arrays; compare them as lists.
+        res_fill, res_block = walk.res_fill.tolist(), walk.res_block.tolist()
+        rids = walk.rids.tolist()
+        assert res_fill == sorted(res_fill)
+        for i, rid in enumerate(rids):
+            assert res_block[rid] == stream.blocks[i]
+            assert res_fill[rid] <= i
         assert walk.misses == walk.residencies == sum(
-            1 for i, rid in enumerate(walk.rids) if walk.res_fill[rid] == i
+            1 for i, rid in enumerate(rids) if res_fill[rid] == i
         )
         assert walk.hits + walk.misses == walk.n == len(stream)
 
