@@ -2,16 +2,15 @@
 
 Uses the Mattson stack-distance histogram of an LLC stream to produce the
 fully-associative LRU miss ratio at *every* capacity at once — the
-one-pass alternative to simulating each size. The histogram comes from
-the simulator's one stack walk,
-:func:`repro.sim.fastpath.lru_stack_distances`, run over one set: a
-single ``max_depth``-way set *is* the fully associative LRU stack, capped
-at that depth. Set-associative LRU tracks the fully-associative curve
-closely at the paper's 16-way associativity, so the MRC serves as an
-independent cross-check of the simulator (tested) and as the cheap scout
-for capacity sweeps (F7).
+one-pass alternative to simulating each size. The distances come from a
+Fenwick tree over last-use positions (:func:`stack_distances`), O(log n)
+per access whatever the stack depth. Set-associative LRU tracks the
+fully-associative curve closely at the paper's 16-way associativity, so
+the MRC serves as an independent cross-check of the simulator (tested)
+and as the cheap scout for capacity sweeps (F7).
 """
 
+from array import array
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -20,7 +19,6 @@ import numpy as np
 from repro.cache.stream import LlcStream
 from repro.common.errors import ConfigError
 from repro.common.stats import ratio
-from repro.sim.fastpath import lru_stack_distances
 
 
 @dataclass(frozen=True)
@@ -57,6 +55,44 @@ class MissRatioCurve:
         return self.points[-1][0]
 
 
+def stack_distances(blocks: Sequence[int], cap: int) -> array:
+    """Fully associative LRU stack distance of every access, capped.
+
+    Returns an ``array('i')``: the number of distinct blocks touched since
+    the block's last use when that is below ``cap``, and ``cap`` for deeper
+    reuses and cold misses. The distance is the number of blocks whose
+    last use comes after the block's own, so a Fenwick tree with a 1 at
+    each block's last-use position answers it with one prefix sum, and
+    moving the block's mark to the current position costs two updates.
+    """
+    blocks = blocks.tolist() if hasattr(blocks, "tolist") else list(blocks)
+    n = len(blocks)
+    tree = [0] * (n + 1)
+    last = {}
+    out = array("i", [0]) * n
+    for i, block in enumerate(blocks, 1):
+        mark = last.get(block)
+        if mark is None:
+            out[i - 1] = cap
+        else:
+            below = 0  # marks at positions <= mark, its own included
+            j = mark
+            while j:
+                below += tree[j]
+                j &= j - 1
+            out[i - 1] = min(len(last) - below, cap)
+            j = mark
+            while j <= n:
+                tree[j] -= 1
+                j += j & -j
+        last[block] = i
+        j = i
+        while j <= n:
+            tree[j] += 1
+            j += j & -j
+    return out
+
+
 def compute_mrc(
     stream: LlcStream,
     capacities_blocks: Sequence[int],
@@ -64,10 +100,11 @@ def compute_mrc(
 ) -> MissRatioCurve:
     """Profile ``stream`` once and evaluate the LRU MRC at each capacity.
 
-    One stack walk gives every access's distance, capped at ``max_depth``
-    (cold misses and deeper reuses take the sentinel ``max_depth``); one
-    ``bincount`` of the distances and a cumulative-sum threshold per
-    capacity give its hits, ``distance < capacity``.
+    :func:`stack_distances` gives every access's distance, capped at
+    ``max_depth`` (cold misses and deeper reuses take the sentinel
+    ``max_depth``); one ``bincount`` of the distances and a
+    cumulative-sum threshold per capacity give its hits,
+    ``distance < capacity``.
 
     Args:
         stream: recorded LLC demand stream.
@@ -89,7 +126,7 @@ def compute_mrc(
         )
     n = len(stream.blocks)
     distances = np.frombuffer(
-        lru_stack_distances(stream.blocks, 1, max_depth), dtype=np.int32)
+        stack_distances(stream.blocks, max_depth), dtype=np.int32)
     # hits[c] = accesses with distance < c.
     hits = np.zeros(max_depth + 2, dtype=np.int64)
     np.cumsum(np.bincount(distances, minlength=max_depth + 1), out=hits[1:])

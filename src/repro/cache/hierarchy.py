@@ -23,8 +23,12 @@ Protocol, functionally:
   much of a sharing-heavy workload's LLC traffic is inclusion-induced.
 """
 
+import itertools
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from repro.cache.llc import NO_BLOCK, SharedLlc
 from repro.cache.private import PrivateCache
@@ -151,17 +155,18 @@ class CmpHierarchy:
         where_get = where.get
         llc_sets, used = llc._blocks, llc._used
         llc_mask, llc_ways = llc._set_mask, llc.ways
-        builder = self._stream_builder
-        record = builder is not None
-        if record:
-            add_core, add_pc = builder._cores.append, builder._pcs.append
-            add_block, add_write = builder._blocks.append, builder._writes.append
+        # A recording keeps the trace position of each LLC access and
+        # gathers the stream's columns from the trace at the end.
+        positions = array("q")
+        record = self._stream_builder is not None
+        add_position = positions.append
         inclusive, probe = self.inclusive, self._probe_bus
         count = start = llc.access_count
         l1_hits = l2_hits = llc_hits = evictions = upgrades = 0
         invalidations = l2_evictions = writebacks = victims = 0
 
-        for core, pc, addr, wr in zip(tids, pcs, addrs, writes):
+        for position, core, pc, addr, wr in zip(
+                itertools.count(), tids, pcs, addrs, writes):
             block = addr >> shift
             l1_set = l1_sets[core][block & l1_mask]
             if block in l1_set:
@@ -232,10 +237,7 @@ class CmpHierarchy:
                         where[block] = (set_index, way)
                         on_fill(set_index, way, block, pc, core, is_write)
                     if record:
-                        add_core(core)
-                        add_pc(pc)
-                        add_block(block)
-                        add_write(is_write)
+                        add_position(position)
                     # Fill L2, then L1 (L1 within L2).
                     l2_set.insert(0, block)
                     if len(l2_set) > l2_ways:
@@ -286,6 +288,11 @@ class CmpHierarchy:
                         dirty[other].discard(block)
             dirty[core].add(block)
 
+        if record:
+            at = np.asarray(positions)
+            self._stream_builder.extend(
+                np.asarray(tids)[at], np.asarray(pcs)[at],
+                np.asarray(addrs)[at] >> shift, np.asarray(writes)[at] != 0)
         llc_misses = count - start - llc_hits
         stats = self.stats
         stats.accesses += len(tids)

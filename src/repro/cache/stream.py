@@ -16,6 +16,7 @@ from typing import Iterator, NamedTuple, Tuple
 import numpy as np
 
 from repro.common.errors import TraceError
+from repro.trace.trace import extend_column
 
 
 def frozen_view(column, dtype):
@@ -137,6 +138,13 @@ class LlcStreamBuilder:
         self._pcs.append(pc)
         self._blocks.append(block)
         self._writes.append(1 if is_write else 0)
+
+    def extend(self, cores, pcs, blocks, writes) -> None:
+        """Record many LLC demand accesses, given as numpy columns."""
+        for column, values in zip(
+                (self._cores, self._pcs, self._blocks, self._writes),
+                (cores, pcs, blocks, writes)):
+            extend_column(column, values)
 
     def __len__(self) -> int:
         return len(self._cores)

@@ -64,7 +64,7 @@ import numpy as np
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
-from repro.common.rng import DeterministicRng
+from repro.common.rng import DeterministicRng, randrange_words
 from repro.policies.base import REPLAY_DUELING, REPLAY_SET, ReplacementPolicy
 from repro.policies.dip import BipPolicy, DuelingController
 from repro.policies.lru import LipPolicy
@@ -170,27 +170,23 @@ def _draw_table(seeds, counts, n: int) -> Tuple[np.ndarray, np.ndarray]:
     Returns ``(flat, first)``: ``flat[first[r] + j]`` for ``j <
     counts[r]`` is the ``j``-th value that successive
     ``DeterministicRng(seeds[r]).randrange(n)`` calls return.
-    ``randrange(n)`` takes the generator's next 32-bit output, keeps its
-    top ``n.bit_length()`` bits and returns the first such value below
-    ``n``; ``getrandbits(32 * w)`` returns the next ``w`` outputs, least
-    significant first. So one bulk call per row, a shift and a filter
-    give the same sequence (``tests/sim/test_setpath.py`` pins it).
+    One ``getrandbits`` call per row draws its 32-bit outputs, joined
+    into one buffer, and :func:`repro.common.rng.randrange_words` filters
+    them all at once (``tests/sim/test_setpath.py`` pins the sequence).
     """
     first = np.zeros(len(counts), dtype=np.int64)
     rows = np.flatnonzero(counts)
     need = np.asarray(counts, dtype=np.int64)[rows]
     flat = np.zeros(0, dtype=np.int64)
-    shift = 32 - n.bit_length()
-    if rows.size and shift >= 0:
+    if rows.size and n.bit_length() <= 32:
         # An output is kept with probability above one half, so a row
         # runs short of this many about once in 10^8 rows.
         words = 2 * need + 8 * np.sqrt(need).astype(np.int64) + 32
-        drawn = np.frombuffer(b"".join(
+        drawn, kept = randrange_words(np.frombuffer(b"".join(
             DeterministicRng(seeds[r]).getrandbits(32 * w).to_bytes(
                 4 * w, "little")
             for r, w in zip(rows.tolist(), words.tolist())
-        ), dtype="<u4") >> shift
-        kept = drawn < n
+        ), dtype="<u4"), n)
         flat = drawn[kept].astype(np.int64)
         got = np.add.reduceat(kept, np.cumsum(words) - words, dtype=np.int64)
         first[rows] = np.cumsum(got) - got

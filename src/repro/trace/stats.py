@@ -8,7 +8,9 @@ cache-dependent (per-residency) sharing analysis lives in
 """
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
+
+import numpy as np
 
 from repro.common.addressing import BLOCK_BYTES_DEFAULT
 from repro.common.stats import ratio
@@ -65,41 +67,25 @@ class TraceStatistics:
 def compute_trace_statistics(
     trace: Trace, block_bytes: int = BLOCK_BYTES_DEFAULT
 ) -> TraceStatistics:
-    """Single pass over ``trace`` computing :class:`TraceStatistics`."""
-    tids, pcs, addrs, writes = trace.columns()
+    """:class:`TraceStatistics` of ``trace``, as numpy reductions."""
+    tids, pcs, addrs, writes = map(np.asarray, trace.columns())
     num_threads = trace.num_threads
-
-    # Per block: bitmask of threads that touched it, and its access count.
-    toucher_mask: Dict[int, int] = {}
-    block_accesses: Dict[int, int] = {}
-    per_thread = [0] * num_threads
-    num_writes = 0
-    seen_pcs = set()
-
-    for i in range(len(tids)):
-        tid = tids[i]
-        block = addrs[i] // block_bytes
-        per_thread[tid] += 1
-        num_writes += writes[i]
-        seen_pcs.add(pcs[i])
-        toucher_mask[block] = toucher_mask.get(block, 0) | (1 << tid)
-        block_accesses[block] = block_accesses.get(block, 0) + 1
-
-    shared_blocks = 0
-    accesses_to_shared = 0
-    for block, mask in toucher_mask.items():
-        if mask & (mask - 1):  # more than one bit set => >= 2 threads
-            shared_blocks += 1
-            accesses_to_shared += block_accesses[block]
-
+    # Number the distinct blocks; a block is shared when it appears in two
+    # or more distinct (block, thread) pairs.
+    blocks, block_ids = np.unique(addrs // block_bytes, return_inverse=True)
+    width = max(num_threads, 1)
+    pairs = np.unique(block_ids * width + tids)
+    shared = np.bincount(pairs // width, minlength=len(blocks)) >= 2
+    block_accesses = np.bincount(block_ids, minlength=len(blocks))
     return TraceStatistics(
         name=trace.name,
         num_accesses=len(trace),
         num_threads=num_threads,
-        num_writes=num_writes,
-        footprint_blocks=len(toucher_mask),
-        shared_blocks=shared_blocks,
-        accesses_to_shared=accesses_to_shared,
-        per_thread_accesses=tuple(per_thread),
-        distinct_pcs=len(seen_pcs),
+        num_writes=int(writes.sum()),
+        footprint_blocks=len(blocks),
+        shared_blocks=int(np.count_nonzero(shared)),
+        accesses_to_shared=int(block_accesses[shared].sum()),
+        per_thread_accesses=tuple(
+            np.bincount(tids, minlength=num_threads).tolist()),
+        distinct_pcs=len(np.unique(pcs)),
     )

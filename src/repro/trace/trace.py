@@ -8,8 +8,23 @@ the simulator iterate with plain integer indexing.
 from array import array
 from typing import Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.common.errors import TraceError
 from repro.trace.record import Access
+
+_DTYPES = {"h": np.int16, "q": np.int64, "b": np.int8}
+"""The numpy type of each column typecode."""
+
+
+def extend_column(column: array, values) -> array:
+    """Append ``values`` to the ``array`` column ``column``.
+
+    One buffer copy, without a Python int per value; returns ``column``.
+    """
+    column.frombytes(np.ascontiguousarray(
+        values, dtype=_DTYPES[column.typecode]).view(np.uint8))
+    return column
 
 
 class Trace:

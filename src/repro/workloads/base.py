@@ -8,12 +8,12 @@ trace naming.
 """
 
 from abc import ABC, abstractmethod
-from typing import List, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng, derive_seed
 from repro.trace.interleave import interleave_streams
 from repro.trace.trace import Trace
+from repro.workloads.kernels import Streams
 from repro.workloads.layout import PcAllocator, RegionAllocator
 
 
@@ -27,7 +27,7 @@ class GeneratorContext:
         rng: deterministic RNG for the whole generation.
         regions: address-space allocator.
         pcs: program-counter allocator.
-        streams: per-thread access triples being accumulated.
+        streams: per-thread access columns being accumulated.
     """
 
     MIN_REGION_BLOCKS = 4
@@ -42,9 +42,7 @@ class GeneratorContext:
         self.rng = DeterministicRng(seed)
         self.regions = RegionAllocator()
         self.pcs = PcAllocator()
-        self.streams: List[List[Tuple[int, int, bool]]] = [
-            [] for __ in range(num_threads)
-        ]
+        self.streams = Streams(num_threads)
 
     def scaled(self, full_size_blocks: int) -> int:
         """Scale a full-size footprint (in blocks) down by ``self.scale``."""
@@ -52,7 +50,7 @@ class GeneratorContext:
 
     def total_emitted(self) -> int:
         """Accesses emitted so far across all threads."""
-        return sum(len(stream) for stream in self.streams)
+        return self.streams.total
 
 
 class WorkloadModel(ABC):
@@ -123,14 +121,15 @@ class WorkloadModel(ABC):
                     f"model {self.name!r} exceeded {self.MAX_PHASES} phases "
                     f"without reaching the access budget"
                 )
-        trace = interleave_streams(
-            ctx.streams,
+        return interleave_streams(
+            ctx.streams.columns(),
             rng=ctx.rng.spawn("interleave"),
             min_burst=min_burst,
             max_burst=max_burst,
-            name=f"{self.name}.t{num_threads}.s{scale}.n{target_accesses}.seed{seed}",
+            name=(f"{self.name}.t{num_threads}.s{scale}.n{target_accesses}"
+                  f".seed{seed}[0:{target_accesses}]"),
+            limit=target_accesses,
         )
-        return trace.slice(0, target_accesses)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r}, suite={self.suite!r})"

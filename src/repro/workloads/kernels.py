@@ -1,9 +1,20 @@
 """Reusable sharing kernels.
 
 Each kernel emits one phase-iteration of accesses into per-thread streams
-(lists of ``(pc, addr, is_write)`` triples, later interleaved by
-``repro.trace.interleave``). Application models compose kernels with
-app-specific regions, PCs and weights.
+(:class:`Streams`: chunks of numpy ``pc``, ``addr`` and ``is_write``
+columns, later interleaved by ``repro.trace.interleave``). Application
+models compose kernels with app-specific regions, PCs and weights.
+
+The kernels draw in bulk. A kernel whose draws take a fixed number of
+generator outputs each (``random()`` values) draws them all with one call
+(:func:`repro.common.rng.bulk_random`); a ``randrange`` column comes from
+filtered outputs (:func:`repro.common.rng.bulk_randrange`), which
+over-draws its generator, so it is only used on a generator the kernel
+spawned for that column. ``migratory``, ``task_queue`` and the index/write
+pairs at ``skew == 1.0`` interleave ``randrange`` with other draws, so
+they keep one scalar loop and still emit columns. Every column equals
+what the per-access loops give (``tests/workloads/kernels_reference.py``
+keeps them as the reference).
 
 The kernel set covers the sharing idioms of the paper's three suites:
 
@@ -24,16 +35,66 @@ broadcast           one writer, many readers (master/worker)
 ==================  =============================================
 """
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.common.addressing import BLOCK_BYTES_DEFAULT
-from repro.common.rng import DeterministicRng
+from repro.common.rng import DeterministicRng, bulk_random, bulk_randrange
+from repro.trace.interleave import ThreadStream
 from repro.workloads.layout import Region
 
-Streams = List[List[Tuple[int, int, bool]]]
-"""Per-thread access triples ``(pc, addr, is_write)``; index = thread id."""
-
 _B = BLOCK_BYTES_DEFAULT
+
+
+class Streams:
+    """Per-thread access streams, accumulated as chunks of columns.
+
+    A chunk is ``(pc, addrs, writes)``: ``addrs`` an int64 array of byte
+    addresses, and ``pc`` and ``writes`` either arrays of the same length
+    or one value for the whole chunk. ``len(streams)`` is the thread count.
+    """
+
+    def __init__(self, num_threads: int):
+        self._chunks: List[list] = [[] for __ in range(num_threads)]
+        self.total = 0
+        """Accesses emitted so far across all threads."""
+
+    def __len__(self) -> int:
+        return len(self._chunks)
+
+    def emit(self, tid: int, pc, addrs: np.ndarray, writes) -> None:
+        """Append the accesses ``addrs`` to thread ``tid``'s stream."""
+        if len(addrs):
+            self._chunks[tid].append((pc, addrs, writes))
+            self.total += len(addrs)
+
+    def columns(self) -> List[ThreadStream]:
+        """Each thread's ``(pcs, addrs, writes)`` columns.
+
+        Joins each thread's chunks into one, which the streams keep in
+        place of the chunks.
+        """
+        out = []
+        for chunks in self._chunks:
+            sizes = [len(addrs) for __, addrs, ___ in chunks]
+            joined = tuple(
+                _join([chunk[c] for chunk in chunks], sizes, dtype)
+                for c, dtype in enumerate((np.int64, np.int64, np.bool_))
+            )
+            chunks[:] = [joined]
+            out.append(joined)
+        return out
+
+
+def _join(parts, sizes, dtype) -> np.ndarray:
+    """Concatenate chunk columns, broadcasting one-value chunks."""
+    if not parts:
+        return np.empty(0, dtype=dtype)
+    return np.concatenate([
+        np.broadcast_to(np.asarray(part, dtype=dtype), size)
+        for part, size in zip(parts, sizes)
+    ])
 
 
 def skewed_index(rng: DeterministicRng, n: int, skew: float) -> int:
@@ -46,6 +107,54 @@ def skewed_index(rng: DeterministicRng, n: int, skew: float) -> int:
     if skew == 1.0:
         return rng.randrange(n)
     return min(n - 1, int(n * (rng.random() ** skew)))
+
+
+def _skew(uniform: np.ndarray, n: int, skew: float) -> np.ndarray:
+    """:func:`skewed_index` of each ``random()`` value (``skew != 1``).
+
+    The power stays Python float ``**`` per value: a vectorized ``pow``
+    may differ from it in the last ulp.
+    """
+    powered = np.array([u ** skew for u in uniform.tolist()],
+                       dtype=np.float64)
+    return np.minimum(n - 1, (n * powered).astype(np.int64))
+
+
+def _skewed_indices(rng: DeterministicRng, n: int, skew: float,
+                    k: int) -> np.ndarray:
+    """``k`` successive :func:`skewed_index` draws (over-draws ``rng``)."""
+    if skew == 1.0:
+        return bulk_randrange(rng, n, k)
+    return _skew(bulk_random(rng, k), n, skew)
+
+
+def _skewed_pairs(rng: DeterministicRng, n: int, skew: float, k: int,
+                  write_fraction: float):
+    """``k`` draws of ``skewed_index`` then ``random() < write_fraction``.
+
+    At ``skew == 1`` the index takes a variable number of generator
+    outputs, so the pairs are drawn one by one.
+    """
+    if skew == 1.0:
+        randrange, random = rng.randrange, rng.random
+        index, uniform = [], []
+        for __ in range(k):
+            index.append(randrange(n))
+            uniform.append(random())
+        return (np.array(index, dtype=np.int64),
+                np.array(uniform, dtype=np.float64) < write_fraction)
+    uniform = bulk_random(rng, 2 * k)
+    return _skew(uniform[0::2], n, skew), uniform[1::2] < write_fraction
+
+
+def _span(region: Region) -> np.ndarray:
+    """Byte addresses of every block of ``region``, in order."""
+    return region.block(np.arange(region.num_blocks)) * _B
+
+
+def _read_write(count: int) -> np.ndarray:
+    """``count`` read-then-write pairs' is-write flags."""
+    return np.tile(np.array([False, True]), count)
 
 
 def emit_private_stream(
@@ -63,15 +172,14 @@ def emit_private_stream(
     array, x264 current frame). ``write_fraction`` of the touches are stores
     (needs ``rng`` when non-zero).
     """
+    draw = bool(write_fraction) and rng is not None
     for tid, region in enumerate(thread_regions):
-        stream = streams[tid]
-        base = region.base_block
-        for _pass in range(passes):
-            for i in range(0, region.num_blocks, stride_blocks):
-                is_write = bool(
-                    write_fraction and rng is not None and rng.random() < write_fraction
-                )
-                stream.append((pc, (base + i) * _B, is_write))
+        index = np.arange(0, region.num_blocks, stride_blocks)
+        addrs = np.tile((region.base_block + index) * _B, passes)
+        writes = False
+        if draw:
+            writes = bulk_random(rng, len(addrs)) < write_fraction
+        streams.emit(tid, pc, addrs, writes)
 
 
 def emit_private_hotset(
@@ -89,13 +197,10 @@ def emit_private_hotset(
     Monte-Carlo state, dedup chunk buffers).
     """
     for tid, region in enumerate(thread_regions):
-        stream = streams[tid]
-        thread_rng = rng.spawn("hotset", tid)
-        n = region.num_blocks
-        base = region.base_block
-        for __ in range(accesses_per_thread):
-            block = base + skewed_index(thread_rng, n, skew)
-            stream.append((pc, block * _B, thread_rng.random() < write_fraction))
+        index, writes = _skewed_pairs(
+            rng.spawn("hotset", tid), region.num_blocks, skew,
+            accesses_per_thread, write_fraction)
+        streams.emit(tid, pc, (region.base_block + index) * _B, writes)
 
 
 def emit_shared_readonly(
@@ -113,13 +218,9 @@ def emit_shared_readonly(
     octree, bodytrack's body model.
     """
     for tid in threads if threads is not None else range(len(streams)):
-        stream = streams[tid]
-        thread_rng = rng.spawn("ro", tid)
-        n = region.num_blocks
-        base = region.base_block
-        for __ in range(accesses_per_thread):
-            block = base + skewed_index(thread_rng, n, skew)
-            stream.append((pc, block * _B, False))
+        index = _skewed_indices(
+            rng.spawn("ro", tid), region.num_blocks, skew, accesses_per_thread)
+        streams.emit(tid, pc, (region.base_block + index) * _B, False)
 
 
 def emit_shared_rw_random(
@@ -137,13 +238,10 @@ def emit_shared_rw_random(
     stressing, low-locality, read-write shared access.
     """
     for tid in range(len(streams)):
-        stream = streams[tid]
-        thread_rng = rng.spawn("rw", tid)
-        n = region.num_blocks
-        base = region.base_block
-        for __ in range(accesses_per_thread):
-            block = base + skewed_index(thread_rng, n, skew)
-            stream.append((pc, block * _B, thread_rng.random() < write_fraction))
+        index, writes = _skewed_pairs(
+            rng.spawn("rw", tid), region.num_blocks, skew,
+            accesses_per_thread, write_fraction)
+        streams.emit(tid, pc, (region.base_block + index) * _B, writes)
 
 
 def emit_producer_consumer(
@@ -161,20 +259,16 @@ def emit_producer_consumer(
     writes appear in the producer's stream before the consumer's reads, and
     the interleaver preserves per-thread order, so consumers observe
     recently produced (LLC-resident) data — the constructive sharing the
-    paper's oracle protects.
+    paper's oracle protects. The producer fills its buffer in block order
+    whatever ``chunk_blocks`` is.
     """
     num_threads = len(streams)
-    for tid, buffer in enumerate(buffers):
-        producer = streams[tid]
-        for chunk_start in range(0, buffer.num_blocks, chunk_blocks):
-            end = min(chunk_start + chunk_blocks, buffer.num_blocks)
-            for i in range(chunk_start, end):
-                producer.append((pc_produce, buffer.block(i) * _B, True))
-    for tid, buffer in enumerate(buffers):
+    spans = [_span(buffer) for buffer in buffers]
+    for tid, span in enumerate(spans):
+        streams.emit(tid, pc_produce, span, True)
+    for tid, span in enumerate(spans):
         for hop in range(1, hops + 1):
-            consumer = streams[(tid + hop) % num_threads]
-            for i in range(buffer.num_blocks):
-                consumer.append((pc_consume, buffer.block(i) * _B, False))
+            streams.emit((tid + hop) % num_threads, pc_consume, span, False)
 
 
 def emit_migratory(
@@ -196,21 +290,23 @@ def emit_migratory(
     """
     num_threads = len(streams)
     slots = max(1, region.num_blocks // item_blocks)
-    for item in range(items):
-        slot = rng.randrange(slots)
-        first = rng.randrange(num_threads)
-        tid = first
-        for __ in range(hops):
-            stream = streams[tid]
-            for rep in range(rmw_repeats):
-                for b in range(item_blocks):
-                    addr = region.block(slot * item_blocks + b) * _B
-                    stream.append((pc, addr, False))
-                    stream.append((pc, addr, True))
-            next_tid = rng.randrange(num_threads)
+    randrange = rng.randrange
+    visits = [[] for __ in range(num_threads)]
+    for __ in range(items):
+        slot = randrange(slots)
+        tid = randrange(num_threads)
+        for ___ in range(hops):
+            visits[tid].append(slot)
+            next_tid = randrange(num_threads)
             if num_threads > 1 and next_tid == tid:
                 next_tid = (tid + 1) % num_threads
             tid = next_tid
+    # A visit reads then writes each block of its item, rmw_repeats times.
+    offsets = np.tile(np.arange(item_blocks), rmw_repeats)
+    for tid, slots_visited in enumerate(visits):
+        index = np.array(slots_visited, dtype=np.int64)[:, None] * item_blocks
+        addrs = np.repeat(region.block(index + offsets).ravel() * _B, 2)
+        streams.emit(tid, pc, addrs, _read_write(len(addrs) // 2))
 
 
 def emit_halo_exchange(
@@ -236,29 +332,28 @@ def emit_halo_exchange(
     total_rows = grid.num_blocks // row_blocks
     rows_per_thread = max(1, total_rows // num_threads)
 
-    def row_addrs(row: int):
-        start = row * row_blocks
-        return [grid.block(start + b) * _B for b in range(row_blocks)]
+    def rows(first: int, last: int) -> np.ndarray:
+        """Byte addresses of rows ``first..last``, in order."""
+        return grid.block(
+            np.arange(first * row_blocks, (last + 1) * row_blocks)) * _B
 
     for __ in range(sweeps):
         for tid in range(num_threads):
-            stream = streams[tid]
             first_row = tid * rows_per_thread
             last_row = min(total_rows, first_row + rows_per_thread) - 1
             if first_row > last_row:
                 continue
             # Halo reads: neighbour rows just outside the band.
             if first_row > 0:
-                for addr in row_addrs(first_row - 1):
-                    stream.append((pc_halo, addr, False))
+                streams.emit(tid, pc_halo, rows(first_row - 1, first_row - 1),
+                             False)
             if last_row < total_rows - 1:
-                for addr in row_addrs(last_row + 1):
-                    stream.append((pc_halo, addr, False))
+                streams.emit(tid, pc_halo, rows(last_row + 1, last_row + 1),
+                             False)
             # Interior compute: read then write own rows.
-            for row in range(first_row, last_row + 1):
-                for addr in row_addrs(row):
-                    stream.append((pc_compute, addr, False))
-                    stream.append((pc_compute, addr, True))
+            own = rows(first_row, last_row)
+            streams.emit(tid, pc_compute, np.repeat(own, 2),
+                         _read_write(len(own)))
 
 
 def emit_reduction(
@@ -274,20 +369,14 @@ def emit_reduction(
     strides — producer-consumer sharing with a deterministic pairing.
     """
     num_threads = len(streams)
-    for tid, region in enumerate(partials):
-        stream = streams[tid]
-        for i in range(region.num_blocks):
-            stream.append((pc_write, region.block(i) * _B, True))
+    spans = [_span(region) for region in partials]
+    for tid, span in enumerate(spans):
+        streams.emit(tid, pc_write, span, True)
     stride = 1
     while stride < num_threads:
         for tid in range(0, num_threads - stride, 2 * stride):
-            reader = streams[tid]
-            source = partials[tid + stride]
-            for i in range(source.num_blocks):
-                reader.append((pc_combine, source.block(i) * _B, False))
-            mine = partials[tid]
-            for i in range(mine.num_blocks):
-                reader.append((pc_combine, mine.block(i) * _B, True))
+            streams.emit(tid, pc_combine, spans[tid + stride], False)
+            streams.emit(tid, pc_combine, spans[tid], True)
         stride *= 2
 
 
@@ -304,12 +393,10 @@ def emit_lock_hotspot(
     highest-frequency sharing in the models.
     """
     for tid in range(len(streams)):
-        stream = streams[tid]
-        thread_rng = rng.spawn("lock", tid)
-        for __ in range(rounds_per_thread):
-            addr = region.block(thread_rng.randrange(region.num_blocks)) * _B
-            stream.append((pc, addr, False))
-            stream.append((pc, addr, True))
+        index = bulk_randrange(
+            rng.spawn("lock", tid), region.num_blocks, rounds_per_thread)
+        streams.emit(tid, pc, np.repeat(region.block(index) * _B, 2),
+                     _read_write(rounds_per_thread))
 
 
 def emit_task_queue(
@@ -331,18 +418,31 @@ def emit_task_queue(
     Models bodytrack's and radiosity's dynamic load balancing.
     """
     slots = max(1, tasks.num_blocks // task_blocks)
+    randrange, random = rng.randrange, rng.random
+    columns = [[[], [], []] for __ in range(len(streams))]
     for task in range(num_tasks):
-        tid = rng.randrange(len(streams))
-        stream = streams[tid]
+        pcs, addrs, writes = columns[randrange(len(streams))]
         head = queue.block(task % queue.num_blocks) * _B
-        stream.append((pc_queue, head, False))
-        stream.append((pc_queue, head, True))
-        slot = rng.randrange(slots)
+        pcs.append(pc_queue)
+        pcs.append(pc_queue)
+        addrs.append(head)
+        addrs.append(head)
+        writes.append(False)
+        writes.append(True)
+        slot = randrange(slots)
         for b in range(task_blocks):
             addr = tasks.block(slot * task_blocks + b) * _B
-            stream.append((pc_task, addr, False))
-            if rng.random() < task_write_fraction:
-                stream.append((pc_task, addr, True))
+            pcs.append(pc_task)
+            addrs.append(addr)
+            writes.append(False)
+            if random() < task_write_fraction:
+                pcs.append(pc_task)
+                addrs.append(addr)
+                writes.append(True)
+    for tid, (pcs, addrs, writes) in enumerate(columns):
+        streams.emit(tid, np.array(pcs, dtype=np.int64),
+                     np.array(addrs, dtype=np.int64),
+                     np.array(writes, dtype=np.bool_))
 
 
 def emit_broadcast(
@@ -358,13 +458,9 @@ def emit_broadcast(
     Models master-prepared data consumed by workers (x264 reference frames,
     bodytrack per-frame observations).
     """
-    writer = streams[writer_tid]
-    for i in range(region.num_blocks):
-        writer.append((pc_write, region.block(i) * _B, True))
+    span = _span(region)
+    streams.emit(writer_tid, pc_write, span, True)
+    reads = np.tile(span, reader_passes)
     for tid in range(len(streams)):
-        if tid == writer_tid:
-            continue
-        stream = streams[tid]
-        for __ in range(reader_passes):
-            for i in range(region.num_blocks):
-                stream.append((pc_read, region.block(i) * _B, False))
+        if tid != writer_tid:
+            streams.emit(tid, pc_read, reads, False)

@@ -15,8 +15,10 @@ nothing to offer where there is no cross-core sharing.
 
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.common.errors import ConfigError
-from repro.common.rng import derive_seed
+from repro.common.rng import DeterministicRng, derive_seed
 from repro.trace.interleave import interleave_streams
 from repro.trace.trace import Trace
 from repro.workloads.base import WorkloadModel
@@ -67,7 +69,7 @@ class MultiprogramMix:
         per_component = num_threads // num_components
         budget = target_accesses // num_components
 
-        streams: List[list] = [[] for __ in range(num_threads)]
+        streams = []
         for index, model in enumerate(self.models):
             threads = (
                 per_component
@@ -82,21 +84,20 @@ class MultiprogramMix:
                 min_burst=min_burst,
                 max_burst=max_burst,
             )
-            core_base = index * per_component
             addr_offset = index * ADDRESS_SLICE_BLOCKS * 64
-            tids, pcs, addrs, writes = component_trace.columns()
-            for i in range(len(tids)):
-                streams[core_base + tids[i]].append(
-                    (pcs[i], addrs[i] + addr_offset, writes[i] != 0)
-                )
+            tids, pcs, addrs, writes = map(
+                np.asarray, component_trace.columns())
+            for tid in range(threads):
+                mine = tids == tid
+                streams.append(
+                    (pcs[mine], addrs[mine] + addr_offset, writes[mine] != 0))
 
-        from repro.common.rng import DeterministicRng
-
-        trace = interleave_streams(
+        placed = budget * num_components  # each component gives its budget
+        return interleave_streams(
             streams,
             rng=DeterministicRng(derive_seed(seed, "mix-interleave", self.name)),
             min_burst=min_burst,
             max_burst=max_burst,
-            name=f"{self.name}.t{num_threads}.s{scale}.n{target_accesses}.seed{seed}",
+            name=(f"{self.name}.t{num_threads}.s{scale}.n{target_accesses}"
+                  f".seed{seed}[0:{placed}]"),
         )
-        return trace.slice(0, min(len(trace), target_accesses))

@@ -8,6 +8,7 @@ all-to-all permutation, water migrates molecule records under pairwise
 force reads.
 """
 
+from repro.common.rng import DeterministicRng, bulk_randrange
 from repro.workloads.base import GeneratorContext, WorkloadModel
 from repro.workloads.kernels import (
     emit_halo_exchange,
@@ -18,6 +19,20 @@ from repro.workloads.kernels import (
     emit_reduction,
     emit_shared_readonly,
 )
+from repro.workloads.layout import Region
+
+
+def _scatter(ctx: GeneratorContext, rng: DeterministicRng, dest: Region,
+             pc: int) -> None:
+    """Each thread in turn writes ``dest.num_blocks // num_threads`` blocks
+    of ``dest`` drawn uniformly from one generator (over-drawn: the caller
+    spawns ``rng`` for this call)."""
+    per_thread = dest.num_blocks // ctx.num_threads
+    blocks = dest.block(bulk_randrange(
+        rng, dest.num_blocks, per_thread * ctx.num_threads))
+    for tid in range(ctx.num_threads):
+        mine = blocks[tid * per_thread:(tid + 1) * per_thread]
+        ctx.streams.emit(tid, pc, mine * 64, True)
 
 
 class Barnes(WorkloadModel):
@@ -153,13 +168,8 @@ class Radix(WorkloadModel):
             ctx.streams, self.partial_parts, self.pc_hist_w, self.pc_hist_r,
         )
         # Permutation: every thread scatters into random destination blocks.
-        rng = ctx.rng.spawn("scatter", iteration)
-        per_thread = dest.num_blocks // ctx.num_threads
-        for tid in range(ctx.num_threads):
-            stream = ctx.streams[tid]
-            for __ in range(per_thread):
-                block = dest.block(rng.randrange(dest.num_blocks))
-                stream.append((self.pc_scatter, block * 64, True))
+        _scatter(ctx, ctx.rng.spawn("scatter", iteration), dest,
+                 self.pc_scatter)
 
 
 class Water(WorkloadModel):
@@ -242,13 +252,8 @@ class Fft(WorkloadModel):
             write_fraction=0.5, rng=ctx.rng.spawn("butterfly", iteration),
         )
         # Transpose: scatter writes across the whole destination matrix.
-        rng = ctx.rng.spawn("transpose", iteration)
-        per_thread = dest.num_blocks // ctx.num_threads
-        for tid in range(ctx.num_threads):
-            stream = ctx.streams[tid]
-            for __ in range(per_thread):
-                block = dest.block(rng.randrange(dest.num_blocks))
-                stream.append((self.pc_transpose, block * 64, True))
+        _scatter(ctx, ctx.rng.spawn("transpose", iteration), dest,
+                 self.pc_transpose)
 
 
 SPLASH2_MODELS = (Barnes, Fft, Fmm, Ocean, Radix, Water)

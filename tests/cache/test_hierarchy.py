@@ -190,6 +190,21 @@ class TestStreamRecording:
         assert access.block == 5
         assert access.is_write
 
+    def test_runs_append_to_one_stream(self, quad_machine):
+        import random
+
+        rng = random.Random(9)
+        accesses = [
+            (rng.randrange(4), rng.randrange(3), rng.randrange(300) * B,
+             rng.random() < 0.3)
+            for __ in range(1500)
+        ]
+        whole = run_hierarchy(quad_machine, accesses, record_stream=True)
+        split = CmpHierarchy(quad_machine, LruPolicy(), record_stream=True)
+        split.run(make_trace(accesses[:700]))
+        split.run(make_trace(accesses[700:]))
+        assert split.stream().columns() == whole.stream().columns()
+
     def test_stream_requires_recording_enabled(self, tiny_machine):
         hierarchy = CmpHierarchy(tiny_machine, LruPolicy())
         with pytest.raises(SimulationError):

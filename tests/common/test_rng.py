@@ -1,6 +1,17 @@
 """Tests for repro.common.rng."""
 
-from repro.common.rng import DeterministicRng, derive_seed
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.common.rng import (
+    DeterministicRng,
+    bulk_random,
+    bulk_randrange,
+    derive_seed,
+    draw_words,
+    randrange_words,
+)
 
 
 class TestDeriveSeed:
@@ -61,3 +72,47 @@ class TestDeterministicRng:
 
     def test_initial_seed_recorded(self):
         assert DeterministicRng(123).initial_seed == 123
+
+
+RANGES = (1, 2, 3, 255, 256, 257, 2**31, 2**32 - 1)
+
+
+class TestBulkDraws:
+    """The bulk converters equal successive scalar calls, value for value."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 5000])
+    def test_bulk_random_matches_scalar_calls(self, k):
+        bulk, scalar = DeterministicRng(11), DeterministicRng(11)
+        values = bulk_random(bulk, k)
+        assert values.dtype == np.float64
+        assert values.tolist() == [scalar.random() for __ in range(k)]
+        # Two outputs per value: the generator ends where the calls leave it.
+        assert bulk.getstate() == scalar.getstate()
+
+    @pytest.mark.parametrize("n", RANGES)
+    @pytest.mark.parametrize("k", [0, 1, 3, 5000])
+    def test_bulk_randrange_matches_scalar_calls(self, n, k):
+        scalar = DeterministicRng(5)
+        values = bulk_randrange(DeterministicRng(5), n, k)
+        assert values.dtype == np.int64
+        assert values.tolist() == [scalar.randrange(n) for __ in range(k)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from(RANGES),
+           k=st.integers(0, 600))
+    def test_randrange_words_filter(self, seed, n, k):
+        words = draw_words(DeterministicRng(seed), k)
+        values, kept = randrange_words(words, n)
+        scalar = DeterministicRng(seed)
+        expected = [scalar.randrange(n) for __ in range(int(kept.sum()))]
+        assert values[kept].tolist() == expected
+
+    def test_wide_range_falls_back_to_scalar_calls(self):
+        scalar = DeterministicRng(3)
+        values = bulk_randrange(DeterministicRng(3), 2**40 + 1, 50)
+        assert values.tolist() == [scalar.randrange(2**40 + 1)
+                                   for __ in range(50)]
+
+    def test_empty_range_rejected(self):
+        with pytest.raises(ValueError):
+            bulk_randrange(DeterministicRng(1), 0, 5)

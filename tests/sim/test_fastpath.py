@@ -8,8 +8,9 @@ callbacks with the same arguments in the same order (victim-ended before
 fill-started, forced flushes in (set, way) order). Hypothesis drives
 random streams across geometries through the one metadata pass, whose
 masks are int64 up to core 62 and Python ints above.
-:func:`lru_stack_distances`, the one stack-distance walk, is pinned
-against the distance's definition.
+:func:`lru_stack_distances`, the one stack-distance walk, and the MRC's
+Fenwick-tree count (:func:`repro.analysis.mrc.stack_distances`) are
+pinned against the distance's definition.
 """
 
 import os
@@ -17,6 +18,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.mrc import stack_distances
 from repro.cache.llc import ResidencyObserver
 from repro.characterization.hits import SharingClassifier
 from repro.characterization.phases import SharingPhaseTracker
@@ -147,6 +149,14 @@ class TestStackDistances:
         assert list(got) == self.brute_force(
             blocks, geometry.num_sets, geometry.ways
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(blocks=st.lists(st.integers(0, 30), max_size=120),
+           cap=st.integers(1, 64))
+    def test_mrc_fenwick_distances_match_brute_force(self, blocks, cap):
+        # The MRC's O(log n) count over one fully associative set.
+        assert list(stack_distances(blocks, cap)) == self.brute_force(
+            blocks, 1, cap)
 
     def test_one_set_is_the_fully_associative_stack(self):
         # 1 and 2 cold, 1 at distance 1, 3 cold, 2 and 1 at distance 2,

@@ -11,13 +11,14 @@ from repro.policies.rrip import BrripPolicy
 from repro.workloads import kernels
 from repro.workloads.layout import Region
 from tests.conftest import make_trace
+from tests.workloads.kernels_reference import ReadableStreams
 
 B = 64
 
 
 class TestKernelDetails:
     def test_task_queue_write_fraction_zero(self):
-        streams = [[] for __ in range(2)]
+        streams = ReadableStreams(2)
         kernels.emit_task_queue(
             streams, DeterministicRng(1), Region("q", 0, 2),
             Region("t", 100, 16), pc_queue=1, pc_task=2, num_tasks=20,
@@ -29,7 +30,7 @@ class TestKernelDetails:
         assert not task_writes
 
     def test_task_queue_write_fraction_one(self):
-        streams = [[] for __ in range(2)]
+        streams = ReadableStreams(2)
         kernels.emit_task_queue(
             streams, DeterministicRng(1), Region("q", 0, 2),
             Region("t", 100, 16), pc_queue=1, pc_task=2, num_tasks=10,
@@ -42,7 +43,7 @@ class TestKernelDetails:
         assert sum(1 for __, w in task_accesses if w) == len(task_accesses) // 2
 
     def test_reduction_with_three_threads(self):
-        streams = [[] for __ in range(3)]
+        streams = ReadableStreams(3)
         partials = [Region(f"p{i}", i * 10, 2) for i in range(3)]
         kernels.emit_reduction(streams, partials, 1, 2)
         # Tree: stride 1 pairs (0,1); stride 2 pairs (0,2). Thread 0 reads
@@ -52,7 +53,7 @@ class TestKernelDetails:
         assert {20, 21} <= reads0
 
     def test_migratory_single_thread_falls_back(self):
-        streams = [[]]
+        streams = ReadableStreams(1)
         kernels.emit_migratory(
             streams, DeterministicRng(2), Region("m", 0, 8), pc=1,
             items=3, hops=2,
@@ -61,7 +62,7 @@ class TestKernelDetails:
 
     def test_halo_grid_smaller_than_threads(self):
         # 2 rows for 4 threads: threads beyond the rows contribute nothing.
-        streams = [[] for __ in range(4)]
+        streams = ReadableStreams(4)
         kernels.emit_halo_exchange(streams, Region("g", 0, 4), row_blocks=2,
                                    pc_compute=1, pc_halo=2)
         assert streams[0] and streams[1]

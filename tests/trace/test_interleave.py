@@ -1,15 +1,18 @@
 """Tests for repro.trace.interleave."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.rng import DeterministicRng
 from repro.trace.interleave import interleave_streams
+from tests.workloads.kernels_reference import interleave_reference
 
 
 def thread_stream(tid, count):
     """A recognisable per-thread stream: pc encodes the sequence index."""
-    return [(tid * 10_000 + i, tid * 1_000_000 + i * 64, i % 3 == 0) for i in range(count)]
+    i = np.arange(count)
+    return (tid * 10_000 + i, tid * 1_000_000 + i * 64, i % 3 == 0)
 
 
 class TestInterleaveStreams:
@@ -68,7 +71,9 @@ class TestInterleaveStreams:
         assert list(a) != list(b)
 
     def test_empty_streams_allowed(self):
-        trace = interleave_streams([[], thread_stream(1, 10), []], DeterministicRng(1))
+        trace = interleave_streams(
+            [thread_stream(0, 0), thread_stream(1, 10), thread_stream(2, 0)],
+            DeterministicRng(1))
         assert len(trace) == 10
         assert all(a.tid == 1 for a in trace)
 
@@ -77,9 +82,11 @@ class TestInterleaveStreams:
 
     def test_invalid_burst_range(self):
         with pytest.raises(ValueError):
-            interleave_streams([[]], DeterministicRng(1), min_burst=0)
+            interleave_streams([thread_stream(0, 0)], DeterministicRng(1),
+                               min_burst=0)
         with pytest.raises(ValueError):
-            interleave_streams([[]], DeterministicRng(1), min_burst=8, max_burst=4)
+            interleave_streams([thread_stream(0, 0)], DeterministicRng(1),
+                               min_burst=8, max_burst=4)
 
     @settings(max_examples=25)
     @given(
@@ -116,3 +123,28 @@ class TestInterleaveExtremes:
         streams = [thread_stream(0, 50)]
         trace = interleave_streams(streams, DeterministicRng(9))
         assert [a.pc for a in trace] == [i for i in range(50)]
+
+
+class TestInterleaveMatchesReference:
+    @settings(max_examples=40)
+    @given(
+        lengths=st.lists(st.integers(0, 200), max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        bursts=st.tuples(st.integers(1, 20), st.integers(0, 50)),
+        limit=st.none() | st.integers(0, 700),
+    )
+    def test_gather_equals_per_access_merge(self, lengths, seed, bursts,
+                                            limit):
+        low, high = bursts[0], bursts[0] + bursts[1]
+        streams = [thread_stream(tid, n) for tid, n in enumerate(lengths)]
+        expected = interleave_reference(
+            [list(zip(*(column.tolist() for column in stream)))
+             for stream in streams],
+            DeterministicRng(seed), low, high, name="t")
+        got = interleave_streams(streams, DeterministicRng(seed), low, high,
+                                 name="t", limit=limit)
+        placed = len(expected) if limit is None else min(limit, len(expected))
+        assert len(got) == placed
+        for mine, theirs in zip(got.columns(), expected.columns()):
+            assert mine.typecode == theirs.typecode
+            assert mine == theirs[:placed]

@@ -1,7 +1,12 @@
 """Tests for repro.trace.stats."""
 
+from hypothesis import given, strategies as st
+
 from repro.trace.stats import compute_trace_statistics
+from repro.workloads.multiprogram import MultiprogramMix
 from tests.conftest import make_trace
+from tests.strategies import access_lists
+from tests.workloads.kernels_reference import statistics_reference
 
 
 class TestComputeTraceStatistics:
@@ -61,3 +66,18 @@ class TestComputeTraceStatistics:
         stats = compute_trace_statistics(trace, block_bytes=128)
         assert stats.footprint_blocks == 1
         assert stats.shared_blocks == 1
+
+
+class TestMatchesPerAccessReference:
+    @given(accesses=access_lists(num_threads=5, max_addr=1 << 14, min_size=0),
+           block_bytes=st.sampled_from([1, 64, 4096]))
+    def test_random_traces(self, accesses, block_bytes):
+        trace = make_trace(accesses)
+        assert compute_trace_statistics(trace, block_bytes) == (
+            statistics_reference(trace, block_bytes))
+
+    def test_multiprogram_addresses_beyond_32_bits(self):
+        trace = MultiprogramMix(["canneal", "water"]).generate(
+            num_threads=4, scale=128, target_accesses=6_000, seed=3)
+        assert max(trace.addrs) >> 32
+        assert compute_trace_statistics(trace) == statistics_reference(trace)

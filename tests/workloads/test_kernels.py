@@ -1,16 +1,21 @@
 """Tests for the sharing kernels (repro.workloads.kernels)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.rng import DeterministicRng
 from repro.workloads import kernels
+from repro.workloads.base import GeneratorContext
 from repro.workloads.layout import Region
+from repro.workloads.splash2 import _scatter
+from tests.workloads import kernels_reference
+from tests.workloads.kernels_reference import ReadableStreams, as_tuples
 
 BLOCK = 64
 
 
 def empty_streams(num_threads):
-    return [[] for __ in range(num_threads)]
+    return ReadableStreams(num_threads)
 
 
 def touched_blocks(stream):
@@ -274,3 +279,144 @@ class TestBroadcast:
         kernels.emit_broadcast(streams, Region("f", 0, 4), 0, 1, 2,
                                reader_passes=3)
         assert len(streams[1]) == 12
+
+
+# Regions of 1-4 blocks, powers of two (where randrange rejects the most
+# outputs) and anything in between.
+sizes = st.one_of(st.integers(1, 4), st.sampled_from([8, 64, 256, 1024]),
+                  st.integers(1, 300))
+skews = st.one_of(st.just(1.0), st.floats(1.0, 3.0))
+write_fractions = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+seeds = st.integers(0, 2**32 - 1)
+threads = st.integers(1, 4)
+
+
+def regions(block_counts):
+    """Disjoint regions of the given sizes."""
+    return [Region(f"r{i}", 0x1000 + 0x1000 * i, n)
+            for i, n in enumerate(block_counts)]
+
+
+def check(name, num_threads, call):
+    """``call(kernel, streams)`` gives the same accesses through the column
+    kernel ``name`` and through its per-access reference."""
+    columns = kernels.Streams(num_threads)
+    call(getattr(kernels, name), columns)
+    tuples = [[] for __ in range(num_threads)]
+    call(getattr(kernels_reference, name), tuples)
+    assert as_tuples(columns) == tuples
+    assert columns.total == sum(len(stream) for stream in tuples)
+
+
+class TestColumnsMatchReference:
+    """Each column kernel emits exactly the per-access loop's tuples."""
+
+    @given(block_counts=st.lists(sizes, min_size=1, max_size=4),
+           passes=st.integers(0, 3), stride=st.integers(1, 3),
+           write_fraction=write_fractions, seed=st.none() | seeds)
+    def test_private_stream(self, block_counts, passes, stride,
+                            write_fraction, seed):
+        check("emit_private_stream", len(block_counts),
+              lambda emit, streams: emit(
+                  streams, regions(block_counts), 0x40, passes=passes,
+                  stride_blocks=stride, write_fraction=write_fraction,
+                  rng=None if seed is None else DeterministicRng(seed)))
+
+    @given(block_counts=st.lists(sizes, min_size=1, max_size=4),
+           accesses=st.integers(0, 300), write_fraction=write_fractions,
+           skew=skews, seed=seeds)
+    def test_private_hotset(self, block_counts, accesses, write_fraction,
+                            skew, seed):
+        check("emit_private_hotset", len(block_counts),
+              lambda emit, streams: emit(
+                  streams, DeterministicRng(seed), regions(block_counts), 0x40,
+                  accesses, write_fraction=write_fraction, skew=skew))
+
+    @given(num_threads=threads, size=sizes, accesses=st.integers(0, 300),
+           skew=skews, seed=seeds, subset=st.booleans())
+    def test_shared_readonly(self, num_threads, size, accesses, skew, seed,
+                             subset):
+        check("emit_shared_readonly", num_threads,
+              lambda emit, streams: emit(
+                  streams, DeterministicRng(seed), regions([size])[0], 0x40,
+                  accesses, skew=skew,
+                  threads=range(0, num_threads, 2) if subset else None))
+
+    @given(num_threads=threads, size=sizes, accesses=st.integers(0, 300),
+           write_fraction=write_fractions, skew=skews, seed=seeds)
+    def test_shared_rw_random(self, num_threads, size, accesses,
+                              write_fraction, skew, seed):
+        check("emit_shared_rw_random", num_threads,
+              lambda emit, streams: emit(
+                  streams, DeterministicRng(seed), regions([size])[0], 0x40,
+                  accesses, write_fraction=write_fraction, skew=skew))
+
+    @given(block_counts=st.lists(sizes, min_size=1, max_size=4),
+           chunk=st.integers(1, 16), hops=st.integers(1, 3))
+    def test_producer_consumer(self, block_counts, chunk, hops):
+        check("emit_producer_consumer", len(block_counts),
+              lambda emit, streams: emit(
+                  streams, regions(block_counts), 0x40, 0x80,
+                  chunk_blocks=chunk, hops=hops))
+
+    @given(num_threads=threads, size=sizes, items=st.integers(0, 40),
+           item_blocks=st.integers(1, 4), hops=st.integers(1, 4),
+           repeats=st.integers(1, 3), seed=seeds)
+    def test_migratory(self, num_threads, size, items, item_blocks, hops,
+                       repeats, seed):
+        check("emit_migratory", num_threads,
+              lambda emit, streams: emit(
+                  streams, DeterministicRng(seed), regions([size])[0], 0x40,
+                  items, item_blocks=item_blocks, hops=hops,
+                  rmw_repeats=repeats))
+
+    @given(num_threads=threads, size=sizes, row_blocks=st.integers(1, 8),
+           sweeps=st.integers(0, 2))
+    def test_halo_exchange(self, num_threads, size, row_blocks, sweeps):
+        check("emit_halo_exchange", num_threads,
+              lambda emit, streams: emit(
+                  streams, regions([size])[0], row_blocks, 0x40, 0x80,
+                  sweeps=sweeps))
+
+    @given(block_counts=st.lists(sizes, min_size=1, max_size=4))
+    def test_reduction(self, block_counts):
+        check("emit_reduction", len(block_counts),
+              lambda emit, streams: emit(
+                  streams, regions(block_counts), 0x40, 0x80))
+
+    @given(num_threads=threads, size=sizes, rounds=st.integers(0, 300),
+           seed=seeds)
+    def test_lock_hotspot(self, num_threads, size, rounds, seed):
+        check("emit_lock_hotspot", num_threads,
+              lambda emit, streams: emit(
+                  streams, DeterministicRng(seed), regions([size])[0], 0x40,
+                  rounds))
+
+    @given(num_threads=threads, queue=sizes, tasks=sizes,
+           num_tasks=st.integers(0, 60), task_blocks=st.integers(1, 8),
+           write_fraction=write_fractions, seed=seeds)
+    def test_task_queue(self, num_threads, queue, tasks, num_tasks,
+                        task_blocks, write_fraction, seed):
+        check("emit_task_queue", num_threads,
+              lambda emit, streams: emit(
+                  streams, DeterministicRng(seed), *regions([queue, tasks]),
+                  0x40, 0x80, num_tasks, task_blocks=task_blocks,
+                  task_write_fraction=write_fraction))
+
+    @given(num_threads=threads, size=sizes, writer=st.integers(0, 3),
+           passes=st.integers(0, 3))
+    def test_broadcast(self, num_threads, size, writer, passes):
+        check("emit_broadcast", num_threads,
+              lambda emit, streams: emit(
+                  streams, regions([size])[0], writer % num_threads, 0x40,
+                  0x80, reader_passes=passes))
+
+    @given(num_threads=threads, size=sizes, seed=seeds)
+    def test_scatter(self, num_threads, size, seed):
+        dest = regions([size])[0]
+        ctx = GeneratorContext(num_threads=num_threads, scale=1, seed=0)
+        _scatter(ctx, DeterministicRng(seed), dest, 0x40)
+        tuples = [[] for __ in range(num_threads)]
+        kernels_reference.scatter_reference(
+            tuples, DeterministicRng(seed), dest, 0x40)
+        assert as_tuples(ctx.streams) == tuples
