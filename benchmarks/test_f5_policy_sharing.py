@@ -11,16 +11,21 @@ sharing the policy fails to exploit.
 from benchmarks.conftest import GEOMETRY_4MB, emit, once
 from repro.analysis.aggregate import amean
 from repro.characterization.hits import SharingClassifier
-from repro.policies.opt import BeladyOptPolicy, compute_next_use
 from repro.policies.registry import make_policy
-from repro.sim.engine import LlcOnlySimulator
+from repro.sim.multipass import run_opt, run_policy_on_stream
 
 POLICIES = ("lru", "dip", "srrip", "drrip", "ship")
 
 
-def shared_hits(stream, geometry, policy):
+def shared_hits(stream, geometry, policy=None):
+    """Shared-residency hits of one planned replay; OPT when ``policy`` is
+    None."""
     classifier = SharingClassifier()
-    LlcOnlySimulator(geometry, policy, observers=(classifier,)).run(stream)
+    if policy is None:
+        run_opt(stream, geometry, observers=(classifier,))
+    else:
+        run_policy_on_stream(stream, geometry, policy,
+                             observers=(classifier,))
     return classifier.breakdown.shared_hits
 
 
@@ -29,8 +34,7 @@ def test_f5_policy_sharing_awareness(benchmark, context):
         rows = []
         for name in context.workload_list:
             stream = context.artifacts(name).stream
-            opt_policy = BeladyOptPolicy(compute_next_use(stream.blocks))
-            opt_shared = shared_hits(stream, GEOMETRY_4MB, opt_policy)
+            opt_shared = shared_hits(stream, GEOMETRY_4MB)
             row = [name]
             for policy_name in POLICIES:
                 policy_shared = shared_hits(

@@ -59,8 +59,8 @@ def test_t2_replay_tiers(benchmark, context):
             srrip_scalar.hits, srrip_scalar.misses
         )
 
-        # The grid tier: a 4-point LRU associativity sweep in one capped
-        # stack walk, against four independent replays.
+        # The grid tier: a 4-point LRU associativity sweep in one
+        # rank-mode replay, against four independent replays.
         grid_geoms = [
             CacheGeometry(llc.num_sets * w * llc.block_bytes, w,
                           llc.block_bytes)
@@ -79,6 +79,6 @@ def test_t2_replay_tiers(benchmark, context):
     assert (srrip.tier, srrip.backend) == ("set", "numpy")
     assert {(cell.tier, cell.backend) for cell in percell} == {("set", "numpy")}
     assert {(cell.tier, cell.backend) for cell in grid_cells} == {
-        ("grid", "python")}
-    # One walk served all four cells.
+        ("grid", "numpy")}
+    # One rank-mode replay served all four cells.
     assert profile["grid_groups"] == 1

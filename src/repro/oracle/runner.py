@@ -347,9 +347,9 @@ def run_oracle_study_grid(
     base replay, the wrapped oracle replay) run per cell; everything
     geometry-invariant is shared through the per-stream memos —
     annotations whose effective window coincides
-    (:func:`stream_annotation`) are computed once, and capacity cells that
-    pull OPT comparisons share the stream's next-use column
-    (:func:`repro.sim.multipass.stream_next_use`). Cells are bit-identical
+    (:func:`stream_annotation`) are computed once, and every replay reads
+    the stream's one successor column
+    (:func:`repro.sim.setpath.stream_successors`). Cells are bit-identical
     to independent :func:`run_oracle_study` calls and align positionally
     with ``geometries``.
     """

@@ -38,12 +38,12 @@ REPLAY_SCALAR = "scalar"
 """No exact fast path is known; replay through the scalar cache model."""
 
 REPLAY_GRID = "grid"
-"""Grid replay: one LRU stack walk amortised across a whole ways grid.
+"""Grid replay: one LRU replay's stack distances across a whole ways grid.
 
 Never planned for a single replay — it is an engine tier stamped on
 results by :mod:`repro.sim.gridpath` when a cell's counters came out of
-the shared Mattson walk (stack-distance thresholding across ways) rather
-than an independent replay (see DESIGN.md decision 10).
+one shared rank-mode LRU replay (stack-distance thresholding across
+ways) rather than an independent replay (see DESIGN.md decision 10).
 """
 
 REPLAY_TIERS = (REPLAY_STACK, REPLAY_SET, REPLAY_DUELING, REPLAY_SCALAR)

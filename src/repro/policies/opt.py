@@ -26,11 +26,11 @@ NO_NEXT_USE = 1 << 62
 """Sentinel next-use position meaning "never accessed again"."""
 
 
-def compute_next_use(blocks: Sequence[int]) -> array:
+def next_positions(blocks: Sequence[int]) -> np.ndarray:
     """For each stream position, the position of that block's next access.
 
-    Positions with no later access of the same block get
-    :data:`NO_NEXT_USE`. One values-only sort of packed keys: packs
+    An int32 column (4 bytes per access) holding ``-1`` where the block is
+    never accessed again. One values-only sort of packed keys: packs
     ``(block << shift) | position`` into int64 (``2^shift >= n``) so a plain
     ``sort`` groups equal blocks with ascending positions; bit-shift
     decoding then links each position to its successor in the same run.
@@ -43,8 +43,9 @@ def compute_next_use(blocks: Sequence[int]) -> array:
     else:
         column = np.asarray(blocks, dtype=np.int64)
     n = len(column)
+    out = np.full(n, -1, dtype=np.int32)
     if n == 0:
-        return array("q")
+        return out
     shift = max(n - 1, 1).bit_length()
     if int(column.min()) < 0 or (int(column.max()) >> (63 - shift)) != 0:
         __, column = np.unique(column, return_inverse=True)
@@ -57,14 +58,21 @@ def compute_next_use(blocks: Sequence[int]) -> array:
     keys = (column << shift) | np.arange(n, dtype=np.int64)
     keys.sort()
     positions = keys & ((1 << shift) - 1)
-    ids = keys >> shift
-
-    out = array("q", bytes(8 * n))
-    next_use = np.frombuffer(out, dtype=np.int64)
-    next_use[...] = NO_NEXT_USE
-    linked = np.nonzero(ids[1:] == ids[:-1])[0]
-    next_use[positions[linked]] = positions[linked + 1]
+    linked = ((keys[1:] >> shift) == (keys[:-1] >> shift)).nonzero()[0]
+    out[positions[linked]] = positions[linked + 1]
     return out
+
+
+def compute_next_use(blocks: Sequence[int], successors=None) -> array:
+    """OPT's next-use column: :func:`next_positions` of ``blocks`` with
+    :data:`NO_NEXT_USE` in place of ``-1``, as an ``array('q')``.
+
+    ``successors``, when given, is that column already computed.
+    """
+    if successors is None:
+        successors = next_positions(blocks)
+    return array("q", np.where(
+        successors < 0, np.int64(NO_NEXT_USE), successors).tobytes())
 
 
 class BeladyOptPolicy(ReplacementPolicy):

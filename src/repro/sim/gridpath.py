@@ -1,17 +1,17 @@
-"""Grid replay: a whole LRU associativity grid in one stack walk.
+"""Grid replay: a whole LRU associativity grid in one replay.
 
 The paper's headline artifacts — the F7 capacity sweep, the A1/A2
 ablations, the t2 configuration table — are *grids* of (policy, geometry,
 parameter) cells over one recorded stream. One grid axis decomposes
-exactly: LRU is a stack algorithm, so one capped stack walk at the grid's
-maximum ways (:func:`repro.sim.fastpath.lru_stack_distances`) classifies
-every access for **every** smaller associativity at the same
-``num_sets`` — ``hit iff stack distance < ways`` (Mattson inclusion). A
-whole ways sweep is one walk plus a histogram threshold per cell, and a
-capacity grid costs one walk per distinct ``num_sets``. Only those cells
-carry the engine-assigned ``grid`` tier
-(:data:`repro.policies.base.REPLAY_GRID`), with the walk's ``python``
-backend.
+exactly: LRU is a stack algorithm, so one lockstep LRU replay at the
+grid's maximum ways, read in rank mode
+(:func:`repro.sim.setpath.lru_ranks`), classifies every access for
+**every** smaller associativity at the same ``num_sets`` — ``hit iff
+stack distance < ways`` (Mattson inclusion). A whole ways sweep is one
+replay plus a histogram threshold per cell, and a capacity grid costs
+one replay per distinct ``num_sets``. Only those cells carry the
+engine-assigned ``grid`` tier (:data:`repro.policies.base.REPLAY_GRID`),
+with the kernel's ``numpy`` backend.
 
 Every other cell — a policy other than exact unbound LRU, every
 parameter-grid cell, every cell with the fast path off — is one
@@ -38,9 +38,10 @@ from repro.policies.base import REPLAY_GRID, ReplacementPolicy
 from repro.policies.lru import LruPolicy
 from repro.policies.registry import make_policy
 from repro.sim import telemetry
-from repro.sim.fastpath import fastpath_enabled, lru_stack_distances
+from repro.sim.fastpath import fastpath_enabled
 from repro.sim.multipass import run_policy_on_stream
 from repro.sim.results import LlcSimResult
+from repro.sim.setpath import lru_ranks
 
 PolicySpec = Union[str, Callable[[], ReplacementPolicy]]
 """A grid's policy axis: a registered name or a zero-arg factory.
@@ -59,19 +60,18 @@ def lru_grid_hits(
 ) -> Dict[int, int]:
     """Exact LRU hit counts for every associativity in ``ways_grid`` at once.
 
-    One stack walk capped at ``max(ways_grid)``
-    (:func:`repro.sim.fastpath.lru_stack_distances`) yields every access's
-    per-set stack distance; by Mattson inclusion ``hit iff distance < w``
-    for each ``w``, so the whole grid reduces to one ``bincount`` of the
-    distances and one cumulative-sum threshold per cell. Returns
+    One rank-mode replay at ``max(ways_grid)`` ways
+    (:func:`repro.sim.setpath.lru_ranks`) yields every access's capped
+    per-set stack distance; by Mattson inclusion ``hit iff distance <
+    w`` for each ``w``, so the whole grid reduces to one ``bincount`` of
+    the distances and one cumulative-sum threshold per cell. Returns
     ``{ways: hits}``.
     """
     if not ways_grid:
         return {}
     cap = max(ways_grid)
-    distances = np.frombuffer(
-        lru_stack_distances(blocks, num_sets, cap), dtype=np.int32)
-    cum = np.cumsum(np.bincount(distances, minlength=cap + 1))
+    ranks = lru_ranks(blocks, num_sets, cap)
+    cum = np.cumsum(np.bincount(ranks, minlength=cap + 1))
     return {w: int(cum[w - 1]) for w in ways_grid}
 
 
@@ -82,12 +82,12 @@ def replay_lru_grid(
 ) -> List[LlcSimResult]:
     """Replay ``stream`` under exact LRU for every geometry in one pass each.
 
-    Cells are grouped by ``num_sets``; each group costs one capped stack
-    walk (:func:`lru_grid_hits`) regardless of how many associativities it
-    spans. Results are positionally aligned with ``geometries`` and
+    Cells are grouped by ``num_sets``; each group costs one rank-mode
+    replay (:func:`lru_grid_hits`) regardless of how many associativities
+    it spans. Results are positionally aligned with ``geometries`` and
     bit-identical to per-cell
     :func:`repro.sim.multipass.run_policy_on_stream` LRU replays, with the
-    ``grid`` tier and the walk's ``python`` backend recorded; one
+    ``grid`` tier and the kernel's ``numpy`` backend recorded; one
     ``replay_grid`` span covers the whole grid.
     """
     n = len(stream.blocks)
@@ -111,7 +111,7 @@ def replay_lru_grid(
             results[idx] = LlcSimResult(
                 policy="lru", stream_name=stream.name, accesses=n,
                 hits=hits, misses=n - hits, elapsed_sec=share,
-                tier=REPLAY_GRID, backend="python",
+                tier=REPLAY_GRID, backend="numpy",
             )
     if profile is not None:
         profile["grid_groups"] = len(groups)
@@ -120,7 +120,7 @@ def replay_lru_grid(
     telemetry.emit(
         "span", stage="replay_grid", policy="lru", stream=stream.name,
         wall_sec=round(walk_sec, 6), cells=len(geometries),
-        groups=len(groups), accesses=n, tier=REPLAY_GRID, backend="python",
+        groups=len(groups), accesses=n, tier=REPLAY_GRID, backend="numpy",
     )
     return results
 
@@ -156,7 +156,7 @@ def replay_geometry_grid(
     """Replay one policy across a whole geometry grid.
 
     An exact unbound :class:`LruPolicy` spec with the fast path on takes
-    :func:`replay_lru_grid`: one capped stack walk per distinct
+    :func:`replay_lru_grid`: one rank-mode replay per distinct
     ``num_sets`` classifies every associativity cell. Every other spec
     replays each cell through
     :func:`repro.sim.multipass.run_policy_on_stream`, with its own plan

@@ -16,7 +16,6 @@ replay's telemetry span.
 
 from dataclasses import replace
 from typing import Optional, Tuple, Union
-from weakref import WeakKeyDictionary
 
 from repro.cache.hierarchy import CmpHierarchy, HierarchyStats
 from repro.cache.stream import LlcStream
@@ -37,7 +36,7 @@ from repro.sim.nativepath import (
 )
 from repro.sim.plan import plan_replay
 from repro.sim.results import LlcSimResult
-from repro.sim.setpath import replay_setpath
+from repro.sim.setpath import replay_setpath, stream_successors
 from repro.trace.trace import Trace
 
 
@@ -111,25 +110,6 @@ def run_policy_on_stream(
     return result
 
 
-_NEXT_USE_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()
-"""Per-stream cache of the OPT next-use column (geometry-independent)."""
-
-
-def stream_next_use(stream: LlcStream):
-    """The stream's next-use column, computed once and shared.
-
-    Next-use positions depend only on the block sequence — never on the
-    geometry or policy — so one computation serves every OPT replay and
-    every sweep cell over the same stream. Memoized weakly: the column
-    dies with its stream.
-    """
-    next_use = _NEXT_USE_MEMO.get(stream)
-    if next_use is None:
-        next_use = compute_next_use(stream.blocks)
-        _NEXT_USE_MEMO[stream] = next_use
-    return next_use
-
-
 def run_opt(
     stream: LlcStream,
     geometry: CacheGeometry,
@@ -141,10 +121,9 @@ def run_opt(
     OPT's per-way next-use positions are indexed by the global stream
     ordinal, which the set partition preserves, so the replay takes the
     set-partitioned engine unless fast paths are disabled. The next-use
-    column itself is geometry-independent and shared across calls
-    (:func:`stream_next_use`).
+    column is built from the stream's memoized successor column
+    (:func:`repro.sim.setpath.stream_successors`).
     """
-    return run_policy_on_stream(
-        stream, geometry, BeladyOptPolicy(stream_next_use(stream)),
-        observers=observers, fastpath=fastpath,
-    )
+    next_use = compute_next_use(stream.blocks, stream_successors(stream))
+    return run_policy_on_stream(stream, geometry, BeladyOptPolicy(next_use),
+                                observers=observers, fastpath=fastpath)

@@ -67,7 +67,7 @@ from repro.policies.base import REPLAY_SCALAR
 from repro.policies.registry import make_policy
 from repro.sim import telemetry
 from repro.sim.engine import LlcOnlySimulator
-from repro.sim.fastpath import fastpath_enabled, lru_stack_distances
+from repro.sim.fastpath import fastpath_enabled
 from repro.sim.nativepath import (
     BACKEND_MODEL,
     native_enabled,
@@ -75,7 +75,7 @@ from repro.sim.nativepath import (
 )
 from repro.sim.plan import plan_replay
 from repro.sim.results import LlcSimResult
-from repro.sim.setpath import replay_setpath
+from repro.sim.setpath import lru_ranks, replay_setpath
 
 PROBE_FORMAT_VERSION = 2
 """Bump when the on-disk shape of :meth:`ProbeReport.as_dict` changes.
@@ -332,9 +332,10 @@ class ReuseDistanceProbe(Probe):
     Distances and residencies are those of the canonical per-set LRU
     cache of the replay's geometry, whatever policy the replay ran: a
     property of the *stream*, computed once in :meth:`consume_stream`
-    from :func:`repro.sim.fastpath.lru_stack_distances`, so the summary
-    is the same on every tier (``fastpath_safe``). Distance ``ways`` is
-    the capped miss bucket (true distance >= ways, cold misses included).
+    by a rank-mode LRU replay (:func:`repro.sim.setpath.lru_ranks`), so
+    the summary is the same on every tier (``fastpath_safe``). Distance
+    ``ways`` is the capped miss bucket (true distance >= ways, cold
+    misses included).
     Each such miss starts an LRU residency of its block, and the block's
     later accesses up to its next miss fall in it. An access counts in
     the sharing class its residency *ends up* with: shared once two or
@@ -351,8 +352,7 @@ class ReuseDistanceProbe(Probe):
 
     def consume_stream(self, stream, geometry) -> None:
         ways = self._ways = geometry.ways
-        distances = np.frombuffer(lru_stack_distances(
-            stream.blocks, geometry.num_sets, ways), dtype=np.int32)
+        distances = lru_ranks(stream.blocks, geometry.num_sets, ways)
         cores, __, blocks, ___ = stream.numpy_columns()
         # In (block, position) order each miss opens the next residency.
         order = np.argsort(blocks, kind="stable")

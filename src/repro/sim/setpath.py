@@ -52,12 +52,14 @@ Which policies run here is decided by the replay planner
 :data:`repro.sim.plan.REPLAY_KERNELS` table also names the kernel family
 each class steps through; :func:`repro.sim.multipass.run_policy_on_stream`
 carries the plan out, for single replays and for every grid cell that
-:mod:`repro.sim.gridpath`'s LRU stack walk does not serve.
+:mod:`repro.sim.gridpath`'s rank-mode replay (:func:`lru_ranks`) does not
+serve.
 """
 
 from array import array
 from time import perf_counter
 from typing import List, NamedTuple, Optional, Tuple
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -68,6 +70,7 @@ from repro.common.rng import DeterministicRng, randrange_words
 from repro.policies.base import REPLAY_DUELING, REPLAY_SET, ReplacementPolicy
 from repro.policies.dip import BipPolicy, DuelingController
 from repro.policies.lru import LipPolicy
+from repro.policies.opt import next_positions
 from repro.policies.rrip import BrripPolicy
 from repro.sim.plan import (
     FAMILY_NRU,
@@ -92,25 +95,46 @@ _NO_KEY = np.iinfo(np.int64).min
 # Phase 1: stream partition
 # ----------------------------------------------------------------------
 
+_SUCCESSORS: "WeakKeyDictionary" = WeakKeyDictionary()
+
+
+def stream_successors(stream: LlcStream) -> np.ndarray:
+    """The stream's :func:`repro.policies.opt.next_positions` column.
+
+    The kernel's links and OPT's next-use column read it. It depends
+    only on the block sequence, so it is memoized weakly, at 4 bytes per
+    access, and dies with its stream.
+    """
+    successors = _SUCCESSORS.get(stream)
+    if successors is None:
+        successors = _SUCCESSORS[stream] = next_positions(stream.blocks)
+    return successors
+
+
 class StreamPartition:
     """The recorded stream bucketed by set index.
 
-    ``blocks_np[starts[s]:starts[s+1]]`` is set ``s``'s access subsequence
-    in stream order, and ``order_np`` holds each grouped access's global
-    stream position.
+    ``order_np[starts[s]:starts[s+1]]`` holds the global stream positions
+    of set ``s``'s accesses in stream order, and ``successors`` is the
+    stream's successor column.
     """
 
-    __slots__ = ("num_sets", "starts", "order_np", "blocks_np")
+    __slots__ = ("num_sets", "starts", "order_np", "successors")
 
 
-def partition_stream(blocks, num_sets: int, profile=None) -> StreamPartition:
+def partition_stream(blocks, num_sets: int, successors=None,
+                     profile=None) -> StreamPartition:
     """Bucket ``blocks`` by ``block & (num_sets - 1)`` preserving order.
 
     One stable ``argsort`` over the set-index column, narrowed to the
     smallest unsigned type that holds it so numpy radix-sorts it.
+    ``successors`` is the blocks' successor column, computed here when
+    None.
     """
     part = StreamPartition()
     part.num_sets = num_sets
+    part.successors = (next_positions(blocks) if successors is None
+                       else successors)
     start = perf_counter()
     if isinstance(blocks, array) and blocks.typecode == "q":
         column = np.frombuffer(blocks, dtype=np.int64)
@@ -121,7 +145,6 @@ def partition_stream(blocks, num_sets: int, profile=None) -> StreamPartition:
         sets.astype(np.min_scalar_type(num_sets - 1)), kind="stable")
     part.starts = np.zeros(num_sets + 1, dtype=np.int64)
     np.cumsum(np.bincount(sets, minlength=num_sets), out=part.starts[1:])
-    part.blocks_np = column[part.order_np]
     if profile is not None:
         profile["partition"] = perf_counter() - start
     return part
@@ -137,13 +160,15 @@ class _Lanes(NamedTuple):
     Row ``r`` replays set ``sets[r]``, longest set first, so the rows
     still active at step ``i`` are a prefix of the rows and no lane is
     ever padded. Slots are ordered by (step, row): step ``i`` is
-    ``bounds[i]:bounds[i + 1]``, and ``blocks``/``pos`` give each slot's
-    block and global stream position.
+    ``bounds[i]:bounds[i + 1]``, and ``pos`` gives each slot's global
+    stream position. ``link`` gives the slot of the same block's next
+    access, in the same row since lanes cover whole sets, or
+    ``len(pos)`` for a block's last access.
     """
 
     sets: np.ndarray
-    blocks: np.ndarray
     pos: np.ndarray
+    link: np.ndarray
     bounds: List[int]
 
 
@@ -153,15 +178,17 @@ def _lanes(part: StreamPartition, sets) -> _Lanes:
     rank = np.argsort(-lens, kind="stable")
     rank = rank[lens[rank] > 0]
     sets, lens = sets[rank], lens[rank]
-    step = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(step))))
-    slot = bounds[step] + np.repeat(np.arange(len(lens)), lens)
-    src = np.repeat(part.starts[sets], lens) + step
-    blocks = np.empty(len(src), dtype=np.int64)
-    blocks[slot] = part.blocks_np[src]
-    pos = np.empty(len(src), dtype=np.int64)
-    pos[slot] = part.order_np[src]
-    return _Lanes(sets, blocks, pos, bounds.tolist())
+    # Rows active at each step; each column is one gather by partition
+    # index, and a successor of -1 reads the slot past the lanes.
+    active = len(lens) - np.cumsum(np.bincount(lens))[:-1]
+    bounds = np.concatenate(([0], np.cumsum(active)))
+    index = np.arange(bounds[-1])
+    src = part.starts[sets][index - np.repeat(bounds[:-1], active)] + \
+        np.repeat(np.arange(len(active)), active)
+    pos = part.order_np[src]
+    slot = np.full(len(part.order_np) + 1, len(pos), dtype=np.intp)
+    slot[pos] = index
+    return _Lanes(sets, pos, slot[part.successors[pos]], bounds.tolist())
 
 
 def _draw_table(seeds, counts, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -201,62 +228,75 @@ def _draw_table(seeds, counts, n: int) -> Tuple[np.ndarray, np.ndarray]:
 def _lockstep(lanes: _Lanes, ways: int, family: str, rmax: int = 0,
               lip: bool = False, use_b=None, draws=None, next_use=None,
               hints=None, cores=None, mode: str = "both",
-              release: str = "never", fills=None, trail=None):
+              release: str = "never", fills=None, trail=None, ranks=None):
     """Step every row of ``lanes`` one access per numpy step.
 
-    State is ``(rows, ways)`` matrices of resident blocks and victim keys,
-    addressed through flat ``row * ways + way`` cells: each miss takes its
-    row's first largest key. The key per ``family``:
+    State is ``(rows, ways)`` victim keys addressed through flat ``row *
+    ways + way`` cells: each miss takes its row's first largest key. An
+    access reads only the cell its block's previous access ended in,
+    forwarded along the lane links (a never-filled cell for a first
+    access), and hits iff that cell still holds its block, which is iff
+    the cell's tag, the link of its block's latest access, is this slot.
+    The key per ``family``:
 
     * ``recency`` — minus the step on a hit or MRU fill (a step touches at
       most one way per row, so that is recency order). A fill at the LRU
       end (LIP always, BIP on all but a 1-in-``n`` draw) takes its row's
       next LRU-end count, above every MRU key and every earlier LRU-end
       fill: the order of the model's ``min(stamps) - 1``.
-    * ``rrip`` — the RRPV (``rmax`` the largest); before a full row picks
-      its victim, the scalar +1-all rounds that run until some way
-      reaches ``rmax`` are one closed-form delta. Fills insert at
-      ``rmax - 1``, or BRRIP-style at ``rmax`` on all but a 1-in-``n``
-      draw.
+    * ``rrip`` — the RRPV (``rmax`` the largest) less a per-row offset;
+      before a full row picks its victim, the scalar +1-all rounds that
+      run until some way reaches ``rmax`` are one closed-form delta
+      added to the offset. Fills insert at ``rmax - 1``, or BRRIP-style
+      at ``rmax`` on all but a 1-in-``n`` draw.
     * ``nru`` — ``1 - reference bit``; a touch that sets every bit of the
       row clears the others.
     * ``opt`` — the next-use position of the way's last access.
     * ``random`` — none: a full row's victim is its next draw.
 
-    Empty ways hold :data:`_COLD`, so a row with one fills its lowest
-    empty way with no victim choice and no exemption, and RRPV aging
-    stops at ``rmax``. ``use_b`` (per slot) marks the fills that apply
-    constituent B, the bimodal insertion, and draw; ``draws`` is a
-    :func:`_draw_table` of each row's pre-drawn values, consumed through
-    a per-row counter. ``next_use``, ``hints`` and ``cores`` are per-slot
-    columns. ``hints`` makes the kernel the sharing oracle wrapper with
-    ``mode`` and ``release``: a hinted fill is promoted as a hit would be,
-    a miss skips protected ways, and cross-core hits release budgets,
-    counted in the object model's decision order. ``fills``, a list,
-    receives every step's miss positions; ``trail``, a list, receives
-    this call's residency skeleton for :func:`_assemble_walk`, numbering
-    its residencies after those of the calls already on it. Returns
-    ``(hits, protected_fills, exemptions, releases)``.
+    Empty ways hold :data:`_COLD`, never offset, so a row with one fills
+    its lowest empty way with no victim choice and no exemption, and
+    RRPV aging stops at ``rmax``. ``use_b`` (per slot) marks the fills
+    that apply constituent B, the bimodal insertion, and draw; ``draws``
+    is a :func:`_draw_table` of each row's pre-drawn values, consumed
+    through a per-row counter. ``next_use``, ``hints`` and ``cores`` are
+    per-slot columns. ``hints`` makes the kernel the sharing oracle
+    wrapper with ``mode`` and ``release``: a hinted fill is promoted as a
+    hit would be, a miss skips protected ways, and cross-core hits
+    release budgets, counted in the object model's decision order.
+    ``fills``, a list, receives every step's miss positions; ``trail``, a
+    list, receives this call's residency skeleton for
+    :func:`_assemble_walk`, numbering its residencies after those of the
+    calls already on it. ``ranks``, indexed by stream position, receives
+    each hit's count of live ways in its row with a more recent key, its
+    stack distance under exact LRU. Returns ``(hits, protected_fills,
+    exemptions, releases)``.
     """
-    blocks, pos, bounds = lanes.blocks, lanes.pos, lanes.bounds
-    blk = np.full((len(lanes.sets), ways), -1, dtype=np.int64)
-    key = np.full_like(blk, _COLD)
-    blk_at, key_at = blk.reshape(-1), key.reshape(-1)
+    __, pos, link, bounds = lanes
+    size = len(lanes.sets) * ways
+    key = np.full((len(lanes.sets), ways), _COLD, dtype=np.int64)
+    key_at = key.reshape(-1)
+    # Cell ``size`` is never filled: every first access reads it.
+    tag_at = np.full(size + 1, -1, dtype=np.intp)
+    at = np.full(len(pos) + 1, size, dtype=np.intp)
+    slots = np.arange(len(pos))
     lru_end = np.zeros(len(lanes.sets), dtype=np.int64)
+    offset = np.zeros(len(lanes.sets), dtype=np.int64)
     if hints is not None:
-        budget = np.zeros_like(blk)
+        budget = np.zeros_like(key)
         budget_at = budget.reshape(-1)
-        fill_core_at = np.zeros_like(blk_at)
+        fill_core_at = np.zeros_like(key_at)
     if draws is not None:
         flat, first = draws
         used = np.zeros(len(lanes.sets), dtype=np.int64)
     if trail is not None:
-        rid_at = np.full_like(blk_at, -1)
+        rid_at = np.full(size, -1, dtype=np.int64)
         skeleton = ([], [], [], [])
         counter = sum(len(record[0]) for record in trail)
     exempting = hints is not None and mode != "insert-promote"
     promoting = hints is not None and mode != "victim-exempt"
     releasing = hints is not None and release != "never"
+    rrip = family == FAMILY_RRIP
     hits = protected = exempted = released = 0
 
     def draw(rows):
@@ -273,18 +313,23 @@ def _lockstep(lanes: _Lanes, ways: int, family: str, rmax: int = 0,
 
     for i in range(len(bounds) - 1):
         lo, hi = bounds[i], bounds[i + 1]
-        b = blocks[lo:hi]
+        cell = at[lo:hi]
+        hit = tag_at[cell] == slots[lo:hi]
         top = -i if family == FAMILY_RECENCY else 0
-        cells = np.flatnonzero(blk[:hi - lo] == b[:, None])
-        rows = cells // ways
-        miss = np.ones(hi - lo, dtype=bool)
-        if cells.size:
-            miss[rows] = False
-            hits += cells.size
+        rows = hit.nonzero()[0]
+        if rows.size:
+            cells = cell[rows]
+            hits += rows.size
+            if ranks is not None:
+                ranks[pos[lo:hi][rows]] = (
+                    key.take(rows, axis=0) < key_at[cells][:, None]
+                ).sum(axis=1)
             if family == FAMILY_OPT:
                 key_at[cells] = next_use[lo:hi][rows]
             elif family == FAMILY_NRU:
                 touch(rows, cells)
+            elif rrip:
+                key_at[cells] = -offset[rows]
             elif family != FAMILY_RANDOM:
                 key_at[cells] = top
             if releasing:
@@ -293,86 +338,89 @@ def _lockstep(lanes: _Lanes, ways: int, family: str, rmax: int = 0,
                 gone = cells[shared]
                 if release == "budget":
                     budget_at[gone] -= 1
-                    released += np.count_nonzero(budget_at[gone] == 0)
+                    released += (budget_at[gone] == 0).sum()
                 else:
                     budget_at[gone] = 0
                     released += gone.size
             if trail is not None:
                 skeleton[2].append(pos[lo:hi][rows])
                 skeleton[3].append(rid_at[cells])
-        rows = np.flatnonzero(miss)
-        if not rows.size:
-            continue
-        if fills is not None:
-            fills.append(pos[lo:hi][rows])
-        sub = key.take(rows, axis=0)
-        way = sub.argmax(axis=1)
-        cells = rows * ways + way
-        if family == FAMILY_RRIP:
-            age = rmax - np.minimum(key_at[cells], rmax)
-            aged = np.flatnonzero(age)
-            if aged.size:
-                key[rows[aged]] += age[aged, None]
-        elif family == FAMILY_RANDOM:
-            full = sub[:, -1] != _COLD
-            if full.any():
-                way[full] = draw(rows[full])
-                cells = rows * ways + way
-        if exempting:
-            # Only a protected first choice can move. A recency or RRIP
-            # base takes its row's first largest key, so an unprotected
-            # first choice is also the first largest unprotected key.
-            # (NRU, Random and OPT bases have no oracle plan.)
-            look = np.flatnonzero(budget_at[cells] > 0)
-            if look.size:
-                guard = budget.take(rows[look], axis=0) > 0
-                best = np.where(guard, _NO_KEY, sub[look]).argmax(axis=1)
-                # Every way protected: the base's first choice stands.
-                moved = ~guard[np.arange(look.size), best]
-                exempted += np.count_nonzero(moved)
-                way[look[moved]] = best[moved]
-                cells = rows * ways + way
-        if trail is not None:
-            skeleton[0].append(pos[lo:hi][rows])
-            skeleton[1].append(rid_at[cells])
-            rid_at[cells] = np.arange(counter, counter + rows.size)
-            counter += rows.size
-        blk_at[cells] = b[rows]
-        distant = None
-        if lip:
-            distant = np.ones(rows.size, dtype=bool)
-        elif use_b is not None:
-            chosen = use_b[lo:hi][rows]
-            if chosen.any():
-                distant = np.zeros(rows.size, dtype=bool)
-                distant[chosen] = draw(rows[chosen]) != 0
-        if family == FAMILY_RECENCY:
-            fill = top
-            if distant is not None:
-                far = rows[distant]
-                lru_end[far] += 1
-                fill = np.full(rows.size, top)
-                fill[distant] = lru_end[far]
-        elif family == FAMILY_RRIP:
-            fill = rmax - 1 if distant is None else rmax - 1 + distant
-        elif family == FAMILY_OPT:
-            fill = next_use[lo:hi][rows]
-        else:
-            fill = 0
-        if hints is not None:
-            hint = hints[lo:hi][rows]
-            budget_at[cells] = hint
-            fill_core_at[cells] = cores[lo:hi][rows]
-            hinted = hint > 0
-            protected += np.count_nonzero(hinted)
-            if promoting:
-                fill = np.where(hinted, top, fill)
-        if family == FAMILY_NRU:
-            touch(rows, cells)
-        else:
-            key_at[cells] = fill
+        if rows.size < hi - lo:
+            rows = (~hit).nonzero()[0]
+            if fills is not None:
+                fills.append(pos[lo:hi][rows])
+            sub = key.take(rows, axis=0)
+            way = sub.argmax(axis=1)
+            cells = rows * ways + way
+            if rrip:
+                # The first choice's RRPV, clamped without touching _COLD.
+                limit = rmax - offset[rows]
+                offset[rows] += limit - np.minimum(key_at[cells], limit)
+            elif family == FAMILY_RANDOM:
+                full = sub[:, -1] != _COLD
+                if full.any():
+                    way[full] = draw(rows[full])
+                    cells = rows * ways + way
+            if exempting:
+                # Only a protected first choice can move. A recency or
+                # RRIP base takes its row's first largest key, so an
+                # unprotected first choice is also the first largest
+                # unprotected key. (NRU, Random and OPT bases have no
+                # oracle plan.)
+                look = (budget_at[cells] > 0).nonzero()[0]
+                if look.size:
+                    guard = budget.take(rows[look], axis=0) > 0
+                    best = np.where(guard, _NO_KEY, sub[look]).argmax(axis=1)
+                    # Every way protected: the base's first choice stands.
+                    moved = ~guard[np.arange(look.size), best]
+                    exempted += moved.sum()
+                    way[look[moved]] = best[moved]
+                    cells = rows * ways + way
+            if trail is not None:
+                skeleton[0].append(pos[lo:hi][rows])
+                skeleton[1].append(rid_at[cells])
+                rid_at[cells] = np.arange(counter, counter + rows.size)
+                counter += rows.size
+            cell[rows] = cells
+            distant = None
+            if lip:
+                distant = np.ones(rows.size, dtype=bool)
+            elif use_b is not None:
+                chosen = use_b[lo:hi][rows]
+                if chosen.any():
+                    distant = np.zeros(rows.size, dtype=bool)
+                    distant[chosen] = draw(rows[chosen]) != 0
+            if family == FAMILY_RECENCY:
+                fill = top
+                if distant is not None:
+                    far = rows[distant]
+                    lru_end[far] += 1
+                    fill = np.full(rows.size, top)
+                    fill[distant] = lru_end[far]
+            elif rrip:
+                top = -offset[rows]
+                fill = top + (rmax - 1 if distant is None
+                              else rmax - 1 + distant)
+            elif family == FAMILY_OPT:
+                fill = next_use[lo:hi][rows]
+            else:
+                fill = 0
+            if hints is not None:
+                hint = hints[lo:hi][rows]
+                budget_at[cells] = hint
+                fill_core_at[cells] = cores[lo:hi][rows]
+                hinted = hint > 0
+                protected += hinted.sum()
+                if promoting:
+                    fill = np.where(hinted, top, fill)
+            if family == FAMILY_NRU:
+                touch(rows, cells)
+            else:
+                key_at[cells] = fill
+        tag_at[cell] = link[lo:hi]
+        at[link[lo:hi]] = cell
     if trail is not None:
-        live = np.flatnonzero(rid_at >= 0)
+        live = (rid_at >= 0).nonzero()[0]
         trail.append((
             *(np.concatenate(part) if part else np.zeros(0, dtype=np.int64)
               for part in skeleton),
@@ -456,7 +504,7 @@ def _kernel(stream: LlcStream, geometry: CacheGeometry, policy,
     def run(lanes, use_b=None, fills=None):
         draws = None
         if use_b is not None or family == FAMILY_RANDOM:
-            drawing = lanes.blocks if use_b is None else lanes.blocks[use_b]
+            drawing = blocks[lanes.pos if use_b is None else lanes.pos[use_b]]
             counts = np.bincount(drawing & mask, minlength=mask + 1)
             draws = _draw_table(
                 [base.set_seed(s) for s in lanes.sets.tolist()],
@@ -485,7 +533,7 @@ def _leader_pass(part: StreamPartition, blocks, base, run):
     mask = part.num_sets - 1
     lanes = _lanes(part, np.flatnonzero(roles != DuelingController.FOLLOWER))
     fills: List[np.ndarray] = []
-    counts = run(lanes, is_b[lanes.blocks & mask], fills)
+    counts = run(lanes, is_b[blocks[lanes.pos] & mask], fills)
     fills = np.concatenate(fills) if fills else np.zeros(0, dtype=np.int64)
     return (counts, roles, duel,
             *_psel_steps(fills, is_b[blocks[fills] & mask], duel))
@@ -499,7 +547,8 @@ def _run_partitioned(stream: LlcStream, geometry: CacheGeometry, policy,
     Count mode when ``trail`` is None. An oracle wrapper gets the study
     counters the object model would have counted.
     """
-    part = partition_stream(stream.blocks, geometry.num_sets, profile=profile)
+    part = partition_stream(stream.blocks, geometry.num_sets,
+                            stream_successors(stream), profile=profile)
     start = perf_counter()
     base, tier, run = _kernel(stream, geometry, policy, trail)
     if tier == REPLAY_DUELING:
@@ -533,6 +582,21 @@ def _run_partitioned(stream: LlcStream, geometry: CacheGeometry, policy,
     return hits
 
 
+def lru_ranks(blocks, num_sets: int, ways: int) -> np.ndarray:
+    """Capped per-set LRU stack distance of every access: rank mode.
+
+    One exact LRU lockstep replay at ``ways`` ways, in which every miss
+    gets the cap ``ways``. By Mattson inclusion (Mattson et al., 1970),
+    ``hit iff ranks[i] < w`` is the exact outcome for every ``w <= ways``
+    at the same ``num_sets``.
+    """
+    part = partition_stream(blocks, num_sets)
+    ranks = np.full(len(part.order_np), ways, dtype=np.int64)
+    _lockstep(_lanes(part, np.arange(num_sets)), ways, FAMILY_RECENCY,
+              ranks=ranks)
+    return ranks
+
+
 def reconstruct_psel_series(
     stream: LlcStream,
     geometry: CacheGeometry,
@@ -553,7 +617,8 @@ def reconstruct_psel_series(
             f"policy {getattr(policy, 'name', policy)!r} is not a dueling "
             f"policy; no PSEL series exists"
         )
-    part = partition_stream(stream.blocks, geometry.num_sets)
+    part = partition_stream(stream.blocks, geometry.num_sets,
+                            stream_successors(stream))
     base, __, run = _kernel(stream, geometry, policy, None)
     positions, values = _leader_pass(
         part, stream.numpy_columns()[2], base, run)[3:]

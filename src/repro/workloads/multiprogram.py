@@ -58,8 +58,11 @@ class MultiprogramMix:
     ) -> Trace:
         """Produce the interleaved multi-programmed trace.
 
-        Matches :meth:`repro.workloads.WorkloadModel.generate` so mixes are
-        drop-in replacements for single models.
+        Takes the arguments of :meth:`repro.workloads.WorkloadModel.generate`,
+        so a mix stands in for a single model, but it returns
+        ``(target_accesses // components) * components`` accesses, not
+        exactly the budget: each component generates an equal share and
+        the remainder is dropped (19,998 of 20,000 for three components).
         """
         num_components = len(self.models)
         if num_threads < num_components:

@@ -1,4 +1,4 @@
-"""Plain LRU on the fast path, the fast-path gate, and the stack walk.
+"""Plain LRU on the fast path, the fast-path gate, and rank mode.
 
 The load-bearing property is *bit-identity*: for every stream and geometry,
 an LRU :func:`run_policy_on_stream` replay on the set tier must produce
@@ -8,9 +8,10 @@ callbacks with the same arguments in the same order (victim-ended before
 fill-started, forced flushes in (set, way) order). Hypothesis drives
 random streams across geometries through the one metadata pass, whose
 masks are int64 up to core 62 and Python ints above.
-:func:`lru_stack_distances`, the one stack-distance walk, and the MRC's
-Fenwick-tree count (:func:`repro.analysis.mrc.stack_distances`) are
-pinned against the distance's definition.
+The lockstep kernel's rank mode (:func:`repro.sim.setpath.lru_ranks`),
+the one per-set stack-distance engine, and the MRC's Fenwick-tree count
+(:func:`repro.analysis.mrc.stack_distances`) are pinned against the
+distance's definition.
 """
 
 import os
@@ -27,12 +28,9 @@ from repro.policies.lru import LruPolicy
 from repro.predictors.harness import PredictorHarness
 from repro.predictors.registry import make_predictor
 from repro.sim.engine import LlcOnlySimulator
-from repro.sim.fastpath import (
-    FASTPATH_ENV,
-    fastpath_enabled,
-    lru_stack_distances,
-)
+from repro.sim.fastpath import FASTPATH_ENV, fastpath_enabled
 from repro.sim.multipass import run_policy_on_stream
+from repro.sim.setpath import lru_ranks
 from tests.conftest import make_stream
 from tests.strategies import replay_stream_lists
 
@@ -140,15 +138,13 @@ class TestStackDistances:
             out.append(min(len(distinct), ways))
         return out
 
-    @settings(max_examples=60, deadline=None)
-    @given(blocks=st.lists(st.integers(0, 30), max_size=120),
-           geometry_index=st.integers(0, 3))
-    def test_matches_brute_force(self, blocks, geometry_index):
-        geometry = GEOMETRIES[geometry_index]
-        got = lru_stack_distances(blocks, geometry.num_sets, geometry.ways)
-        assert list(got) == self.brute_force(
-            blocks, geometry.num_sets, geometry.ways
-        )
+    @settings(max_examples=80, deadline=None)
+    @given(blocks=st.lists(st.integers(0, 90), max_size=160),
+           set_bits=st.integers(0, 4), ways=st.integers(1, 64))
+    def test_matches_brute_force(self, blocks, set_bits, ways):
+        num_sets = 1 << set_bits
+        got = lru_ranks(blocks, num_sets, ways)
+        assert got.tolist() == self.brute_force(blocks, num_sets, ways)
 
     @settings(max_examples=60, deadline=None)
     @given(blocks=st.lists(st.integers(0, 30), max_size=120),
@@ -161,13 +157,13 @@ class TestStackDistances:
     def test_one_set_is_the_fully_associative_stack(self):
         # 1 and 2 cold, 1 at distance 1, 3 cold, 2 and 1 at distance 2,
         # then an immediate reuse at distance 0.
-        got = lru_stack_distances([1, 2, 1, 3, 2, 1, 1], 1, 8)
-        assert list(got) == [8, 8, 1, 8, 2, 2, 0]
+        got = lru_ranks([1, 2, 1, 3, 2, 1, 1], 1, 8)
+        assert got.tolist() == [8, 8, 1, 8, 2, 2, 0]
 
     def test_hit_iff_distance_below_ways(self, small_geometry):
         blocks = [0, 8, 16, 24, 32, 0, 8, 99, 0]
         stream = make_stream([(0, 0x1, b, False) for b in blocks])
-        distances = lru_stack_distances(
+        distances = lru_ranks(
             blocks, small_geometry.num_sets, small_geometry.ways
         )
         slow = scalar_replay(stream, small_geometry)

@@ -3,7 +3,7 @@
 The grid layer's whole contract is *bit-identity with the object model*:
 every cell of a geometry or parameter grid must carry exactly the
 counters the scalar model gives that cell, with the engine-assigned
-``grid`` tier recorded where the LRU stack walk served it and, on every
+``grid`` tier recorded where a rank-mode LRU replay served it and, on every
 other cell, the tier, backend and reason of the cell's own replay plan.
 The references run with the fast path off: a non-LRU cell *is* a
 :func:`run_policy_on_stream` replay, so a fast-path reference would
@@ -11,7 +11,7 @@ compare that code with itself. This file pins that matrix:
 
 * :func:`lru_grid_hits` against per-associativity LRU replays
   (Mattson inclusion, including degenerate grids);
-* geometry grids for every planned tier — the LRU stack-distance walk,
+* geometry grids for every planned tier — the LRU rank-mode replay,
   set (LIP/BIP/NRU/SRRIP/BRRIP/random), dueling (DIP/DRRIP), scalar
   (SHiP) — and the disabled-fastpath gate;
 * parameter grids — the SRRIP ``rrpv_bits`` grid, stochastic epsilon
@@ -133,7 +133,7 @@ class TestGeometryGrid:
         for geometry, cell in zip(GEOMETRY_GRID, cells):
             assert cell == model(stream, geometry, policy, seed=SEED)
             if policy == "lru":
-                assert stamps(cell) == (REPLAY_GRID, "python", "")
+                assert stamps(cell) == (REPLAY_GRID, "numpy", "")
             else:
                 assert stamps(cell) == own_plan(
                     make_policy(policy, seed=cell_seed(policy)), stream)
@@ -188,8 +188,8 @@ class TestGeometryGrid:
         walked = replay_geometry_grid(
             stream, GEOMETRY_GRID, LruPolicy, fastpath=True)
         assert {stamps(cell) for cell in walked} == {
-            (REPLAY_GRID, "python", "")}
-        # A subclass may change what the walk assumes: each of its cells
+            (REPLAY_GRID, "numpy", "")}
+        # A subclass may change what rank mode assumes: each of its cells
         # is its own planned replay, on the model.
         cells = replay_geometry_grid(
             stream, GEOMETRY_GRID, TweakedLru, fastpath=True)
@@ -345,7 +345,7 @@ class TestCellsAndSpans:
             stream, GEOMETRY_GRID, fastpath=True))
         [grid] = spans
         assert (grid["stage"], grid["tier"], grid["backend"]) == (
-            "replay_grid", REPLAY_GRID, "python")
+            "replay_grid", REPLAY_GRID, "numpy")
         assert (grid["cells"], grid["groups"]) == (4, 2)
 
 

@@ -54,6 +54,12 @@ class TestMultiprogramMix:
         trace = generate_mix(accesses=8_000)
         assert len(trace) == 8_000
 
+    def test_length_drops_the_budget_remainder(self):
+        # Each of three components gets 20_000 // 3 accesses.
+        trace = generate_mix(("swaptions", "canneal", "water"),
+                             accesses=20_000)
+        assert len(trace) == 19_998
+
     def test_deterministic(self):
         a = generate_mix()
         b = generate_mix()
